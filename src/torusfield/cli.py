@@ -146,7 +146,8 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
         help="winding numbers along the two generators",
     )
     sub.add_argument("--tolerance", type=float, help="relative residual target")
-    sub.add_argument("--formulation", choices=("curved", "flat_weighted"))
+    sub.add_argument("--formulation", choices=("curved", "flat_weighted"),
+                     help="assembly the reported residual is measured in")
 
 
 def _load_config(args: argparse.Namespace) -> runio.RunConfig:

@@ -5,11 +5,20 @@ part of the angle.  Its operator
 
     P h = flat_lap(e^{2u} flat_lap h) - flat_div(k_g^2 grad h)
 
-(and the curved assembly, which is the pointwise multiple e^{2u} P) is
-symmetric positive semidefinite with kernel exactly the constants, so the
-solve runs preconditioned conjugate gradients on the mean-zero subspace.
-The preconditioner inverts the constant-coefficient biharmonic in Fourier
-space, which keeps iteration counts essentially grid-independent.
+is symmetric positive semidefinite in the flat L2 product, with kernel
+exactly the constants, so every solve runs preconditioned conjugate
+gradients on the mean-zero subspace against this flat-weighted form.  One
+spectral kernel applies P on raw sample arrays through the real FFT's half
+spectrum.  The preconditioner is the exact inverse of the leading-order
+term flat_lap e^{2u} flat_lap on mean-zero fields,
+
+    M r = flat_lap^+[e^{-2u}(flat_lap^+ r + c)],   c = -mean(e^{-2u} flat_lap^+ r) / mean(e^{-2u}),
+
+which keeps iteration counts grid-independent and nearly independent of
+the size of the conformal exponent.  The curved assembly (the pointwise
+multiple e^{2u} P, symmetric against the curved area element) survives as
+an independent oracle in :func:`apply_operator_P` and in the reported
+critical-point residual.
 
 Two independent verification hooks live here as well: an inverse-iteration
 bound for the smallest Rayleigh quotient of the weighted bilaplacian (the
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,10 +44,10 @@ from .lattice import (
     LatticeSpec,
     ScalarField,
     VectorFieldFlat,
+    _derivative_multiplier,
     _laplacian_multiplier,
     flat_divergence,
     flat_gradient,
-    flat_laplacian,
     rotate_J,
 )
 
@@ -57,7 +67,8 @@ class ConvergenceError(RuntimeError):
 
 
 class CompatibilityError(ValueError):
-    """Right-hand side has a nonzero mean against the solve's volume measure.
+    """Right-hand side has a nonzero mean, so the singular system has no
+    solution.
 
     The assembled right-hand side is always a divergence, so this cannot
     fire on well-formed inputs; it guards against hand-built systems.
@@ -66,6 +77,10 @@ class CompatibilityError(ValueError):
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Solve settings.  ``formulation`` picks which assembly of the
+    critical-point equation the report's residual is measured in; the solve
+    itself always runs the flat-weighted system."""
+
     tolerance: float = 1e-10
     max_iterations: int | None = None
     preconditioner: str = "spectral_biharmonic"
@@ -88,12 +103,19 @@ class SolveOptions:
 
 
 class SolveReport(NamedTuple):
+    """Outcome of one solve.  The last two fields stay in memory only:
+    ``residual_history`` holds the PCG relative residuals (``(0.0,)`` when
+    no iteration ran), ``el_residual_relative`` is ``el_residual_maxnorm``
+    over the max-norm of the same formulation's source."""
+
     iterations: int
     final_relative_residual: float
     energy: EnergyBreakdown
     el_residual_maxnorm: float
     wall_time: float
     homotopy_class: HomotopyClass
+    residual_history: tuple[float, ...] = (0.0,)
+    el_residual_relative: float = 0.0
 
 
 class RigidityCertificate(NamedTuple):
@@ -112,14 +134,14 @@ def apply_operator_P(
 ) -> ScalarField:
     """Apply the fourth-order operator of the critical-point equation to h.
 
-    Both formulations are symmetric positive semidefinite in their natural
-    inner products, with kernel the constants.
+    ``"flat_weighted"`` is the solver's own spectral kernel; ``"curved"``
+    composes the curved operators of ``cs`` and equals ``e^{2u}`` times it.
+    Both are symmetric positive semidefinite in their natural inner
+    products, with kernel the constants.
     """
     cs._check(h.lattice)
     if formulation == "flat_weighted":
-        return flat_laplacian(cs.e2u * flat_laplacian(h)) - flat_divergence(
-            cs.kg_sq * flat_gradient(h)
-        )
+        return ScalarField(cs.lattice, _Kernel(cs).apply(h.values))
     if formulation == "curved":
         return cs.laplacian(cs.laplacian(h)) - cs.divergence(cs.kg_sq * cs.gradient(h))
     raise ValueError(f"unknown formulation: {formulation!r}")
@@ -151,84 +173,80 @@ def right_hand_side(
     raise ValueError(f"unknown formulation: {formulation!r}")
 
 
-### Conjugate-gradient plumbing on raw arrays
+### The spectral kernel and conjugate gradients on raw arrays
 
 
-class _Workspace(NamedTuple):
-    """Closures binding one formulation's operator, metric, and projection."""
+@lru_cache(maxsize=128)
+def _half_spectrum(lattice: LatticeSpec) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+    """The masked Laplacian and first-derivative multipliers restricted to
+    the ``rfft2`` half spectrum, plus the Laplacian's pseudo-inverse.
 
-    apply: Callable[[NDArray], NDArray]
-    inner: Callable[[NDArray, NDArray], float]
-    project: Callable[[NDArray], NDArray]
-    precondition: Callable[[NDArray], NDArray]
-
-
-def _spectral_inverse_bilaplacian(cs: ConformalStructure) -> Callable[[NDArray], NDArray]:
-    lap_m = _laplacian_multiplier(cs.lattice)
-    cbar = float(np.mean(cs.e2u.values))
-    with np.errstate(divide="ignore"):
-        multiplier = np.where(lap_m == 0.0, 0.0, 1.0 / (cbar * lap_m * lap_m))
-
-    def precondition(arr: NDArray) -> NDArray:
-        return np.fft.ifft2(multiplier * np.fft.fft2(arr)).real
-
-    return precondition
-
-
-def _workspace(
-    cs: ConformalStructure,
-    formulation: str,
-    preconditioner: str,
-    apply_field: Callable[[ScalarField], ScalarField],
-) -> _Workspace:
-    lattice = cs.lattice
-    cell = lattice.area / (lattice.n1 * lattice.n2)
-
-    def apply(arr: NDArray) -> NDArray:
-        return apply_field(ScalarField(lattice, arr)).values
-
-    if preconditioner == "spectral_biharmonic":
-        base = _spectral_inverse_bilaplacian(cs)
-    else:
-        base = lambda arr: arr.copy()
-
-    if formulation == "flat_weighted":
-
-        def inner(x: NDArray, y: NDArray) -> float:
-            return float(np.sum(x * y)) * cell
-
-        def project(arr: NDArray) -> NDArray:
-            return arr - np.mean(arr)
-
-        precondition = base
-    else:
-        weight = cs.em2u.values
-        wsum = float(np.sum(weight))
-        gain = cs.e2u.values
-
-        def inner(x: NDArray, y: NDArray) -> float:
-            return float(np.sum(x * y * weight)) * cell
-
-        def project(arr: NDArray) -> NDArray:
-            return arr - float(np.sum(arr * weight)) / wsum
-
-        def precondition(arr: NDArray) -> NDArray:
-            # symmetric against the weighted product: e^{2u} cancels the
-            # volume weight, leaving the flat-symmetric spectral inverse
-            return gain * base(arr)
-
-    return _Workspace(apply=apply, inner=inner, project=project, precondition=precondition)
+    The masked multipliers are Hermitian, so ``irfft2`` of their product
+    with ``rfft2`` reproduces the full-spectrum operators.  The Laplacian
+    vanishes on the mean and on the Nyquist lines; the pseudo-inverse is
+    zero there.
+    """
+    half = slice(0, lattice.n2 // 2 + 1)
+    lap = np.ascontiguousarray(_laplacian_multiplier(lattice)[:, half])
+    d1 = np.ascontiguousarray(_derivative_multiplier(lattice, 1, 1)[:, half])
+    d2 = np.ascontiguousarray(_derivative_multiplier(lattice, 2, 1)[:, half])
+    inv_lap = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap != 0.0)
+    for mult in (lap, d1, d2, inv_lap):
+        mult.flags.writeable = False
+    return lap, d1, d2, inv_lap
 
 
-def _check_compatibility(b: NDArray, ws: _Workspace) -> None:
-    ones = np.ones_like(b)
-    measure = ws.inner(ones, ones)
-    mean_against_measure = ws.inner(b, ones) / measure
+class _Kernel:
+    """``P`` and the preconditioner ``M`` of one structure on raw ``(n1, n2)``
+    arrays.
+
+    An apply of ``P`` costs one ``rfft2`` and three ``irfft2`` to form
+    ``flat_lap h`` and ``grad h``, then three ``rfft2`` and one ``irfft2``
+    for the outer Laplacian and divergence.  Without ``transport`` the
+    kernel is the weighted bilaplacian ``flat_lap e^{2u} flat_lap`` alone.
+    ``M`` is symmetric positive semidefinite in the flat product and
+    inverts the weighted bilaplacian on mean-zero fields resolved away
+    from the Nyquist lines.
+    """
+
+    def __init__(self, cs: ConformalStructure, transport: bool = True) -> None:
+        self.lap, self.d1, self.d2, self.inv_lap = _half_spectrum(cs.lattice)
+        self.e2u = cs.e2u.values
+        self.em2u = cs.em2u.values
+        self.em2u_mean = float(np.mean(self.em2u))
+        self.kg_sq = cs.kg_sq.values if transport else None
+
+    def apply(self, h: NDArray) -> NDArray:
+        spectrum = np.fft.rfft2(h)
+        out = self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
+        if self.kg_sq is not None:
+            for d in (self.d1, self.d2):
+                out -= d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
+        return np.fft.irfft2(out)
+
+    def precondition(self, r: NDArray) -> NDArray:
+        s = np.fft.irfft2(self.inv_lap * np.fft.rfft2(r))
+        # the constant left free by the inner inverse makes the outer
+        # Laplacian's argument mean-zero, hence solvable
+        c = -float(np.mean(self.em2u * s)) / self.em2u_mean
+        return np.fft.irfft2(self.inv_lap * np.fft.rfft2(self.em2u * (s + c)))
+
+
+def _dot(x: NDArray, y: NDArray) -> float:
+    # pairwise summation in a fixed order keeps reruns bit-identical
+    return float(np.sum(x * y))
+
+
+def _project(arr: NDArray) -> NDArray:
+    return arr - np.mean(arr)
+
+
+def _check_compatibility(b: NDArray) -> None:
     scale = max(float(np.max(np.abs(b))), np.finfo(float).tiny)
     # the absolute floor keeps a mathematically-zero source, represented
     # only by fourth-order spectral roundoff, from reading as incompatible:
     # a genuinely unsolvable source has a mean on the order of its data
-    if abs(mean_against_measure) > max(1e-9 * scale, 1e-12):
+    if abs(float(np.mean(b))) > max(1e-9 * scale, 1e-12):
         raise CompatibilityError(
             "right-hand side is not orthogonal to constants; the singular "
             "system has no solution"
@@ -236,30 +254,33 @@ def _check_compatibility(b: NDArray, ws: _Workspace) -> None:
 
 
 def _pcg(
-    ws: _Workspace,
+    apply: Callable[[NDArray], NDArray],
+    precondition: Callable[[NDArray], NDArray],
     b: NDArray,
     tolerance: float,
     max_iterations: int,
-) -> tuple[NDArray, int, list[float]]:
-    """Preconditioned conjugate gradients on the mean-zero subspace.
+) -> tuple[NDArray, list[float]]:
+    """Preconditioned conjugate gradients on the mean-zero subspace, in the
+    flat product.
 
-    Returns (solution, iterations, relative-residual history).  Raises
+    Returns the solution and the relative-residual history (one entry per
+    iteration after the initial 1.0; ``[0.0]`` for a zero source).  Raises
     ConvergenceError when the budget runs out.
     """
-    b = ws.project(b)
-    bnorm = np.sqrt(ws.inner(b, b))
+    b = _project(b)
+    bnorm = np.sqrt(_dot(b, b))
     x = np.zeros_like(b)
     if bnorm == 0.0:
-        return x, 0, [0.0]
+        return x, [0.0]
 
     r = b.copy()
-    z = ws.project(ws.precondition(r))
+    z = precondition(r)
     d = z.copy()
-    rz = ws.inner(r, z)
+    rz = _dot(r, z)
     history = [1.0]
-    for iteration in range(1, max_iterations + 1):
-        Ad = ws.apply(d)
-        dAd = ws.inner(d, Ad)
+    for _ in range(max_iterations):
+        Ad = apply(d)
+        dAd = _dot(d, Ad)
         if dAd <= 0.0:
             raise ConvergenceError(
                 "search direction lost positivity (operator not positive "
@@ -269,19 +290,45 @@ def _pcg(
         step = rz / dAd
         x += step * d
         r -= step * Ad
-        r = ws.project(r)
-        rel = float(np.sqrt(ws.inner(r, r)) / bnorm)
+        rel = float(np.sqrt(_dot(r, r)) / bnorm)
         history.append(rel)
         if rel <= tolerance:
-            return x, iteration, history
-        z = ws.project(ws.precondition(r))
-        rz_next = ws.inner(r, z)
+            return x, history
+        z = precondition(r)
+        rz_next = _dot(r, z)
+        if rz_next <= 0.0:
+            raise ConvergenceError(
+                f"preconditioned residual vanished at relative residual {rel:.3e}: "
+                "what is left lies outside the operator's range",
+                history,
+            )
         d = z + (rz_next / rz) * d
         rz = rz_next
     raise ConvergenceError(
         f"no convergence within {max_iterations} iterations "
         f"(last relative residual {history[-1]:.3e})",
         history,
+    )
+
+
+def _report(
+    cs: ConformalStructure,
+    theta: AngleField,
+    opts: SolveOptions,
+    source: ScalarField,
+    history: list[float],
+    started: float,
+) -> SolveReport:
+    residual = el_residual(cs, theta, opts.formulation).max_abs()
+    return SolveReport(
+        iterations=len(history) - 1,
+        final_relative_residual=history[-1],
+        energy=bienergy(cs, theta),
+        el_residual_maxnorm=residual,
+        wall_time=time.perf_counter() - started,
+        homotopy_class=theta.homotopy,
+        residual_history=tuple(history),
+        el_residual_relative=residual / max(source.max_abs(), np.finfo(float).tiny),
     )
 
 
@@ -294,27 +341,19 @@ def solve_homotopy_class(
 
     Returns the angle field (winding class plus mean-zero periodic part)
     and a report with iteration counts, the final relative residual, the
-    energy breakdown, the max-norm of the critical-point residual, and the
-    wall time.
+    energy breakdown, the max-norm of the critical-point residual in
+    ``opts.formulation``, and the wall time.
     """
     opts = opts or SolveOptions()
     lattice = cs.lattice
     started = time.perf_counter()
+    representative = AngleField(homotopy, ScalarField.from_constant(lattice, 0.0))
 
     # a constant exponent is flat in disguise: the linear representative is
     # already critical and the right-hand side vanishes identically
     if np.ptp(cs.u.values) == 0.0:
-        alpha = ScalarField.from_constant(lattice, 0.0)
-        theta = AngleField(homotopy, alpha)
-        report = SolveReport(
-            iterations=0,
-            final_relative_residual=0.0,
-            energy=bienergy(cs, theta),
-            el_residual_maxnorm=el_residual(cs, theta, opts.formulation).max_abs(),
-            wall_time=time.perf_counter() - started,
-            homotopy_class=homotopy,
-        )
-        return theta, report
+        source = right_hand_side(cs, homotopy, opts.formulation)
+        return representative, _report(cs, representative, opts, source, [0.0], started)
 
     # The source can vanish identically even on a curved structure: when the
     # squared curvature is a pointwise function of u (any single-eigenvalue
@@ -327,45 +366,20 @@ def solve_homotopy_class(
     # and for a zero source the representative itself is the exact solution.
     flat_b = right_hand_side(cs, homotopy, "flat_weighted")
     curved_b = right_hand_side(cs, homotopy, "curved")
+    source = flat_b if opts.formulation == "flat_weighted" else curved_b
     flat_scale = flat_b.max_abs()
     disagreement = (flat_b - cs.em2u * curved_b).max_abs()
     if flat_scale == 0.0 or disagreement >= 1e-6 * flat_scale:
-        alpha = ScalarField.from_constant(lattice, 0.0)
-        theta = AngleField(homotopy, alpha)
-        report = SolveReport(
-            iterations=0,
-            final_relative_residual=0.0,
-            energy=bienergy(cs, theta),
-            el_residual_maxnorm=el_residual(cs, theta, opts.formulation).max_abs(),
-            wall_time=time.perf_counter() - started,
-            homotopy_class=homotopy,
-        )
-        return theta, report
+        return representative, _report(cs, representative, opts, source, [0.0], started)
 
-    ws = _workspace(
-        cs,
-        opts.formulation,
-        opts.preconditioner,
-        lambda h: apply_operator_P(cs, h, opts.formulation),
+    _check_compatibility(flat_b.values)
+    kernel = _Kernel(cs)
+    precondition = kernel.precondition if opts.preconditioner == "spectral_biharmonic" else _project
+    x, history = _pcg(
+        kernel.apply, precondition, flat_b.values, opts.tolerance, opts.iteration_budget(lattice)
     )
-    b = (flat_b if opts.formulation == "flat_weighted" else curved_b).values
-    _check_compatibility(b, ws)
-
-    x, iterations, history = _pcg(ws, b, opts.tolerance, opts.iteration_budget(lattice))
-
-    # normalize to flat mean zero regardless of formulation, so solutions
-    # from the two assemblies are directly comparable
-    alpha = ScalarField(lattice, x - np.mean(x))
-    theta = AngleField(homotopy, alpha)
-    report = SolveReport(
-        iterations=iterations,
-        final_relative_residual=history[-1],
-        energy=bienergy(cs, theta),
-        el_residual_maxnorm=el_residual(cs, theta, opts.formulation).max_abs(),
-        wall_time=time.perf_counter() - started,
-        homotopy_class=homotopy,
-    )
-    return theta, report
+    theta = AngleField(homotopy, ScalarField(lattice, _project(x)))
+    return theta, _report(cs, theta, opts, source, history, started)
 
 
 def section_rigidity_check(
@@ -384,37 +398,31 @@ def section_rigidity_check(
     safety margin.
     """
     lattice = cs.lattice
-
-    def apply_field(h: ScalarField) -> ScalarField:
-        return flat_laplacian(cs.e2u * flat_laplacian(h))
-
-    ws = _workspace(cs, "flat_weighted", "spectral_biharmonic", apply_field)
+    kernel = _Kernel(cs, transport=False)
+    budget = SolveOptions().iteration_budget(lattice)
 
     # start inside the operator's resolvable subspace: modes the derivative
     # multipliers annihilate (the mean and the unpaired highest frequencies)
     # are invisible to the operator and would leave the inner solves chasing
     # an inconsistent component forever
-    lap_m = _laplacian_multiplier(lattice)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(lattice.shape)
-    x = np.fft.ifft2(np.where(lap_m != 0.0, np.fft.fft2(raw), 0.0)).real
-    x = ws.project(x)
-    x /= np.sqrt(ws.inner(x, x))
+    x = np.fft.irfft2(np.where(kernel.lap != 0.0, np.fft.rfft2(raw), 0.0))
+    x /= np.sqrt(_dot(x, x))
 
-    budget = 10 * lattice.n1 * lattice.n2
-    rayleigh = float(ws.inner(x, ws.apply(x)))
+    rayleigh = _dot(x, kernel.apply(x))
     for _ in range(outer_iterations):
-        y, _, _ = _pcg(ws, x, inner_tolerance, budget)
-        y = ws.project(y)
-        y /= np.sqrt(ws.inner(y, y))
-        updated = float(ws.inner(y, ws.apply(y)))
+        y, _ = _pcg(kernel.apply, kernel.precondition, x, inner_tolerance, budget)
+        y = _project(y)
+        y /= np.sqrt(_dot(y, y))
+        updated = _dot(y, kernel.apply(y))
         x = y
         if abs(updated - rayleigh) <= 1e-9 * max(abs(updated), 1e-300):
             rayleigh = updated
             break
         rayleigh = updated
 
-    nonzero = lap_m[lap_m != 0.0]
+    nonzero = kernel.lap[kernel.lap != 0.0]
     flat_reference = float(np.min(nonzero * nonzero))
     verdict = rayleigh >= 1e-6 * flat_reference
     return RigidityCertificate(smallest_rayleigh=rayleigh, verdict=verdict)
@@ -429,13 +437,14 @@ def descent_oracle(
     """Minimize the energy over the periodic part by line-searched descent.
 
     An independent check on the linear solver: no operator equation is
-    formed; each step moves against the energy gradient (twice the
+    solved; each step moves against the energy gradient (twice the
     critical-point residual) with an exact-minimizing step along the
     direction, guarded by halving if roundoff ever breaks monotonicity.
 
     ``step_rule`` selects the descent direction: ``"preconditioned"``
-    applies the spectral inverse-bilaplacian to the gradient (the gradient
-    in the inner product in which the operator is best conditioned, making
+    applies the solver's preconditioner, the inverse of the leading-order
+    term ``flat_lap e^{2u} flat_lap``, to the gradient (the gradient in the
+    inner product in which the operator is best conditioned, making
     convergence grid-independent); ``"plain"`` uses the raw gradient, which
     converges too slowly for production use but exercises the textbook
     iteration.
@@ -446,15 +455,8 @@ def descent_oracle(
     if step_rule not in ("preconditioned", "plain"):
         raise ValueError(f"unknown step_rule: {step_rule!r}")
     lattice = cs.lattice
-    precondition = (
-        _spectral_inverse_bilaplacian(cs)
-        if step_rule == "preconditioned"
-        else (lambda arr: arr - np.mean(arr))
-    )
-    cell = lattice.area / (lattice.n1 * lattice.n2)
-
-    def inner(x: NDArray, y: NDArray) -> float:
-        return float(np.sum(x * y)) * cell
+    kernel = _Kernel(cs)
+    precondition = kernel.precondition if step_rule == "preconditioned" else _project
 
     alpha = np.zeros(lattice.shape)
     theta = AngleField(homotopy, ScalarField(lattice, alpha))
@@ -466,7 +468,7 @@ def descent_oracle(
     for _ in range(steps):
         gradient = 2.0 * el_residual(cs, theta, "flat_weighted").values
         direction = -precondition(gradient)
-        slope = inner(gradient, direction)  # negative along a descent direction
+        slope = _dot(gradient, direction)  # negative along a descent direction
         if reference_slope is None:
             reference_slope = abs(slope)
             if reference_slope == 0.0:
@@ -474,10 +476,7 @@ def descent_oracle(
         if abs(slope) <= _DESCENT_GRADIENT_REDUCTION**2 * reference_slope:
             break
 
-        curvature = inner(
-            apply_operator_P(cs, ScalarField(lattice, direction), "flat_weighted").values,
-            direction,
-        )
+        curvature = _dot(kernel.apply(direction), direction)
         step = -slope / (2.0 * curvature) if curvature > 0.0 else 1.0
         for _halving in range(40):
             candidate = alpha + step * direction

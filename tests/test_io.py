@@ -354,6 +354,22 @@ def test_report_has_exactly_the_documented_keys(solved, tmp_path):
     assert doc["energy"]["bienergy"] == report.energy.bienergy
 
 
+def test_in_memory_diagnostics_stay_out_of_report_json(tmp_path):
+    config = RunConfig(
+        grid="16", u="0.2*sin(2pi*x)+0.1*cos(2pi*y)", winding=(1, 1), outputs=("json",)
+    )
+    blobs = []
+    for run in ("a", "b"):
+        cs, homotopy, opts = realize(config)
+        theta, report = solve_homotopy_class(cs, homotopy, opts)
+        assert len(report.residual_history) == report.iterations + 1 > 1
+        assert report.el_residual_relative > 0.0
+        (path,) = write_outputs(tmp_path / run, config, cs, theta, report)
+        assert set(json.loads(path.read_text(encoding="utf-8"))) == REPORT_KEYS
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_report_file_ends_with_newline(solved, tmp_path):
     _, _, report = solved
     path = tmp_path / "report.json"

@@ -12,7 +12,8 @@ import pytest
 
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
 from torusfield.conformal import ConformalStructure
-from torusfield.energy import bienergy, directional_derivative_check
+from torusfield.energy import bienergy, directional_derivative_check, el_residual
+from torusfield.io import RunConfig, realize
 from torusfield.lattice import (
     LatticeSpec,
     ScalarField,
@@ -27,7 +28,6 @@ from torusfield.solver import (
     SolveOptions,
     SolveReport,
     _check_compatibility,
-    _workspace,
     apply_operator_P,
     descent_oracle,
     right_hand_side,
@@ -179,15 +179,24 @@ def test_solved_residual_is_small_in_scaled_maxnorm(wavy64):
 
 @pytest.mark.parametrize("cls", [HomotopyClass(1, 0), HomotopyClass(-1, 2)])
 def test_formulations_agree_on_the_solved_field(cls):
+    # one flat-weighted solve serves both formulations, and the independent
+    # curved oracle must see that single field as critical to the same
+    # scaled bound the curved residual meets in the test above
     lattice = LatticeSpec.unit_square(64)
     cs = random_structure(lattice, 90)
-    curved, _ = solve_homotopy_class(cs, cls, SolveOptions(formulation="curved"))
-    flat, _ = solve_homotopy_class(cs, cls, SolveOptions(formulation="flat_weighted"))
-    assert (curved.periodic - flat.periodic).max_abs() <= 1e-6
+    opts = SolveOptions(formulation="curved")
+    curved, curved_report = solve_homotopy_class(cs, cls, opts)
+    flat, flat_report = solve_homotopy_class(cs, cls, SolveOptions(formulation="flat_weighted"))
+    assert np.array_equal(curved.periodic.values, flat.periodic.values)
     Vc = angle_to_unit_field(curved)
     Vf = angle_to_unit_field(flat)
     assert (Vc.comp1 - Vf.comp1).max_abs() <= 1e-6
     assert (Vc.comp2 - Vf.comp2).max_abs() <= 1e-6
+    for formulation, report in (("curved", curved_report), ("flat_weighted", flat_report)):
+        source_scale = right_hand_side(cs, cls, formulation).max_abs()
+        residual = el_residual(cs, flat, formulation).max_abs()
+        assert report.el_residual_maxnorm == residual
+        assert residual <= 10.0 * opts.tolerance * source_scale
 
 
 def test_solutions_are_critical_points(wavy64):
@@ -231,14 +240,48 @@ def test_nonconvergence_raises_with_history(wavy64):
 
 
 def test_compatibility_guard_fires_on_unbalanced_source(wavy64):
-    ws = _workspace(
-        wavy64, "flat_weighted", "spectral_biharmonic",
-        lambda h: apply_operator_P(wavy64, h, "flat_weighted"),
-    )
     balanced = np.sin(TWO_PI * wavy64.lattice.fractional_coords[0])
-    _check_compatibility(balanced - balanced.mean(), ws)  # no error
+    _check_compatibility(balanced - balanced.mean())  # no error
     with pytest.raises(CompatibilityError):
-        _check_compatibility(np.ones(wavy64.lattice.shape), ws)
+        _check_compatibility(np.ones(wavy64.lattice.shape))
+
+
+### Conditioning and in-memory diagnostics
+
+def test_large_exponent_converges_within_budget():
+    # the standard exponent times six: e^{2u} spans a factor of ~1e3
+    cs, cls, _ = realize(RunConfig(grid="64", u="1.2*sin(2pi*x)+0.6*cos(2pi*y)", winding=(1, 0)))
+    _, report = solve_homotopy_class(cs, cls)
+    assert report.final_relative_residual <= 1e-10
+    assert report.iterations <= 300
+
+
+def test_strong_oblique_case_converges_quickly():
+    cs, cls, _ = realize(
+        RunConfig(grid="64", lattice="1,0;0.5,1.5", u="0.4*sin(2pi*x)+0.2*cos(2pi*y)", winding=(1, 0))
+    )
+    _, report = solve_homotopy_class(cs, cls)
+    assert report.final_relative_residual <= 1e-10
+    assert report.iterations <= 64
+
+
+@pytest.mark.parametrize("formulation", ["curved", "flat_weighted"])
+def test_report_carries_history_and_relative_residual(wavy64, formulation):
+    cls = HomotopyClass(1, 0)
+    _, report = solve_homotopy_class(wavy64, cls, SolveOptions(formulation=formulation))
+    history = report.residual_history
+    assert len(history) == report.iterations + 1
+    assert history[0] == 1.0
+    assert history[-1] == report.final_relative_residual
+    source_scale = right_hand_side(wavy64, cls, formulation).max_abs()
+    assert report.el_residual_relative == report.el_residual_maxnorm / source_scale
+    assert report.el_residual_relative <= 10.0 * 1e-10
+
+
+def test_early_returns_report_a_trivial_history(flat64):
+    _, report = solve_homotopy_class(flat64, HomotopyClass(1, 0))
+    assert report.residual_history == (0.0,)
+    assert report.el_residual_relative == 0.0
 
 
 ### Rigidity of the vertical problem
