@@ -3,11 +3,15 @@
 Everything here is finite-dimensional: a left-invariant unit field is a
 point on the unit sphere of the frame coefficients, the connection is a
 constant ``dim^3`` array, and the harmonic/biharmonic conditions become
-polynomial systems on that sphere.  The module builds those systems
+polynomial systems on that sphere.  The frame calculus builds those systems
 directly from the connection array (curvature and its covariant derivative
-are einsum contractions, never hand-entered), classifies their solution
-sets by refined dense sampling, and checks the outcome against the known
-closed-form sets.
+are einsum contractions, never hand-entered).  Every defining expression is
+an odd cubic ``E(V) = V M + K(V, V, V)``, so the einsum route is evaluated
+only once per model and problem, to build ``M`` and the symmetric ``K`` by
+polarization; it stays in the module as the oracle the tests check the
+tensors against.  Classification (refined dense sampling with the exact
+Jacobian ``M^T + 3 K(V, V, .)``) and the checks against the known
+closed-form sets run on the tensors.
 
 Supported models: ``su2`` (compact, three bracket scales), ``sol3``
 (solvable), ``hyperbolic`` (half-space of curvature ``-c^2`` in any
@@ -16,8 +20,9 @@ dimension ``n >= 2``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +37,9 @@ _CONVERGED_REL = 1e-11
 _CLUSTER_RADIUS = 0.05
 #: two families whose constant coordinate differs by less than this are one
 _SIGNATURE_TOL = 1e-4
+#: the kind of a solution set whose components are all of one kind
+_AGGREGATES = {"point": "isolated_points", "circle": "circle_family",
+               "hypersphere": "hypersphere_family"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +87,11 @@ class LeftInvariantModel:
             - np.einsum("ikm,jmlp->ijklp", g, R)
             - np.einsum("ilm,jkmp->ijklp", g, R)
         )
+
+    @cached_property
+    def _cubic_maps(self) -> dict[str, _CubicMap]:
+        """The polynomial form of each problem, built by _cubic_map on first use."""
+        return {}
 
 
 def su2(lam1: float, lam2: float, lam3: float) -> LeftInvariantModel:
@@ -174,12 +187,69 @@ def _defining_expression(model: LeftInvariantModel, V: NDArray, problem: str) ->
     raise ValueError(f"unknown problem: {problem!r}")
 
 
-def _projected_residual(model: LeftInvariantModel, V: NDArray, problem: str) -> NDArray:
-    """Component of the defining expression orthogonal to V: zero exactly on
-    the critical set, with the collinearity constant eliminated."""
-    E = _defining_expression(model, V, problem)
+def _tangent_part(E: NDArray, V: NDArray) -> NDArray:
+    """Component of the expression E orthogonal to V: zero exactly on the
+    critical set, with the collinearity constant eliminated."""
     coefficient = np.einsum("...l,...l->...", E, V)
     return E - coefficient[..., None] * V
+
+
+@dataclass(frozen=True, eq=False)
+class _CubicMap:
+    """A defining expression as the odd cubic ``E(V) = V @ linear + K(V, V, V)``,
+    with ``K = cubic`` symmetric in its first three indices (to roundoff)."""
+
+    linear: NDArray
+    cubic: NDArray
+
+    def expression(self, V: NDArray) -> NDArray:
+        dim = self.linear.shape[0]
+        flat = V.reshape(-1, dim)
+        pairs = (flat[:, :, None] * flat[:, None, :]).reshape(-1, dim * dim)
+        triples = (pairs[:, :, None] * flat[:, None, :]).reshape(-1, dim**3)
+        E = flat @ self.linear + triples @ self.cubic.reshape(dim**3, dim)
+        return E.reshape(V.shape)
+
+    def residual(self, V: NDArray) -> NDArray:
+        return _tangent_part(self.expression(V), V)
+
+    def linearize(self, V: NDArray) -> tuple[NDArray, NDArray]:
+        """Projected residual F and its exact Jacobian along the sphere at
+        the unit points V (n, dim): ``J[n] = DF(V) (I - V V^T)``, the
+        derivative of ``F(V / |V|)``, from ``dE = M^T + 3 K(V, V, .)``."""
+        n, dim = V.shape
+        pairs = (V[:, :, None] * V[:, None, :]).reshape(n, dim * dim)
+        # Q[n, k, l] = K(V, V, e_k)_l
+        Q = (pairs @ self.cubic.reshape(dim * dim, dim * dim)).reshape(n, dim, dim)
+        E = V @ self.linear + np.einsum("nk,nkl->nl", V, Q)
+        c = np.einsum("nl,nl->n", E, V)
+        tangent = np.eye(dim) - V[:, :, None] * V[:, None, :]
+        dE = (self.linear + 3.0 * Q).transpose(0, 2, 1)
+        DF = tangent @ dE - V[:, :, None] * E[:, None, :] - c[:, None, None] * np.eye(dim)
+        return E - c[:, None] * V, DF @ tangent
+
+
+def _cubic_map(model: LeftInvariantModel, problem: str) -> _CubicMap:
+    """``M`` and ``K`` of one problem, cached on the model.
+
+    K comes from the einsum oracle by polarization: for an odd cubic,
+    ``24 K(x, y, z) = sum over s, t = +-1 of s t E(x + s y + t z)``, which
+    cancels the linear part exactly; then ``M[j] = E(e_j) - K(e_j, e_j, e_j)``.
+    """
+    maps = model._cubic_maps
+    if problem not in maps:
+        eye = np.eye(model.dim)
+        signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        points = (
+            eye[None, :, None, None, :]
+            + signs[:, 0, None, None, None, None] * eye[None, None, :, None, :]
+            + signs[:, 1, None, None, None, None] * eye[None, None, None, :, :]
+        )
+        values = _defining_expression(model, points.reshape(-1, model.dim), problem)
+        K = np.einsum("s,sabcl->abcl", signs.prod(axis=1), values.reshape(points.shape)) / 24.0
+        M = _defining_expression(model, eye, problem) - np.einsum("jjjl->jl", K)
+        maps[problem] = _CubicMap(linear=M, cubic=K)
+    return maps[problem]
 
 
 def _require_unit(V: NDArray, dim: int) -> NDArray:
@@ -212,10 +282,7 @@ def model_laplacian(model: LeftInvariantModel, V: NDArray) -> LaplacianData:
 
 
 def critical_system_residual(
-    model: LeftInvariantModel,
-    V: NDArray,
-    problem: str,
-    lam: float | None = None,
+    model: LeftInvariantModel, V: NDArray, problem: str, lam: float | None = None
 ) -> NDArray:
     """Residual of the critical-point system for the given problem at V.
 
@@ -226,9 +293,10 @@ def critical_system_residual(
     V = _require_unit(V, model.dim)
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem: {problem!r}")
+    expression = _cubic_map(model, problem).expression(V)
     if lam is None:
-        return _projected_residual(model, V, problem)
-    return _defining_expression(model, V, problem) - lam * V
+        return _tangent_part(expression, V)
+    return expression - lam * V
 
 
 ### Classification of the solution set on the unit sphere
@@ -257,22 +325,35 @@ class CriticalComponent:
         if self.kind == "full_sphere":
             return "full sphere"
         if self.kind == "point":
-            coords = ", ".join(f"{x:+.4f}" for x in self.witnesses[0])
+            coords = ", ".join(map(_signed, self.witnesses[0]))
             return f"point ({coords})"
         if self.kind == "cluster":
-            coords = ", ".join(f"{x:+.4f}" for x in self.witnesses[0])
+            coords = ", ".join(map(_signed, self.witnesses[0]))
             return f"unresolved cluster of dimension {self.dim} near ({coords})"
         return (
-            f"{self.kind} at coordinate {self.axis} = {self.value:+.4f} "
+            f"{self.kind} at coordinate {self.axis} = {_signed(self.value)} "
             f"(radius {self.radius:.4f})"
         )
 
 
+def _signed(x: float) -> str:
+    """Four signed decimals, with a rounded zero printed as +0.0000."""
+    return f"{round(float(x), 4) + 0.0:+.4f}"
+
+
 @dataclass(frozen=True)
 class CriticalSet:
+    """The classified solution set, with the in-memory counts of how it was
+    found: sphere samples, refined points that converged, clusters of those,
+    and Gauss-Newton sweeps run."""
+
     kind: str
     components: tuple[CriticalComponent, ...]
     ambiguous: bool
+    samples: int = 0
+    converged: int = 0
+    clusters: int = 0
+    sweeps: int = 0
 
     @property
     def witnesses(self) -> NDArray:
@@ -312,95 +393,71 @@ def _sphere_samples(dim: int, resolution: int, rng: np.random.Generator) -> NDAr
     return samples[keep] / norms[keep]
 
 
-def _refine(
-    model: LeftInvariantModel, points: NDArray, problem: str, threshold: float
-) -> NDArray:
+def _refine(cubic: _CubicMap, points: NDArray, threshold: float) -> tuple[NDArray, int]:
     """Batched Gauss-Newton on the projected residual, constrained to the
     sphere; points that reach the threshold are frozen.  Returns the refined
-    points (callers filter by residual)."""
-    eps = 1e-5
-    dim = model.dim
+    points (callers filter by residual) and the number of sweeps run."""
     V = points.copy()
-    for _ in range(_NEWTON_ITERATIONS):
-        F = _projected_residual(model, V, problem)
-        active = np.linalg.norm(F, axis=-1) > 0.5 * threshold
-        if not np.any(active):
+    active = np.arange(len(V))
+    sweeps = 0
+    while sweeps < _NEWTON_ITERATIONS:
+        F, jacobian = cubic.linearize(V[active])
+        moving = np.linalg.norm(F, axis=-1) > 0.5 * threshold
+        if not np.any(moving):
             break
+        # a frozen point never moves again, so it leaves the batch for good
+        active, F, jacobian = active[moving], F[moving], jacobian[moving]
         Va = V[active]
-        Fa = F[active]
-        jacobian = np.empty(Va.shape[:-1] + (dim, dim))
-        for k in range(dim):
-            bump = np.zeros(dim)
-            bump[k] = eps
-            plus = Va + bump
-            plus /= np.linalg.norm(plus, axis=-1, keepdims=True)
-            minus = Va - bump
-            minus /= np.linalg.norm(minus, axis=-1, keepdims=True)
-            jacobian[..., k] = (
-                _projected_residual(model, plus, problem)
-                - _projected_residual(model, minus, problem)
-            ) / (2.0 * eps)
-        stacked = np.concatenate([jacobian, Va[..., None, :]], axis=-2)
-        target = np.concatenate([-Fa, np.zeros(Va.shape[:-1] + (1,))], axis=-1)
+        stacked = np.concatenate([jacobian, Va[:, None, :]], axis=-2)
+        target = np.concatenate([-F, np.zeros((len(Va), 1))], axis=-1)
         step = np.einsum("...ij,...j->...i", np.linalg.pinv(stacked), target)
         length = np.linalg.norm(step, axis=-1, keepdims=True)
         step = np.where(length > 0.3, step * (0.3 / np.maximum(length, 1e-300)), step)
         moved = Va + step
         V[active] = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
-    return V
+        sweeps += 1
+    return V, sweeps
 
 
-def _cluster_indices(points: NDArray) -> list[list[int]]:
+def _cluster_indices(points: NDArray) -> list[NDArray]:
     """Group points into connected clusters via a cell hash: points in the
-    same or adjacent cells of side _CLUSTER_RADIUS are connected."""
-    cells: dict[tuple[int, ...], list[int]] = {}
-    keys = np.round(points / _CLUSTER_RADIUS).astype(int)
-    for idx, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(idx)
-
+    same or adjacent cells of side _CLUSTER_RADIUS are connected.  Clusters
+    come in the order of their smallest point index, members in index order."""
     dim = points.shape[1]
+    keys = np.round(points / _CLUSTER_RADIUS).astype(np.int64)
+    keys -= keys.min(axis=0) - 1
+    # every neighbouring cell has coordinates in [0, base), so codes are unique
+    weights = (int(keys.max()) + 2) ** np.arange(dim, dtype=np.int64)
+    cells, cell_of = np.unique(keys @ weights, return_inverse=True)
     offsets = np.stack(
         np.meshgrid(*([np.array([-1, 0, 1])] * dim), indexing="ij"), axis=-1
     ).reshape(-1, dim)
-    seen: set[tuple[int, ...]] = set()
-    clusters = []
-    for start in cells:
-        if start in seen:
-            continue
-        frontier = [start]
-        seen.add(start)
-        members: list[int] = []
-        while frontier:
-            cell = frontier.pop()
-            members.extend(cells[cell])
-            base = np.array(cell)
-            for off in offsets:
-                neighbor = tuple(base + off)
-                if neighbor in cells and neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        clusters.append(members)
-    return clusters
+    wanted = cells[:, None] + offsets @ weights
+    slot = np.minimum(np.searchsorted(cells, wanted), len(cells) - 1)
+    own = np.arange(len(cells))
+    neighbours = np.where(cells[slot] == wanted, slot, own[:, None])
+    # each cell takes the smallest label among its neighbours, then jumps to
+    # its label's label; the fixed point labels every component by its
+    # smallest cell
+    label = own
+    while True:
+        lowest = label[neighbours].min(axis=1)
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    _, first, component = np.unique(label[cell_of], return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[component.reshape(-1)]
+    members = np.argsort(rank, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(rank))[:-1])
 
 
-def _local_structure(
-    model: LeftInvariantModel, V: NDArray, problem: str
-) -> tuple[int, NDArray]:
+def _local_structure(cubic: _CubicMap, V: NDArray) -> tuple[int, NDArray]:
     """Nullity of the system's linearization restricted to the sphere's
     tangent space at V, together with an ambient basis of the null space
     (the solution manifold's tangent directions)."""
-    eps = 1e-5
-    dim = model.dim
-    jacobian = np.empty((dim, dim))
-    for k in range(dim):
-        bump = np.zeros(dim)
-        bump[k] = eps
-        plus = (V + bump) / np.linalg.norm(V + bump)
-        minus = (V - bump) / np.linalg.norm(V - bump)
-        jacobian[:, k] = (
-            _projected_residual(model, plus, problem)
-            - _projected_residual(model, minus, problem)
-        ) / (2.0 * eps)
+    dim = len(V)
+    jacobian = cubic.linearize(V[None, :])[1][0]
     # orthonormal tangent basis at V
     basis = np.linalg.qr(np.concatenate([V[:, None], np.eye(dim)], axis=1))[0][:, 1:dim]
     tangent_jacobian = jacobian @ basis
@@ -413,23 +470,38 @@ def _local_structure(
     return int(np.sum(null)), basis @ rows[null].T
 
 
-def _latitude_holds(
-    model: LeftInvariantModel,
-    problem: str,
-    axis: int,
-    value: float,
-    threshold: float,
+def _latitude_family(
+    cubic: _CubicMap, members: NDArray, null_basis: NDArray, threshold: float,
     rng: np.random.Generator,
-) -> bool:
-    """Directly verify that the whole latitude sphere {V_axis = value}
-    solves the system, not just the cluster that suggested it."""
-    rest = np.sqrt(max(0.0, 1.0 - value * value))
-    raw = rng.standard_normal((16, model.dim - 1))
-    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-    points = np.insert(rest * raw, axis, value, axis=1)
-    points /= np.linalg.norm(points, axis=-1, keepdims=True)
-    residual = np.linalg.norm(_projected_residual(model, points, problem), axis=-1)
-    return bool(np.all(residual <= 10.0 * threshold))
+) -> tuple[int, float, float, bool]:
+    """``(axis, value, radius, holds)`` of the latitude {V_axis = value} an
+    extended cluster lies on; when no latitude holds, the top-ranked
+    candidate with ``holds`` False.
+
+    The coordinate absent from the solution manifold's tangent directions is
+    the family's constant one.  At special points several axes can be
+    tangent-orthogonal at once, so candidates are ranked by row norm plus
+    member spread and the first whose whole latitude (not just the cluster
+    that suggested it) solves the system wins; an axis along which the
+    family collapses to a pole is skipped for the next one.
+    """
+    row_norms = np.linalg.norm(null_basis, axis=1)
+    spreads = members.max(axis=0) - members.min(axis=0)
+    top = None
+    for axis in map(int, np.argsort(row_norms + spreads)):
+        value = float(members[:, axis].mean())
+        radius = float(np.sqrt(max(0.0, 1.0 - value * value)))
+        top = top or (axis, value, radius, False)
+        if radius > 1e-3:
+            raw = rng.standard_normal((16, members.shape[1] - 1))
+            raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+            points = np.insert(radius * raw, axis, value, axis=1)
+            points /= np.linalg.norm(points, axis=-1, keepdims=True)
+            if np.all(np.linalg.norm(cubic.residual(points), axis=-1) <= 10.0 * threshold):
+                return axis, value, radius, True
+        if row_norms[axis] > 1e-3:
+            break  # remaining axes are not tangent-orthogonal at all
+    return top
 
 
 def _subsample(members: NDArray, count: int = 12) -> NDArray:
@@ -440,10 +512,7 @@ def _subsample(members: NDArray, count: int = 12) -> NDArray:
 
 
 def classify(
-    model: LeftInvariantModel,
-    problem: str,
-    resolution: int = 20000,
-    seed: int = 0,
+    model: LeftInvariantModel, problem: str, resolution: int = 20000, seed: int = 0
 ) -> CriticalSet:
     """Determine the solution set of the critical system on the unit sphere.
 
@@ -458,83 +527,51 @@ def classify(
     rng = np.random.default_rng(seed)
     samples = _sphere_samples(model.dim, resolution, rng)
 
-    expression = _defining_expression(model, samples, problem)
+    cubic = _cubic_map(model, problem)
+    expression = cubic.expression(samples)
     scale = 1.0 + float(np.max(np.linalg.norm(expression, axis=-1)))
     threshold = _CONVERGED_REL * scale
 
-    initial = np.linalg.norm(_projected_residual(model, samples, problem), axis=-1)
+    initial = np.linalg.norm(_tangent_part(expression, samples), axis=-1)
     if np.mean(initial <= 1e-9 * scale) > 0.999:
         component = CriticalComponent(
-            kind="full_sphere",
-            witnesses=_subsample(samples),
-            axis=None,
-            value=None,
-            radius=None,
-            dim=model.dim - 1,
+            "full_sphere", _subsample(samples), None, None, None, model.dim - 1
         )
-        return CriticalSet(kind="full_sphere", components=(component,), ambiguous=False)
+        return CriticalSet(
+            kind="full_sphere", components=(component,), ambiguous=False,
+            samples=len(samples), converged=int(np.sum(initial <= 1e-9 * scale)), clusters=1,
+        )
 
-    refined = _refine(model, samples, problem, threshold)
-    residual = np.linalg.norm(_projected_residual(model, refined, problem), axis=-1)
+    refined, sweeps = _refine(cubic, samples, threshold)
+    residual = np.linalg.norm(cubic.residual(refined), axis=-1)
     solutions = refined[residual <= threshold]
+    counts = dict(samples=len(samples), converged=len(solutions), sweeps=sweeps)
     if len(solutions) == 0:
-        return CriticalSet(kind="empty", components=(), ambiguous=False)
+        return CriticalSet(kind="empty", components=(), ambiguous=False, **counts)
 
     raw_components: list[CriticalComponent] = []
     unresolved = False
-    for indices in _cluster_indices(solutions):
+    clusters = _cluster_indices(solutions)
+    for indices in clusters:
         members = solutions[indices]
         centroid = members.mean(axis=0)
         centroid /= max(np.linalg.norm(centroid), 1e-300)
         representative = members[np.argmin(np.linalg.norm(members - centroid, axis=-1))]
-        local_dim, null_basis = _local_structure(model, representative, problem)
-        if local_dim > 0:
-            # the solution manifold is extended here; the coordinate absent
-            # from its tangent directions is the family's constant one.  At
-            # special points several axes can be tangent-orthogonal at once,
-            # so rank candidates by row norm plus member spread and keep the
-            # first whose whole latitude actually solves the system.
-            row_norms = np.linalg.norm(null_basis, axis=1)
-            spreads = members.max(axis=0) - members.min(axis=0)
-            order = np.argsort(row_norms + spreads)
-            chosen = None
-            for axis in map(int, order):
-                value = float(members[:, axis].mean())
-                radius = float(np.sqrt(max(0.0, 1.0 - value * value)))
-                if radius <= 1e-3:
-                    break  # the family collapses to a pole along this axis
-                if _latitude_holds(model, problem, axis, value, threshold, rng):
-                    chosen = (axis, value, radius)
-                    break
-                if row_norms[axis] > 1e-3:
-                    break  # remaining axes are not tangent-orthogonal at all
-            if chosen is not None:
-                axis, value, radius = chosen
+        local_dim, null_basis = _local_structure(cubic, representative)
+        if local_dim > 0:  # the solution manifold is extended here
+            axis, value, radius, holds = _latitude_family(cubic, members, null_basis, threshold, rng)
+            if holds:
+                kind = "circle" if local_dim == 1 else "hypersphere"
                 raw_components.append(
-                    CriticalComponent(
-                        kind="circle" if local_dim == 1 else "hypersphere",
-                        witnesses=_subsample(members),
-                        axis=axis,
-                        value=value,
-                        radius=radius,
-                        dim=local_dim,
-                    )
+                    CriticalComponent(kind, _subsample(members), axis, value, radius, local_dim)
                 )
                 continue
-            value = float(members[:, int(order[0])].mean())
-            if np.sqrt(max(0.0, 1.0 - value * value)) > 1e-3:
+            if radius > 1e-3:
                 # extended but not of the latitude type: report the raw
                 # cluster and flag the classification as unresolved
                 unresolved = True
                 raw_components.append(
-                    CriticalComponent(
-                        kind="cluster",
-                        witnesses=_subsample(members),
-                        axis=None,
-                        value=None,
-                        radius=None,
-                        dim=local_dim,
-                    )
+                    CriticalComponent("cluster", _subsample(members), None, None, None, local_dim)
                 )
                 continue
             # radius ~ 0: a degenerate pole, an isolated point whose
@@ -547,34 +584,21 @@ def classify(
         candidate = np.zeros(model.dim)
         candidate[nearest_axis] = np.sign(witness[nearest_axis])
         if np.linalg.norm(witness - candidate) <= 1e-3:
-            candidate_residual = float(
-                np.linalg.norm(_projected_residual(model, candidate, problem))
-            )
+            candidate_residual = float(np.linalg.norm(cubic.residual(candidate)))
             if candidate_residual <= threshold:
                 witness = candidate
         raw_components.append(
-            CriticalComponent(
-                kind="point",
-                witnesses=witness[None, :],
-                axis=None,
-                value=None,
-                radius=None,
-                dim=local_dim,
-            )
+            CriticalComponent("point", witness[None, :], None, None, None, local_dim)
         )
 
     components, ambiguous = _merge_components(raw_components)
     ambiguous = ambiguous or unresolved
     kinds = {c.kind for c in components}
-    if kinds == {"point"}:
-        aggregate = "isolated_points"
-    elif kinds == {"circle"}:
-        aggregate = "circle_family"
-    elif kinds == {"hypersphere"}:
-        aggregate = "hypersphere_family"
-    else:
-        aggregate = "mixed"
-    return CriticalSet(kind=aggregate, components=tuple(components), ambiguous=ambiguous)
+    aggregate = _AGGREGATES.get(kinds.pop(), "mixed") if len(kinds) == 1 else "mixed"
+    return CriticalSet(
+        kind=aggregate, components=tuple(components), ambiguous=ambiguous,
+        clusters=len(clusters), **counts,
+    )
 
 
 def _merge_components(
@@ -592,9 +616,7 @@ def _merge_components(
             if existing.kind != component.kind:
                 continue
             if component.kind == "point":
-                gap = float(
-                    np.linalg.norm(existing.witnesses[0] - component.witnesses[0])
-                )
+                gap = float(np.linalg.norm(existing.witnesses[0] - component.witnesses[0]))
                 if gap <= _SIGNATURE_TOL:
                     target = existing
                 elif gap <= 2.0 * _CLUSTER_RADIUS:
@@ -613,16 +635,8 @@ def _merge_components(
             merged.append(component)
         else:
             merged = [m for m in merged if m is not target]
-            merged.append(
-                CriticalComponent(
-                    kind=target.kind,
-                    witnesses=np.concatenate([target.witnesses, component.witnesses]),
-                    axis=target.axis,
-                    value=target.value,
-                    radius=target.radius,
-                    dim=max(target.dim, component.dim),
-                )
-            )
+            witnesses = np.concatenate([target.witnesses, component.witnesses])
+            merged.append(replace(target, witnesses=witnesses, dim=max(target.dim, component.dim)))
     return merged, ambiguous
 
 
@@ -648,6 +662,16 @@ class _Predicate:
         others = np.delete(V, self.axis)
         return float(np.hypot(V[self.axis] - self.value, np.linalg.norm(others) - rest))
 
+    def matches(self, component: CriticalComponent, tolerance: float) -> bool:
+        """Every witness of the component lies on this predicted set."""
+        if self.kind == "full_sphere":
+            return component.kind == "full_sphere"
+        if self.kind == "point":
+            return component.kind == "point" and self.distance(component.witnesses[0]) <= tolerance
+        return component.kind in ("circle", "hypersphere") and all(
+            self.distance(w) <= tolerance for w in component.witnesses
+        )
+
     def sample(self, rng: np.random.Generator, count: int, dim: int) -> NDArray:
         if self.kind == "point":
             return np.repeat(self.point[None, :], 2, axis=0)
@@ -657,16 +681,14 @@ class _Predicate:
         rest = np.sqrt(max(0.0, 1.0 - self.value * self.value))
         raw = rng.standard_normal((count, dim - 1))
         raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-        points = np.insert(rest * raw, self.axis, self.value, axis=1)
-        return points
+        return np.insert(rest * raw, self.axis, self.value, axis=1)
 
 
 def _point_predicate(vector, description=None) -> _Predicate:
     point = np.asarray(vector, dtype=float)
     point = point / np.linalg.norm(point)
     if description is None:
-        coords = ", ".join(f"{x:+.4f}" for x in point)
-        description = f"point ({coords})"
+        description = f"point ({', '.join(map(_signed, point))})"
     return _Predicate(description=description, kind="point", point=point)
 
 
@@ -680,10 +702,15 @@ def _latitude_predicate(axis: int, value: float, dim: int) -> _Predicate:
     )
 
 
-def _axis_vector(dim: int, axis: int, sign: float = 1.0) -> NDArray:
-    v = np.zeros(dim)
-    v[axis] = sign
-    return v
+def _axial_predicates(dim: int, axis: int, problem: str) -> list[_Predicate]:
+    """The poles of an axis and its equator, then for the section problem
+    the latitudes at +-1/sqrt(2)."""
+    pole = np.eye(dim)[axis]
+    predicates = [_point_predicate(pole), _point_predicate(-pole), _latitude_predicate(axis, 0.0, dim)]
+    if problem == "biharmonic_section":
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        predicates += [_latitude_predicate(axis, inv_sqrt2, dim), _latitude_predicate(axis, -inv_sqrt2, dim)]
+    return predicates
 
 
 def _expected_predicates(model: LeftInvariantModel, problem: str) -> list[_Predicate]:
@@ -701,27 +728,17 @@ def _expected_predicates(model: LeftInvariantModel, problem: str) -> list[_Predi
             axis = 0
         else:
             axis = None
-        predicates: list[_Predicate] = []
         if axis is not None:
-            predicates.append(_latitude_predicate(axis, 0.0, dim))
-            predicates.append(_point_predicate(_axis_vector(dim, axis)))
-            predicates.append(_point_predicate(_axis_vector(dim, axis, -1.0)))
-            if problem == "biharmonic_section":
-                inv_sqrt2 = 1.0 / np.sqrt(2.0)
-                predicates.append(_latitude_predicate(axis, inv_sqrt2, dim))
-                predicates.append(_latitude_predicate(axis, -inv_sqrt2, dim))
-            return predicates
-        for k in range(3):
-            for sign in (1.0, -1.0):
-                predicates.append(_point_predicate(_axis_vector(dim, k, sign)))
+            north, south, equator, *latitudes = _axial_predicates(dim, axis, problem)
+            return [equator, north, south, *latitudes]
+        signs = (1.0, -1.0)
+        eye = np.eye(3)
+        predicates = [_point_predicate(sign * e) for e in eye for sign in signs]
         if problem == "biharmonic_section":
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    for si in (1.0, -1.0):
-                        for sj in (1.0, -1.0):
-                            v = np.zeros(3)
-                            v[i], v[j] = si, sj
-                            predicates.append(_point_predicate(v / np.sqrt(2.0)))
+            predicates += [
+                _point_predicate(si * eye[i] + sj * eye[j])
+                for i, j in combinations(range(3), 2) for si in signs for sj in signs
+            ]
         return predicates
 
     if model.name == "sol3":
@@ -731,35 +748,16 @@ def _expected_predicates(model: LeftInvariantModel, problem: str) -> list[_Predi
                 "problem on this model; classify() remains available for "
                 "exploration"
             )
-        predicates = [
-            _point_predicate(_axis_vector(dim, 2)),
-            _point_predicate(_axis_vector(dim, 2, -1.0)),
-            _latitude_predicate(2, 0.0, dim),
-        ]
-        if problem == "biharmonic_section":
-            inv_sqrt2 = 1.0 / np.sqrt(2.0)
-            predicates.append(_latitude_predicate(2, inv_sqrt2, dim))
-            predicates.append(_latitude_predicate(2, -inv_sqrt2, dim))
-        return predicates
+        return _axial_predicates(dim, 2, problem)
 
     if model.name == "hyperbolic":
         (c,) = model.params
         if dim == 2:
             return [_Predicate(description="full sphere", kind="full_sphere")]
-        predicates = [
-            _point_predicate(_axis_vector(dim, 0)),
-            _point_predicate(_axis_vector(dim, 0, -1.0)),
-            _latitude_predicate(0, 0.0, dim),
-        ]
-        if problem == "biharmonic_section":
-            inv_sqrt2 = 1.0 / np.sqrt(2.0)
-            predicates.append(_latitude_predicate(0, inv_sqrt2, dim))
-            predicates.append(_latitude_predicate(0, -inv_sqrt2, dim))
-        elif problem == "biharmonic_vector_field":
-            if c * c < dim - 2:
-                latitude = np.sqrt((c * c + dim - 2) / (2.0 * (dim - 2)))
-                predicates.append(_latitude_predicate(0, latitude, dim))
-                predicates.append(_latitude_predicate(0, -latitude, dim))
+        predicates = _axial_predicates(dim, 0, problem)
+        if problem == "biharmonic_vector_field" and c * c < dim - 2:
+            latitude = np.sqrt((c * c + dim - 2) / (2.0 * (dim - 2)))
+            predicates += [_latitude_predicate(0, latitude, dim), _latitude_predicate(0, -latitude, dim)]
         return predicates
 
     raise ValueError(f"no reference classification for model {model.name!r}")
@@ -773,10 +771,7 @@ class ComparisonReport(NamedTuple):
 
 
 def compare_known(
-    model: LeftInvariantModel,
-    problem: str,
-    resolution: int = 20000,
-    seed: int = 0,
+    model: LeftInvariantModel, problem: str, resolution: int = 20000, seed: int = 0
 ) -> ComparisonReport:
     """Check the computed solution set against the known closed-form one.
 
@@ -792,13 +787,11 @@ def compare_known(
 
     # direct verification of the prediction itself, independent of classify
     rng = np.random.default_rng(seed + 1)
-    samples = np.concatenate(
-        [p.sample(rng, 50, model.dim) for p in predicates], axis=0
-    )
+    samples = np.concatenate([p.sample(rng, 50, model.dim) for p in predicates], axis=0)
     samples /= np.linalg.norm(samples, axis=-1, keepdims=True)
-    expression = _defining_expression(model, samples, problem)
+    expression = _cubic_map(model, problem).expression(samples)
     scale = 1.0 + float(np.max(np.linalg.norm(expression, axis=-1)))
-    direct = np.linalg.norm(_projected_residual(model, samples, problem), axis=-1)
+    direct = np.linalg.norm(_tangent_part(expression, samples), axis=-1)
     predictions_hold = bool(np.all(direct <= 1e-9 * scale))
 
     coordinate_tol = 1e-6
@@ -806,31 +799,18 @@ def compare_known(
     missing: list[str] = []
     used: set[int] = set()
     for predicate in predicates:
-        hit = None
-        for idx, component in enumerate(found.components):
-            if idx in used:
-                continue
-            if predicate.kind == "full_sphere" and component.kind == "full_sphere":
-                hit = idx
-                break
-            if predicate.kind == "point" and component.kind == "point":
-                if predicate.distance(component.witnesses[0]) <= coordinate_tol:
-                    hit = idx
-                    break
-            if predicate.kind == "latitude" and component.kind in ("circle", "hypersphere"):
-                distances = [predicate.distance(w) for w in component.witnesses]
-                if max(distances) <= coordinate_tol:
-                    hit = idx
-                    break
+        hit = next(
+            (
+                idx for idx, component in enumerate(found.components)
+                if idx not in used and predicate.matches(component, coordinate_tol)
+            ),
+            None,
+        )
         if hit is None:
             missing.append(predicate.description)
         else:
             used.add(hit)
             matched.append(predicate.description)
-    extra = [
-        component.describe()
-        for idx, component in enumerate(found.components)
-        if idx not in used
-    ]
+    extra = [c.describe() for idx, c in enumerate(found.components) if idx not in used]
     passed = not missing and not extra and predictions_hold and not found.ambiguous
     return ComparisonReport(matched=matched, missing=missing, extra=extra, passed=passed)

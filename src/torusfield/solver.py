@@ -54,6 +54,12 @@ from .lattice import (
 _FORMULATIONS = ("curved", "flat_weighted")
 _PRECONDITIONERS = ("spectral_biharmonic", "none")
 
+#: PCG stagnates once its relative residual, below the floor, has not halved
+#: within the window.  Above the floor the 2-norm residual may plateau for a
+#: thousand iterations and still converge (unpreconditioned CG at 64^2).
+_STAGNATION_FLOOR = 1e-12
+_STAGNATION_WINDOW = 16
+
 #: relative gradient reduction at which the descent oracle declares victory
 _DESCENT_GRADIENT_REDUCTION = 1e-8
 
@@ -265,7 +271,7 @@ def _pcg(
 
     Returns the solution and the relative-residual history (one entry per
     iteration after the initial 1.0; ``[0.0]`` for a zero source).  Raises
-    ConvergenceError when the budget runs out.
+    ConvergenceError when the budget runs out or the residual stagnates.
     """
     b = _project(b)
     bnorm = np.sqrt(_dot(b, b))
@@ -278,7 +284,8 @@ def _pcg(
     d = z.copy()
     rz = _dot(r, z)
     history = [1.0]
-    for _ in range(max_iterations):
+    mark, marked = 1.0, 0
+    for iteration in range(1, max_iterations + 1):
         Ad = apply(d)
         dAd = _dot(d, Ad)
         if dAd <= 0.0:
@@ -294,6 +301,14 @@ def _pcg(
         history.append(rel)
         if rel <= tolerance:
             return x, history
+        if rel <= 0.5 * mark:
+            mark, marked = rel, iteration
+        elif mark <= _STAGNATION_FLOOR and iteration - marked >= _STAGNATION_WINDOW:
+            raise ConvergenceError(
+                f"stagnated at best relative residual {min(history):.3e}: not "
+                f"halved in {_STAGNATION_WINDOW} iterations below roundoff",
+                history,
+            )
         z = precondition(r)
         rz_next = _dot(r, z)
         if rz_next <= 0.0:

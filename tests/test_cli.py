@@ -64,11 +64,12 @@ def test_outdir_flag_beats_env_var(capsys, tmp_path, monkeypatch):
 
 
 def test_unreachable_tolerance_exits_one(capsys):
-    code, _ = run(
-        capsys, "solve", "--grid", "16", "--u", "0.3*sin(2pi*x)",
+    code = main([
+        "solve", "--grid", "16", "--u", "0.3*sin(2pi*x)",
         "--class", "1", "0", "--tolerance", "1e-30",
-    )
+    ])
     assert code == 1
+    assert "stagnated at best relative residual" in capsys.readouterr().err
 
 
 ### config files

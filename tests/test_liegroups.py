@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from torusfield.liegroups import (
+    _CONVERGED_REL,
+    _NEWTON_ITERATIONS,
     LeftInvariantModel,
+    _cluster_indices,
+    _cubic_map,
+    _latitude_family,
+    _local_structure,
+    _sphere_samples,
     classify,
     compare_known,
     critical_system_residual,
@@ -433,6 +440,49 @@ def test_classify_hyperbolic_vector_fields():
         atol=1e-9,
     )
     assert all(c.dim == 2 for c in spheres)
+
+
+def test_classify_counts_its_work():
+    result = classify(su2(2.0, 2.0, 1.0), "biharmonic_section", resolution=2000)
+    assert result.samples == len(_sphere_samples(3, 2000, np.random.default_rng(0)))
+    assert 0 < result.converged <= result.samples
+    assert result.clusters >= len(result.components)
+    assert 0 < result.sweeps <= _NEWTON_ITERATIONS
+    sphere = classify(su2(1.0, 1.0, 1.0), "biharmonic_section", resolution=2000)
+    assert (sphere.clusters, sphere.sweeps) == (1, 0)
+    assert sphere.converged == sphere.samples
+
+
+@pytest.mark.parametrize("pole_first", [False, True])
+def test_pole_collapsed_axis_yields_to_the_next_tangent_orthogonal_one(pole_first):
+    # a one-member cluster at a point of the equator {V_0 = 0} of hyperbolic
+    # 4-space: axes 0 and 1 are both orthogonal to the tangent directions,
+    # and along axis 1 the family would collapse to a pole
+    cubic = _cubic_map(hyperbolic(4, 1.0), "biharmonic_vector_field")
+    member = np.array([0.0, 1.0, 0.0, 0.0])
+    local_dim, null_basis = _local_structure(cubic, member)
+    assert local_dim == 2
+    np.testing.assert_array_equal(np.linalg.norm(null_basis, axis=1)[:2], 0.0)
+    if pole_first:
+        # roundoff in the null basis ranks the pole axis first
+        null_basis = null_basis.copy()
+        null_basis[0, 0] = 1e-12
+    rng = np.random.default_rng(0)
+    samples = _sphere_samples(4, 1000, rng)
+    threshold = _CONVERGED_REL * (1.0 + np.max(np.linalg.norm(cubic.expression(samples), axis=1)))
+    axis, value, radius, holds = _latitude_family(cubic, member[None, :], null_basis, threshold, rng)
+    assert (axis, value, radius, holds) == (0, 0.0, 1.0, True)
+
+
+def test_clusters_chain_through_adjacent_cells_in_index_order():
+    # cells have side 0.05: point 2 reaches point 0 only through point 3,
+    # point 4 touches point 1 diagonally, point 5 is alone
+    points = np.array([
+        [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.1, 0.0, 1.0],
+        [0.05, 0.0, 1.0], [1.0, 0.05, 0.05], [0.0, 1.0, 0.0],
+    ])
+    clusters = [c.tolist() for c in _cluster_indices(points)]
+    assert clusters == [[0, 2, 3], [1, 4], [5]]
 
 
 def test_classify_is_deterministic():

@@ -27,6 +27,7 @@ from torusfield.solver import (
     DescentResult,
     SolveOptions,
     SolveReport,
+    _STAGNATION_WINDOW,
     _check_compatibility,
     apply_operator_P,
     descent_oracle,
@@ -237,6 +238,17 @@ def test_nonconvergence_raises_with_history(wavy64):
     history = excinfo.value.residual_history
     assert len(history) == 3
     assert history[0] == 1.0
+
+
+def test_tolerance_below_roundoff_stagnates():
+    cs, cls, _ = realize(RunConfig(grid="16", u="0.3*sin(2pi*x)", winding=(1, 0)))
+    options = SolveOptions(tolerance=1e-30, preconditioner="none")
+    with pytest.raises(ConvergenceError, match="stagnated at best relative residual") as excinfo:
+        solve_homotopy_class(cs, cls, options)
+    history = np.array(excinfo.value.residual_history)
+    # stopped within two windows of its best, long before the budget
+    assert history.min() <= 1e-15
+    assert len(history) - 1 - int(np.argmin(history)) <= 2 * _STAGNATION_WINDOW
 
 
 def test_compatibility_guard_fires_on_unbalanced_source(wavy64):
