@@ -32,6 +32,16 @@ value (the mean of ``(i*k)^order`` over the aliased representatives), which
 is real and keeps second derivatives symmetric.  The Laplacian is built by
 composing the two masked first-derivative multipliers, so divergence-form
 and Laplacian-form operators agree to round-off by construction.
+
+Spectral layout: every flat derivative runs on the ``rfft2`` half spectrum,
+the columns ``0 <= q <= n2/2``, and its multiplier is cached per lattice
+already cut to that half.  This is exact: with the Nyquist rules above every
+multiplier is Hermitian (``m(-k) = conj(m(k))``), so ``irfft2(m * rfft2(f))``
+reproduces the full-spectrum ``ifft2(m * fft2(f)).real`` to round-off, with
+half the transform work.  The solver's kernel takes the same multipliers as
+they are.  Only ``ScalarField.spectrum`` (read by ``resolution_fraction``)
+and ``bandlimited_field`` stay on the full complex spectrum, each for a
+reason given there.
 """
 
 from __future__ import annotations
@@ -131,26 +141,25 @@ class LatticeSpec:
 
 @lru_cache(maxsize=128)
 def _derivative_multiplier(lattice: LatticeSpec, direction: int, order: int) -> NDArray:
-    """Fourier multiplier of ``(d/d x_direction)^order`` on the lattice grid.
+    """Fourier multiplier of ``(d/d x_direction)^order`` on the ``rfft2``
+    half spectrum of the lattice grid.
 
     Even orders average ``(i*k)^order`` over the Nyquist alias
     representatives; odd orders zero the Nyquist lines outright.
     """
-    P, Q = lattice.frequencies
-    delta = lattice.dual_basis
-    comp = delta[0][direction - 1], delta[1][direction - 1]
+    P, Q = (freq[:, : lattice.n2 // 2 + 1] for freq in lattice.frequencies)
 
-    def k_dir(p, q):
-        return 2.0 * np.pi * (p * comp[0] + q * comp[1])
+    def symbol(p, q):
+        return (1j * lattice.wavevector(p, q)[..., direction - 1]) ** order
 
     if order % 2 == 0:
         variants = []
         for p in (P, np.where(P == -lattice.n1 // 2, P + lattice.n1, P)):
             for q in (Q, np.where(Q == -lattice.n2 // 2, Q + lattice.n2, Q)):
-                variants.append((1j * k_dir(p, q)) ** order)
+                variants.append(symbol(p, q))
         mult = np.mean(variants, axis=0)
     else:
-        mult = (1j * k_dir(P, Q)) ** order
+        mult = symbol(P, Q)
         mult[P == -lattice.n1 // 2] = 0.0
         mult[Q == -lattice.n2 // 2] = 0.0
     mult.flags.writeable = False
@@ -159,7 +168,8 @@ def _derivative_multiplier(lattice: LatticeSpec, direction: int, order: int) -> 
 
 @lru_cache(maxsize=128)
 def _laplacian_multiplier(lattice: LatticeSpec) -> NDArray:
-    """Multiplier of the geometer Laplacian ``-(d1 o d1 + d2 o d2)``.
+    """Multiplier of the geometer Laplacian ``-(d1 o d1 + d2 o d2)`` on the
+    ``rfft2`` half spectrum.
 
     Built from the masked first-derivative multipliers so that the identity
     ``flat_laplacian(f) == -flat_divergence(flat_gradient(f))`` holds to
@@ -197,6 +207,7 @@ class ScalarField:
         return cls(lattice, np.asarray(fn(x, y), dtype=np.float64))
 
     def spectrum(self) -> NDArray:
+        """The full complex ``fft2`` spectrum, in the layout of ``lattice.frequencies``."""
         return np.fft.fft2(self.values)
 
     def mean(self) -> float:
@@ -294,8 +305,7 @@ def spectral_derivative(f: ScalarField, direction: int, order: int = 1) -> Scala
     if order < 1:
         raise ValueError("order must be a positive integer")
     mult = _derivative_multiplier(f.lattice, direction, int(order))
-    out = np.fft.ifft2(mult * np.fft.fft2(f.values)).real
-    return ScalarField(f.lattice, out)
+    return ScalarField(f.lattice, np.fft.irfft2(mult * np.fft.rfft2(f.values)))
 
 
 def flat_gradient(f: ScalarField) -> VectorFieldFlat:
@@ -311,8 +321,7 @@ def flat_divergence(X: VectorFieldFlat) -> ScalarField:
 def flat_laplacian(f: ScalarField) -> ScalarField:
     """Geometer Laplacian ``-(d1^2 + d2^2) f`` (nonnegative spectrum)."""
     mult = _laplacian_multiplier(f.lattice)
-    out = np.fft.ifft2(mult * np.fft.fft2(f.values)).real
-    return ScalarField(f.lattice, out)
+    return ScalarField(f.lattice, np.fft.irfft2(mult * np.fft.rfft2(f.values)))
 
 
 def rotate_J(X: VectorFieldFlat) -> VectorFieldFlat:
@@ -355,6 +364,8 @@ def resolution_fraction(f: ScalarField) -> float:
     fields put essentially no energy near the Nyquist modes.
     """
     P, Q = f.lattice.frequencies
+    # the full spectrum, so that the 1e-8 warning threshold of the conformal
+    # layer keeps reading the energy it was set against
     energy = np.abs(f.spectrum()) ** 2
     energy = energy.copy()
     energy[0, 0] = 0.0
@@ -383,6 +394,8 @@ def bandlimited_field(
     coeffs = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
     coeffs *= keep / (1.0 + P.astype(float) ** 2 + Q.astype(float) ** 2)
     coeffs[0, 0] = 0.0
+    # the full spectrum: coeffs are not Hermitian and the real part is kept,
+    # so a half-spectrum draw would change every seeded field
     values = np.fft.ifft2(coeffs).real
     peak = np.max(np.abs(values))
     if peak > 0:

@@ -202,12 +202,16 @@ class _CubicMap:
     linear: NDArray
     cubic: NDArray
 
+    def _expression_and_quadratic(self, V: NDArray) -> tuple[NDArray, NDArray]:
+        """``E(V)`` and ``Q[n, k, l] = K(V, V, e_k)_l`` at the points V (n, dim),
+        through the (n, dim^2) pairs only, never the (n, dim^3) triples."""
+        n, dim = V.shape
+        pairs = (V[:, :, None] * V[:, None, :]).reshape(n, dim * dim)
+        Q = (pairs @ self.cubic.reshape(dim * dim, dim * dim)).reshape(n, dim, dim)
+        return V @ self.linear + np.einsum("nk,nkl->nl", V, Q), Q
+
     def expression(self, V: NDArray) -> NDArray:
-        dim = self.linear.shape[0]
-        flat = V.reshape(-1, dim)
-        pairs = (flat[:, :, None] * flat[:, None, :]).reshape(-1, dim * dim)
-        triples = (pairs[:, :, None] * flat[:, None, :]).reshape(-1, dim**3)
-        E = flat @ self.linear + triples @ self.cubic.reshape(dim**3, dim)
+        E, _ = self._expression_and_quadratic(V.reshape(-1, self.linear.shape[0]))
         return E.reshape(V.shape)
 
     def residual(self, V: NDArray) -> NDArray:
@@ -217,11 +221,8 @@ class _CubicMap:
         """Projected residual F and its exact Jacobian along the sphere at
         the unit points V (n, dim): ``J[n] = DF(V) (I - V V^T)``, the
         derivative of ``F(V / |V|)``, from ``dE = M^T + 3 K(V, V, .)``."""
-        n, dim = V.shape
-        pairs = (V[:, :, None] * V[:, None, :]).reshape(n, dim * dim)
-        # Q[n, k, l] = K(V, V, e_k)_l
-        Q = (pairs @ self.cubic.reshape(dim * dim, dim * dim)).reshape(n, dim, dim)
-        E = V @ self.linear + np.einsum("nk,nkl->nl", V, Q)
+        dim = V.shape[1]
+        E, Q = self._expression_and_quadratic(V)
         c = np.einsum("nl,nl->n", E, V)
         tangent = np.eye(dim) - V[:, :, None] * V[:, None, :]
         dE = (self.linear + 3.0 * Q).transpose(0, 2, 1)

@@ -8,9 +8,10 @@ part of the angle.  Its operator
 is symmetric positive semidefinite in the flat L2 product, with kernel
 exactly the constants, so every solve runs preconditioned conjugate
 gradients on the mean-zero subspace against this flat-weighted form.  One
-spectral kernel applies P on raw sample arrays through the real FFT's half
-spectrum.  The preconditioner is the exact inverse of the leading-order
-term flat_lap e^{2u} flat_lap on mean-zero fields,
+spectral kernel applies P on raw sample arrays with the lattice's own
+multipliers, on the ``rfft2`` half spectrum every flat derivative uses (see
+:mod:`torusfield.lattice`).  The preconditioner is the exact inverse of the
+leading-order term flat_lap e^{2u} flat_lap on mean-zero fields,
 
     M r = flat_lap^+[e^{-2u}(flat_lap^+ r + c)],   c = -mean(e^{-2u} flat_lap^+ r) / mean(e^{-2u}),
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,7 +52,6 @@ from .lattice import (
 )
 
 _FORMULATIONS = ("curved", "flat_weighted")
-_PRECONDITIONERS = ("spectral_biharmonic", "none")
 
 #: PCG stagnates once its relative residual, below the floor, has not halved
 #: within the window.  Above the floor the 2-norm residual may plateau for a
@@ -89,7 +88,6 @@ class SolveOptions:
 
     tolerance: float = 1e-10
     max_iterations: int | None = None
-    preconditioner: str = "spectral_biharmonic"
     formulation: str = "curved"
 
     def __post_init__(self) -> None:
@@ -97,8 +95,6 @@ class SolveOptions:
             raise ValueError("tolerance must lie in (0, 1)")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.preconditioner not in _PRECONDITIONERS:
-            raise ValueError(f"unknown preconditioner: {self.preconditioner!r}")
         if self.formulation not in _FORMULATIONS:
             raise ValueError(f"unknown formulation: {self.formulation!r}")
 
@@ -182,41 +178,28 @@ def right_hand_side(
 ### The spectral kernel and conjugate gradients on raw arrays
 
 
-@lru_cache(maxsize=128)
-def _half_spectrum(lattice: LatticeSpec) -> tuple[NDArray, NDArray, NDArray, NDArray]:
-    """The masked Laplacian and first-derivative multipliers restricted to
-    the ``rfft2`` half spectrum, plus the Laplacian's pseudo-inverse.
-
-    The masked multipliers are Hermitian, so ``irfft2`` of their product
-    with ``rfft2`` reproduces the full-spectrum operators.  The Laplacian
-    vanishes on the mean and on the Nyquist lines; the pseudo-inverse is
-    zero there.
-    """
-    half = slice(0, lattice.n2 // 2 + 1)
-    lap = np.ascontiguousarray(_laplacian_multiplier(lattice)[:, half])
-    d1 = np.ascontiguousarray(_derivative_multiplier(lattice, 1, 1)[:, half])
-    d2 = np.ascontiguousarray(_derivative_multiplier(lattice, 2, 1)[:, half])
-    inv_lap = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap != 0.0)
-    for mult in (lap, d1, d2, inv_lap):
-        mult.flags.writeable = False
-    return lap, d1, d2, inv_lap
-
-
 class _Kernel:
     """``P`` and the preconditioner ``M`` of one structure on raw ``(n1, n2)``
     arrays.
 
+    ``lap``, ``d1`` and ``d2`` are the lattice's masked half-spectrum
+    multipliers as they are; ``inv_lap`` is the Laplacian's pseudo-inverse,
+    zero on the mean and on the Nyquist lines where the Laplacian vanishes.
     An apply of ``P`` costs one ``rfft2`` and three ``irfft2`` to form
     ``flat_lap h`` and ``grad h``, then three ``rfft2`` and one ``irfft2``
-    for the outer Laplacian and divergence.  Without ``transport`` the
-    kernel is the weighted bilaplacian ``flat_lap e^{2u} flat_lap`` alone.
-    ``M`` is symmetric positive semidefinite in the flat product and
-    inverts the weighted bilaplacian on mean-zero fields resolved away
-    from the Nyquist lines.
+    for the outer Laplacian and divergence; ``M`` costs two of each.
+    Without ``transport`` the kernel is the weighted bilaplacian
+    ``flat_lap e^{2u} flat_lap`` alone.  ``M`` is symmetric positive
+    semidefinite in the flat product and inverts the weighted bilaplacian
+    on mean-zero fields resolved away from the Nyquist lines.
     """
 
     def __init__(self, cs: ConformalStructure, transport: bool = True) -> None:
-        self.lap, self.d1, self.d2, self.inv_lap = _half_spectrum(cs.lattice)
+        lattice = cs.lattice
+        self.lap = _laplacian_multiplier(lattice)
+        self.d1 = _derivative_multiplier(lattice, 1, 1)
+        self.d2 = _derivative_multiplier(lattice, 2, 1)
+        self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap != 0.0)
         self.e2u = cs.e2u.values
         self.em2u = cs.em2u.values
         self.em2u_mean = float(np.mean(self.em2u))
@@ -389,10 +372,8 @@ def solve_homotopy_class(
 
     _check_compatibility(flat_b.values)
     kernel = _Kernel(cs)
-    precondition = kernel.precondition if opts.preconditioner == "spectral_biharmonic" else _project
-    x, history = _pcg(
-        kernel.apply, precondition, flat_b.values, opts.tolerance, opts.iteration_budget(lattice)
-    )
+    budget = opts.iteration_budget(lattice)
+    x, history = _pcg(kernel.apply, kernel.precondition, flat_b.values, opts.tolerance, budget)
     theta = AngleField(homotopy, ScalarField(lattice, _project(x)))
     return theta, _report(cs, theta, opts, source, history, started)
 
