@@ -89,7 +89,9 @@ def gaussian_curvature(u: ScalarField) -> ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class ConformalStructure:
-    """A torus metric ``exp(-2u) * flat`` with its derived curved calculus."""
+    """A torus metric ``exp(-2u) * flat`` with its derived curved calculus.
+    What depends on ``u`` alone is computed at first use and kept, so one
+    structure serves the solves of every winding class."""
 
     u: ScalarField
 
@@ -121,6 +123,13 @@ class ConformalStructure:
     @cached_property
     def kg_sq(self) -> ScalarField:
         return self.kg * self.kg
+
+    @cached_property
+    def frame_terms(self) -> tuple[ScalarField, ScalarField]:
+        """``lap_g div_g Z`` and ``div_g(k_g^2 Z)``: the part of the curved
+        critical-point equation that does not depend on the angle."""
+        Z = frame_connection(self).Z
+        return self.laplacian(self.divergence(Z)), self.divergence(self.kg_sq * Z)
 
     # -- curved calculus ----------------------------------------------------------
 
@@ -176,7 +185,7 @@ def frame_connection(cs: ConformalStructure) -> FrameConnection:
     du = flat_gradient(cs.u)
     a = cs.eu * du.comp2
     b = -(cs.eu * du.comp1)
-    Z = -rotate_J(cs.gradient(cs.u))
+    Z = -rotate_J(cs.e2u * du)
     return FrameConnection(a, b, Z)
 
 

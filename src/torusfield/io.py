@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -297,33 +298,42 @@ def realize(config: RunConfig) -> tuple[ConformalStructure, HomotopyClass, Solve
 ### Field tables
 
 
+#: Rows filled by one ``%``; small blocks keep the transient strings small.
+_BLOCK = 64
+#: Field-table row blocks of each structure, its per-class columns left as slots.
+_CSV_TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _blocks(columns: np.ndarray):
+    """The rows of ``columns`` in blocks of ``_BLOCK``, each a flat tuple."""
+    for start in range(0, len(columns), _BLOCK):
+        yield tuple(columns[start : start + _BLOCK].ravel().tolist())
+
+
 def write_field_csv(path: str | Path, cs: ConformalStructure, theta: AngleField) -> None:
     """Field table, one row per grid point in row-major ``(s, t)`` order.
 
     Columns: lattice-fractional coordinates, the total angle, the unit-field
     components, the curvature, and the exponent — all at 17 significant
-    digits, so reading the file back loses nothing.
+    digits (``%.17g``, the bytes of ``np.savetxt``), so reading the file
+    back loses nothing.  The four columns fixed by ``cs`` are formatted once
+    per structure and kept while it lives; a write fills in the other three.
     """
     if theta.lattice != cs.lattice:
         raise ValueError("lattice mismatch between structure and angle field")
-    lattice = cs.lattice
-    lam1, lam2 = lattice.fractional_coords
+    templates = _CSV_TEMPLATES.get(cs)
+    if templates is None:
+        lam1, lam2 = cs.lattice.fractional_coords
+        fixed = np.stack([a.ravel() for a in (lam1, lam2, cs.kg.values, cs.u.values)], axis=1)
+        row = "%.17g,%.17g,%%.17g,%%.17g,%%.17g,%.17g,%.17g\n"
+        templates = _CSV_TEMPLATES[cs] = [row * (len(b) // 4) % b for b in _blocks(fixed)]
     V = angle_to_unit_field(theta)
-    columns = np.stack(
-        [
-            lam1.ravel(),
-            lam2.ravel(),
-            theta.total_samples().ravel(),
-            V.comp1.values.ravel(),
-            V.comp2.values.ravel(),
-            cs.kg.values.ravel(),
-            cs.u.values.ravel(),
-        ],
-        axis=1,
-    )
+    per_class = [theta.total_samples(), V.comp1.values, V.comp2.values]
+    columns = np.stack([a.ravel() for a in per_class], axis=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        np.savetxt(fh, columns, fmt="%.17g", delimiter=",", newline="\n")
+        for template, values in zip(templates, _blocks(columns)):
+            fh.write(template % values)
 
 
 def read_field_csv(
@@ -391,16 +401,12 @@ def write_quiver(path: str | Path, theta: AngleField, stride: int = 4) -> None:
     """
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    lattice = theta.lattice
-    x, y = lattice.cartesian_coords
+    x, y = theta.lattice.cartesian_coords
     V = angle_to_unit_field(theta)
-    c1, c2 = V.comp1.values, V.comp2.values
-    lines = [
-        f"{_fmt(x[s, t])} {_fmt(y[s, t])} {_fmt(c1[s, t])} {_fmt(c2[s, t])}"
-        for s in range(0, lattice.n1, stride)
-        for t in range(0, lattice.n2, stride)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kept = [a[::stride, ::stride].ravel() for a in (x, y, V.comp1.values, V.comp2.values)]
+    row = "%.17g %.17g %.17g %.17g\n"
+    text = "".join(row * (len(values) // 4) % values for values in _blocks(np.stack(kept, axis=1)))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 ### Reports

@@ -1,0 +1,87 @@
+"""Property tests of the frame terms a structure caches for the residual.
+
+``ConformalStructure.frame_terms`` holds the two terms of the curved
+critical-point equation that depend only on the exponent, and the curved
+``el_residual`` reads them instead of rebuilding them.  Both must equal,
+bit for bit, the uncached expressions kept here, over random oblique
+lattices, even grids of 8 to 32 points per side, band-limited exponents of
+amplitude at most 0.5 and random angles in classes {-2..2}^2.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torusfield.angles import AngleField, HomotopyClass
+from torusfield.conformal import ConformalStructure, frame_connection
+from torusfield.energy import el_residual
+from torusfield.lattice import LatticeSpec, bandlimited_field, rotate_J
+
+properties = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def cases(draw) -> tuple[ConformalStructure, AngleField]:
+    spread = st.floats(-0.4, 0.4)
+    length = st.floats(0.5, 2.0)
+    d1 = (draw(length), draw(spread))
+    d2 = (draw(spread), draw(length))
+    n1, n2 = (2 * draw(st.integers(4, 16)) for _ in range(2))
+    lattice = LatticeSpec(d1, d2, n1, n2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = bandlimited_field(lattice, rng, band=draw(st.integers(1, 3)), amplitude=draw(st.floats(0.0, 0.5)))
+    with warnings.catch_warnings():
+        # coarse grids flag exponents that are resolved only to ~1e-6
+        warnings.simplefilter("ignore")
+        cs = ConformalStructure.from_exponent(u)
+    cls = HomotopyClass(draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    alpha = bandlimited_field(lattice, rng, band=draw(st.integers(1, 5)), amplitude=draw(st.floats(0.0, 2.0)))
+    return cs, AngleField(cls, alpha)
+
+
+def _uncached_curved_residual(cs: ConformalStructure, theta: AngleField) -> np.ndarray:
+    """The curved residual as assembled before the frame terms were kept."""
+    Z = -rotate_J(cs.gradient(cs.u))
+    grad_theta = cs.e2u * theta.total_gradient()
+    lap_theta = -cs.divergence(grad_theta)
+    fourth = cs.laplacian(lap_theta)
+    transport = cs.divergence(cs.kg_sq * grad_theta)
+    frame_fourth = cs.laplacian(cs.divergence(Z))
+    frame_transport = cs.divergence(cs.kg_sq * Z)
+    return (fourth - transport - frame_fourth - frame_transport).values
+
+
+@properties
+@given(cases())
+def test_frame_vector_is_minus_J_grad_g_u_bit_for_bit(case):
+    cs, _ = case
+    Z = frame_connection(cs).Z
+    reference = -rotate_J(cs.gradient(cs.u))
+    np.testing.assert_array_equal(Z.comp1.values, reference.comp1.values)
+    np.testing.assert_array_equal(Z.comp2.values, reference.comp2.values)
+
+
+@properties
+@given(cases())
+def test_frame_terms_equal_the_uncached_expressions(case):
+    cs, _ = case
+    Z = -rotate_J(cs.gradient(cs.u))
+    fourth, transport = cs.frame_terms
+    np.testing.assert_array_equal(fourth.values, cs.laplacian(cs.divergence(Z)).values)
+    np.testing.assert_array_equal(transport.values, cs.divergence(cs.kg_sq * Z).values)
+    assert cs.frame_terms is cs.frame_terms
+
+
+@properties
+@given(cases())
+def test_curved_residual_equals_the_uncached_assembly(case):
+    cs, theta = case
+    # twice: the first call fills the frame terms, the second reads them
+    for _ in range(2):
+        np.testing.assert_array_equal(
+            el_residual(cs, theta, "curved").values, _uncached_curved_residual(cs, theta)
+        )

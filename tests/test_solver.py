@@ -253,6 +253,43 @@ def test_tolerance_below_roundoff_stagnates():
     assert len(history) - 1 - int(np.argmin(history)) <= 2 * _STAGNATION_WINDOW
 
 
+@pytest.mark.parametrize(
+    "grid, u",
+    [
+        ("24", "0.4*sin(2pi*x)+0.2*cos(2pi*y)"),
+        ("24", "0.6*sin(2pi*x)+0.6*cos(2pi*y)"),
+        ("32", "1.2*sin(2pi*x)+0.6*cos(2pi*y)"),
+        ("128", "0.3*sin(2pi*(3*x+4*y))+0.3*cos(2pi*(5*y))"),
+    ],
+)
+def test_vanishing_source_returns_the_representative(grid, u):
+    # single-eigenvalue exponents, so the trivial class's source vanishes
+    # identically; on these grids aliasing lifts its assembly to 1e-9..1e-6
+    # of its inputs, where PCG stalls instead of converging (within a
+    # short budget, so that a wrong verdict fails fast)
+    cs, cls, _ = realize(RunConfig(grid=grid, u=u, winding=(0, 0)))
+    theta, report = solve_homotopy_class(cs, cls, SolveOptions(max_iterations=1000))
+    assert report.iterations == 0
+    assert theta.periodic.max_abs() == 0.0
+
+
+@pytest.mark.parametrize("amplitude", [1e-6, 1e-9])
+def test_weak_exponent_is_solved_not_taken_for_a_vanishing_source(amplitude):
+    # class (1, 0)'s source scales like a^2 and the operator tends to the
+    # flat bilaplacian as the amplitude a -> 0, so alpha / a^2 has a limit
+    # that a solve at a / 1000 reproduces to O(a)
+    def scaled(a: float) -> np.ndarray:
+        u = f"{a!r}*sin(2pi*x)+{a!r}*cos(2pi*(x+y))"
+        cs, cls, opts = realize(RunConfig(grid="32", u=u, winding=(1, 0)))
+        theta, report = solve_homotopy_class(cs, cls, opts)
+        assert report.iterations >= 1
+        assert report.final_relative_residual <= opts.tolerance
+        return theta.periodic.values / a**2
+
+    limit = scaled(amplitude / 1000.0)
+    assert np.max(np.abs(scaled(amplitude) - limit)) <= 1000.0 * amplitude * np.max(np.abs(limit))
+
+
 def test_compatibility_guard_fires_on_unbalanced_source(wavy64):
     balanced = np.sin(TWO_PI * wavy64.lattice.fractional_coords[0])
     _check_compatibility(balanced - balanced.mean())  # no error
