@@ -124,13 +124,6 @@ class ConformalStructure:
     def kg_sq(self) -> ScalarField:
         return self.kg * self.kg
 
-    @cached_property
-    def frame_terms(self) -> tuple[ScalarField, ScalarField]:
-        """``lap_g div_g Z`` and ``div_g(k_g^2 Z)``: the part of the curved
-        critical-point equation that does not depend on the angle."""
-        Z = frame_connection(self).Z
-        return self.laplacian(self.divergence(Z)), self.divergence(self.kg_sq * Z)
-
     # -- curved calculus ----------------------------------------------------------
 
     def gradient(self, f: ScalarField) -> VectorFieldFlat:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import AngleField
-from .conformal import RESOLUTION_THRESHOLD, ConformalStructure, ResolutionWarning
+from .conformal import RESOLUTION_THRESHOLD, ConformalStructure, ResolutionWarning, frame_connection
 from .lattice import (
     ScalarField,
     VectorFieldFlat,
@@ -121,11 +121,10 @@ def el_residual(
     Args:
         cs: Conformal structure.
         theta: Angle field on the same lattice.
-        formulation: ``"curved"`` assembles the equation with the
-            volume-weighted operators of ``cs``, its two angle-free frame
-            terms read from ``cs.frame_terms``, and relates to the flat form
-            by the pointwise factor ``exp(2u)``; ``"flat_weighted"`` uses
-            flat spectral operators on the periodic part and total gradient.
+        formulation: ``"flat_weighted"``, what solve reports measure, uses
+            flat spectral operators on the periodic part and total gradient;
+            ``"curved"``, an oracle, assembles the equation with the curved
+            operators of ``cs`` and is ``exp(2u)`` times the flat form.
 
     Returns:
         The residual as a scalar field.  Both formulations integrate to
@@ -139,11 +138,13 @@ def el_residual(
         twist = flat_divergence(cs.kg_sq * rotate_J(flat_gradient(cs.u)))
         return fourth - transport + twist
     if formulation == "curved":
-        frame_fourth, frame_transport = cs.frame_terms
+        Z = frame_connection(cs).Z
         grad_theta = cs.e2u * theta.total_gradient()
         lap_theta = -cs.divergence(grad_theta)
         fourth = cs.laplacian(lap_theta)
         transport = cs.divergence(cs.kg_sq * grad_theta)
+        frame_fourth = cs.laplacian(cs.divergence(Z))
+        frame_transport = cs.divergence(cs.kg_sq * Z)
         return fourth - transport - frame_fourth - frame_transport
     raise ValueError(f"unknown formulation: {formulation!r}")
 

@@ -367,10 +367,12 @@ def resolution_fraction(f: ScalarField) -> float:
     # the full spectrum, so that the 1e-8 warning threshold of the conformal
     # layer keeps reading the energy it was set against
     energy = np.abs(f.spectrum()) ** 2
-    energy = energy.copy()
+    mean_energy = energy[0, 0]
     energy[0, 0] = 0.0
     total = float(np.sum(energy))
-    if total == 0.0:
+    # an FFT's roundoff is about eps log2(n1 n2) of the spectrum's 2-norm, so
+    # a constant's non-mean energy sits at that level of its mean coefficient
+    if total <= (np.finfo(float).eps * np.log2(f.lattice.n1 * f.lattice.n2)) ** 2 * mean_energy:
         return 0.0
     top = (np.abs(P) >= f.lattice.n1 / 3.0) | (np.abs(Q) >= f.lattice.n2 / 3.0)
     return float(np.sum(energy[top]) / total)

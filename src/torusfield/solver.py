@@ -16,10 +16,10 @@ leading-order term flat_lap e^{2u} flat_lap on mean-zero fields,
     M r = flat_lap^+[e^{-2u}(flat_lap^+ r + c)],   c = -mean(e^{-2u} flat_lap^+ r) / mean(e^{-2u}),
 
 which keeps iteration counts grid-independent and nearly independent of
-the size of the conformal exponent.  The curved assembly (the pointwise
-multiple e^{2u} P, symmetric against the curved area element) survives as
-an independent oracle in :func:`apply_operator_P` and in the reported
-critical-point residual.
+the size of the conformal exponent.  Reports measure criticality on this
+flat assembly too, weighted by e^{2u} where the curved equation is asked for.
+The curved assembly (the pointwise multiple e^{2u} P, symmetric against the
+curved area element) survives only as an independent oracle.
 
 Two independent verification hooks live here as well: an inverse-iteration
 bound for the smallest Rayleigh quotient of the weighted bilaplacian (the
@@ -59,6 +59,10 @@ _FORMULATIONS = ("curved", "flat_weighted")
 _STAGNATION_FLOOR = 1e-12
 _STAGNATION_WINDOW = 16
 
+#: inverse iterations of the rigidity check, and its inner solves' tolerance
+_RIGIDITY_OUTER_ITERATIONS = 30
+_RIGIDITY_INNER_TOLERANCE = 1e-9
+
 #: relative gradient reduction at which the descent oracle declares victory
 _DESCENT_GRADIENT_REDUCTION = 1e-8
 
@@ -82,33 +86,26 @@ class CompatibilityError(ValueError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solve settings.  ``formulation`` picks which assembly of the
-    critical-point equation the report's residual is measured in; the solve
-    itself always runs the flat-weighted system."""
+    """Solve settings.  ``formulation`` picks the weight of the report's
+    residual: e^{2u} for ``"curved"``, 1 for ``"flat_weighted"``.  The solve
+    itself always runs the flat-weighted system, within ``10 n1 n2`` iterations."""
 
     tolerance: float = 1e-10
-    max_iterations: int | None = None
     formulation: str = "curved"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.tolerance < 1.0):
             raise ValueError("tolerance must lie in (0, 1)")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
         if self.formulation not in _FORMULATIONS:
             raise ValueError(f"unknown formulation: {self.formulation!r}")
 
-    def iteration_budget(self, lattice: LatticeSpec) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return 10 * lattice.n1 * lattice.n2
-
 
 class SolveReport(NamedTuple):
-    """Outcome of one solve.  The last two fields stay in memory only:
-    ``residual_history`` holds the PCG relative residuals (``(0.0,)`` when
-    no iteration ran), ``el_residual_relative`` is ``el_residual_maxnorm``
-    over the max-norm of the same formulation's source."""
+    """Outcome of one solve.  ``el_residual_maxnorm`` is the max-norm of the
+    flat critical-point residual, weighted as ``SolveOptions`` says.  Kept in
+    memory only: ``residual_history``, the PCG relative residuals (``(0.0,)``
+    when no iteration ran), and ``el_residual_relative``, the residual over
+    the max-norm of the flat source weighted alike."""
 
     iterations: int
     final_relative_residual: float
@@ -313,6 +310,21 @@ def _pcg(
     )
 
 
+def _iteration_budget(lattice: LatticeSpec) -> int:
+    return 10 * lattice.n1 * lattice.n2
+
+
+def _criticality(
+    cs: ConformalStructure, theta: AngleField, source: ScalarField, formulation: str
+) -> tuple[float, float]:
+    """Max-norms of the flat critical-point residual at ``theta`` and of the
+    flat ``source``, weighted by e^{2u} for ``"curved"`` (the curved equation
+    is the flat one multiplied through by it) and by 1 for ``"flat_weighted"``."""
+    weight = cs.e2u if formulation == "curved" else 1.0
+    residual = weight * el_residual(cs, theta, "flat_weighted")
+    return residual.max_abs(), (weight * source).max_abs()
+
+
 def _report(
     cs: ConformalStructure,
     theta: AngleField,
@@ -321,7 +333,7 @@ def _report(
     history: list[float],
     started: float,
 ) -> SolveReport:
-    residual = el_residual(cs, theta, opts.formulation).max_abs()
+    residual, scale = _criticality(cs, theta, source, opts.formulation)
     return SolveReport(
         iterations=len(history) - 1,
         final_relative_residual=history[-1],
@@ -330,7 +342,7 @@ def _report(
         wall_time=time.perf_counter() - started,
         homotopy_class=theta.homotopy,
         residual_history=tuple(history),
-        el_residual_relative=residual / max(source.max_abs(), np.finfo(float).tiny),
+        el_residual_relative=residual / max(scale, np.finfo(float).tiny),
     )
 
 
@@ -344,48 +356,39 @@ def solve_homotopy_class(
     Returns the angle field (winding class plus mean-zero periodic part)
     and a report with iteration counts, the final relative residual, the
     energy breakdown, the max-norm of the critical-point residual in
-    ``opts.formulation``, and the wall time.
+    ``opts.formulation``'s weighting, and the wall time.
     """
     opts = opts or SolveOptions()
     lattice = cs.lattice
     started = time.perf_counter()
     representative = AngleField(homotopy, ScalarField.from_constant(lattice, 0.0))
+    flux = _source_flux(cs, homotopy)
+    b = flat_divergence(flux)
 
-    # a constant exponent is flat in disguise: the linear representative is
-    # already critical and the right-hand side vanishes identically
-    if np.ptp(cs.u.values) == 0.0:
-        source = right_hand_side(cs, homotopy, opts.formulation)
-        return representative, _report(cs, representative, opts, source, [0.0], started)
-
-    # The source can vanish identically even on a curved structure: when the
-    # squared curvature is a pointwise function of u (any single-eigenvalue
-    # exponent does this), the trivial class's transport term is a Jacobian
-    # of functionally dependent fields.  The assembly then holds only its
+    # A constant exponent is flat in disguise: the linear representative is
+    # already critical and the source vanishes identically.  The source can
+    # vanish identically even on a curved structure: when the squared
+    # curvature is a pointwise function of u (any single-eigenvalue exponent
+    # does this), the trivial class's transport term is a Jacobian of
+    # functionally dependent fields.  The assembly then holds only its
     # roundoff and aliasing, PCG stalls on it, and the representative is the
     # exact solution.  On grids 8^2 to 512^2 PCG stalled on every source up
     # to 8e4 eps n1 n2 kmax |flux| and converged from 1e6 up (measured).
-    flux = _source_flux(cs, homotopy)
-    flat_b = flat_divergence(flux)
-    source = right_hand_side(cs, homotopy, opts.formulation)
     kmax = np.sqrt(np.max(_laplacian_multiplier(lattice)))
     floor = 3e5 * np.finfo(float).eps * lattice.n1 * lattice.n2 * kmax
-    if flat_b.max_abs() <= floor * max(flux.comp1.max_abs(), flux.comp2.max_abs()):
-        return representative, _report(cs, representative, opts, source, [0.0], started)
+    vanishing = b.max_abs() <= floor * max(flux.comp1.max_abs(), flux.comp2.max_abs())
+    if vanishing or np.ptp(cs.u.values) == 0.0:
+        return representative, _report(cs, representative, opts, b, [0.0], started)
 
-    _check_compatibility(flat_b.values)
+    _check_compatibility(b.values)
     kernel = _Kernel(cs)
-    budget = opts.iteration_budget(lattice)
-    x, history = _pcg(kernel.apply, kernel.precondition, flat_b.values, opts.tolerance, budget)
+    budget = _iteration_budget(lattice)
+    x, history = _pcg(kernel.apply, kernel.precondition, b.values, opts.tolerance, budget)
     theta = AngleField(homotopy, ScalarField(lattice, _project(x)))
-    return theta, _report(cs, theta, opts, source, history, started)
+    return theta, _report(cs, theta, opts, b, history, started)
 
 
-def section_rigidity_check(
-    cs: ConformalStructure,
-    seed: int = 0,
-    outer_iterations: int = 30,
-    inner_tolerance: float = 1e-9,
-) -> RigidityCertificate:
+def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCertificate:
     """Estimate the smallest mean-zero Rayleigh quotient of the weighted
     bilaplacian h -> flat_lap(e^{2u} flat_lap h) by inverse iteration.
 
@@ -397,7 +400,7 @@ def section_rigidity_check(
     """
     lattice = cs.lattice
     kernel = _Kernel(cs, transport=False)
-    budget = SolveOptions().iteration_budget(lattice)
+    budget = _iteration_budget(lattice)
 
     # start inside the operator's resolvable subspace: modes the derivative
     # multipliers annihilate (the mean and the unpaired highest frequencies)
@@ -409,16 +412,15 @@ def section_rigidity_check(
     x /= np.sqrt(_dot(x, x))
 
     rayleigh = _dot(x, kernel.apply(x))
-    for _ in range(outer_iterations):
-        y, _ = _pcg(kernel.apply, kernel.precondition, x, inner_tolerance, budget)
+    for _ in range(_RIGIDITY_OUTER_ITERATIONS):
+        y, _ = _pcg(kernel.apply, kernel.precondition, x, _RIGIDITY_INNER_TOLERANCE, budget)
         y = _project(y)
         y /= np.sqrt(_dot(y, y))
         updated = _dot(y, kernel.apply(y))
-        x = y
-        if abs(updated - rayleigh) <= 1e-9 * max(abs(updated), 1e-300):
-            rayleigh = updated
+        settled = abs(updated - rayleigh) <= 1e-9 * max(abs(updated), 1e-300)
+        x, rayleigh = y, updated
+        if settled:
             break
-        rayleigh = updated
 
     nonzero = kernel.lap[kernel.lap != 0.0]
     flat_reference = float(np.min(nonzero * nonzero))

@@ -14,12 +14,12 @@ import numpy as np
 
 from .angles import AngleField
 from .conformal import ConformalStructure
-from .energy import bienergy, el_residual
+from .energy import bienergy
 from .lattice import ScalarField, dot, flat_gradient, flat_laplacian, integrate_inner
-from .solver import right_hand_side
+from .solver import _criticality, right_hand_side
 
-#: max-norm level (relative to the source term) above which a field is
-#: rejected as a base point for second-difference checks
+#: max-norm level (relative to the source, both weighted by e^{2u}) above
+#: which a field is rejected as a base point for second-difference checks
 _CRITICALITY_THRESHOLD = 1e-6
 
 
@@ -74,12 +74,13 @@ def hessian_vs_energy_check(
     cs._check(theta_star.lattice)
     cs._check(beta.lattice)
 
-    residual = el_residual(cs, theta_star, formulation="curved")
-    scale = max(1.0, right_hand_side(cs, theta_star.homotopy, "curved").max_abs())
-    if residual.max_abs() > _CRITICALITY_THRESHOLD * scale:
+    source = right_hand_side(cs, theta_star.homotopy, "flat_weighted")
+    residual, scale = _criticality(cs, theta_star, source, "curved")
+    scale = max(1.0, scale)
+    if residual > _CRITICALITY_THRESHOLD * scale:
         raise NotCriticalError(
             "base field does not satisfy the critical-point equation "
-            f"(residual {residual.max_abs():.3e} against scale {scale:.3e})"
+            f"(residual {residual:.3e} against scale {scale:.3e})"
         )
 
     quadratic = hessian_form(cs, beta)

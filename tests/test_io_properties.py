@@ -26,7 +26,6 @@ from torusfield.conformal import ConformalStructure
 from torusfield.io import CSV_HEADER, read_field_csv, write_field_csv, write_quiver
 from torusfield.lattice import LatticeSpec, bandlimited_field
 
-properties = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 classes = st.builds(HomotopyClass, st.integers(-2, 2), st.integers(-2, 2))
 
@@ -100,7 +99,6 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("tables")
 
 
-@properties
 @given(tables(), classes)
 def test_field_table_bytes_equal_savetxt(workdir, table, cls):
     _, lattice, seed = table
@@ -112,7 +110,6 @@ def test_field_table_bytes_equal_savetxt(workdir, table, cls):
     assert (workdir / "templated.csv").read_bytes() == (workdir / "savetxt.csv").read_bytes()
 
 
-@properties
 @given(tables(), classes)
 def test_field_table_reads_back_bit_for_bit(workdir, table, cls):
     text, lattice, seed = table
@@ -130,7 +127,6 @@ def test_field_table_reads_back_bit_for_bit(workdir, table, cls):
     np.testing.assert_array_equal(theta_back.total_samples(), theta.total_samples())
 
 
-@properties
 @given(tables(), classes, classes)
 def test_an_earlier_class_leaves_no_trace_in_the_next_table(workdir, table, first, second):
     _, lattice, seed = table
@@ -145,7 +141,7 @@ def test_an_earlier_class_leaves_no_trace_in_the_next_table(workdir, table, firs
     assert (workdir / "shared.csv").read_bytes() == (workdir / "fresh.csv").read_bytes()
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10)
 @given(tables(), classes)
 def test_template_cache_does_not_keep_the_structure_alive(workdir, table, cls):
     _, lattice, seed = table
@@ -163,7 +159,6 @@ def test_template_cache_does_not_keep_the_structure_alive(workdir, table, cls):
     assert len(runio._CSV_TEMPLATES) == before
 
 
-@properties
 @given(tables(), classes, st.integers(1, 5))
 def test_quiver_bytes_equal_per_value_format(workdir, table, cls, stride):
     _, lattice, seed = table

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from torusfield.conformal import ConformalStructure
@@ -25,8 +25,6 @@ from torusfield.lattice import (
 from torusfield.solver import _Kernel, apply_operator_P
 
 EPS = np.finfo(float).eps
-
-properties = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 class Case:
@@ -72,7 +70,6 @@ def cases(draw) -> Case:
     return Case(d1, d2, n1, n2, band, amplitude, seed)
 
 
-@properties
 @given(cases())
 def test_kernel_is_the_curved_oracle_over_the_conformal_factor(case):
     h = case.field()
@@ -82,7 +79,6 @@ def test_kernel_is_the_curved_oracle_over_the_conformal_factor(case):
     assert gap <= 100.0 * EPS * case.symbol * np.max(np.abs(h))
 
 
-@properties
 @given(cases())
 def test_kernel_is_flat_symmetric(case):
     f, g = case.field(), case.field()
@@ -90,7 +86,6 @@ def test_kernel_is_flat_symmetric(case):
     assert gap <= 10.0 * EPS * case.symbol * np.linalg.norm(f) * np.linalg.norm(g)
 
 
-@properties
 @given(cases())
 def test_preconditioner_is_flat_symmetric(case):
     f, g = case.field(), case.field()
@@ -99,7 +94,6 @@ def test_preconditioner_is_flat_symmetric(case):
     assert gap <= 10.0 * EPS * case.inverse_symbol * np.linalg.norm(f) * np.linalg.norm(g)
 
 
-@properties
 @given(cases(), st.integers(1, 3))
 def test_preconditioner_inverts_the_weighted_bilaplacian(case, band):
     # h lies in the resolvable mean-zero subspace (no mean, no Nyquist

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
@@ -31,7 +31,6 @@ from torusfield.solver import _Kernel
 
 EPS = np.finfo(float).eps
 
-properties = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 #: (direction, order) of every derivative under test; direction None is the Laplacian
 OPERATORS = [(d, order) for d in (1, 2) for order in (1, 2, 3, 4)] + [(None, 2)]
@@ -80,7 +79,6 @@ def _full_spectrum_multiplier(lattice: LatticeSpec, direction: int | None, order
     return np.mean(symbols, axis=0)
 
 
-@properties
 @given(lattices(), st.sampled_from(OPERATORS), st.integers(0, 2**32 - 1))
 def test_half_spectrum_derivatives_equal_the_full_spectrum(lattice, operator, seed):
     direction, order = operator
@@ -95,7 +93,6 @@ def test_half_spectrum_derivatives_equal_the_full_spectrum(lattice, operator, se
     assert gap <= 10.0 * EPS * np.max(np.abs(mult)) * f.max_abs()
 
 
-@properties
 @given(lattices(), st.integers(1, 3), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
 def test_total_curvature_vanishes_on_random_structures(lattice, band, amplitude, seed):
     # Gauss-Bonnet on a torus: kg e^{-2u} = -flat_lap u, whose multiplier
@@ -105,7 +102,6 @@ def test_total_curvature_vanishes_on_random_structures(lattice, band, amplitude,
     assert abs(cs.integrate(cs.kg)) <= 10.0 * EPS * scale
 
 
-@properties
 @given(
     lattices(),
     st.integers(-2, 2),

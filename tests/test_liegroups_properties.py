@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import permutations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from torusfield.liegroups import (
@@ -26,7 +26,6 @@ from torusfield.liegroups import (
     su2,
 )
 
-properties = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 scales = st.floats(0.2, 3.0)
 models = st.one_of(
@@ -49,7 +48,6 @@ def cases(draw):
     return model, problem, cubic, V, scale
 
 
-@properties
 @given(cases())
 def test_polynomial_map_is_the_einsum_oracle(case):
     model, problem, cubic, V, scale = case
@@ -60,7 +58,6 @@ def test_polynomial_map_is_the_einsum_oracle(case):
         assert np.max(np.abs(cubic.cubic - cubic.cubic.transpose(*axes, 3))) <= 1e-15 * scale
 
 
-@properties
 @given(cases())
 def test_exact_jacobian_is_the_oracle_central_difference(case):
     model, problem, cubic, V, scale = case
@@ -77,7 +74,6 @@ def test_exact_jacobian_is_the_oracle_central_difference(case):
         assert np.max(np.abs(jacobian[:, :, k] - central)) <= 1e-8 * scale
 
 
-@properties
 @given(cases())
 def test_polynomial_map_is_odd(case):
     _, _, cubic, V, _ = case

@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from torusfield.angles import HomotopyClass, linear_representative
@@ -32,8 +32,6 @@ from torusfield.lattice import (
 from torusfield.solver import SolveOptions, right_hand_side, solve_homotopy_class
 
 EPS = np.finfo(float).eps
-
-properties = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -68,7 +66,6 @@ def _error_bound(cs: ConformalStructure, cls: HomotopyClass, tolerance: float) -
     return tolerance * np.linalg.norm(b - np.mean(b)) + 100.0 * EPS * kmax * np.linalg.norm(flux)
 
 
-@properties
 @given(structures(), st.integers(-2, 2), st.integers(-2, 2))
 def test_every_class_is_the_affine_combination_of_three(cs, m, n):
     tolerance = SolveOptions().tolerance
