@@ -18,6 +18,10 @@ which involve one spectral multiplier apiece instead of chained
 divergence/gradient compositions.  The geometric route survives in the test
 suite as an independent oracle.
 
+The critical-point equation ``P alpha = b`` has its one spectral kernel
+(``_Kernel``) and source (``right_hand_side``) here; the flat
+``el_residual`` is ``P alpha - b`` on them.
+
 The overall normalization is fixed by the plain flat quadrature measure.
 Any alternative convention rescales every energy by one global positive
 constant, which moves no critical point, no residual zero set, and no
@@ -30,12 +34,16 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .angles import AngleField
+from .angles import AngleField, HomotopyClass, linear_representative
 from .conformal import RESOLUTION_THRESHOLD, ConformalStructure, ResolutionWarning, frame_connection
 from .lattice import (
+    LatticeSpec,
     ScalarField,
     VectorFieldFlat,
+    _derivative_multiplier,
+    _laplacian_multiplier,
     dot,
     flat_divergence,
     flat_gradient,
@@ -68,11 +76,6 @@ class DerivativePair(NamedTuple):
     numeric: float
 
 
-def _bending_vector(cs: ConformalStructure, theta: AngleField) -> VectorFieldFlat:
-    """Flat components of the first-order term: grad theta_total - J grad u."""
-    return theta.total_gradient() - rotate_J(flat_gradient(cs.u))
-
-
 def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
     """Evaluate the second-order energy of the unit field with angle ``theta``.
 
@@ -96,7 +99,8 @@ def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
     lap_alpha = flat_laplacian(theta.periodic)
     vertical = integrate_inner(lap_alpha, lap_alpha, weight=cs.e2u)
 
-    bend = _bending_vector(cs, theta)
+    # flat components of the first-order term: grad theta_total - J grad u
+    bend = theta.total_gradient() - rotate_J(flat_gradient(cs.u))
     density = dot(bend, bend)
     horizontal = integrate_inner(density, cs.kg_sq)
     total_bending = 0.5 * integrate_inner(density)
@@ -110,6 +114,79 @@ def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
     )
 
 
+def _constant_gradient(homotopy: HomotopyClass, lattice: LatticeSpec) -> VectorFieldFlat:
+    Y0 = linear_representative(homotopy, lattice).gradient
+    shape = lattice.shape
+    return VectorFieldFlat.from_arrays(lattice, np.full(shape, Y0[0]), np.full(shape, Y0[1]))
+
+
+def _source_flux(cs: ConformalStructure, homotopy: HomotopyClass) -> VectorFieldFlat:
+    """``k_g^2 (Y0 - J grad u)``, whose flat divergence is the flat source."""
+    return cs.kg_sq * (_constant_gradient(homotopy, cs.lattice) - rotate_J(flat_gradient(cs.u)))
+
+
+def right_hand_side(
+    cs: ConformalStructure, homotopy: HomotopyClass, formulation: str = "curved"
+) -> ScalarField:
+    """Assemble the source term of the solve for the given winding class.
+
+    Flat form: div(k_g^2 (Y0 - J grad u)) with Y0 the constant gradient of
+    the linear representative.  Curved form: the same equation multiplied
+    through by e^{2u}, assembled with the curved operators (its leading
+    term is a Laplacian of an identically-vanishing divergence and is kept
+    for faithfulness to the equation as written).
+    """
+    if formulation == "flat_weighted":
+        return flat_divergence(_source_flux(cs, homotopy))
+    if formulation == "curved":
+        YZ = cs.e2u * _constant_gradient(homotopy, cs.lattice) + frame_connection(cs).Z
+        return cs.laplacian(cs.divergence(YZ)) + cs.divergence(cs.kg_sq * YZ)
+    raise ValueError(f"unknown formulation: {formulation!r}")
+
+
+class _Kernel:
+    """``P`` and the preconditioner ``M`` of one structure on raw ``(n1, n2)``
+    arrays.
+
+    ``lap``, ``d1`` and ``d2`` are the lattice's masked half-spectrum
+    multipliers as they are; ``inv_lap`` is the Laplacian's pseudo-inverse,
+    zero on the mean and on the Nyquist lines where the Laplacian vanishes.
+    An apply of ``P`` costs one ``rfft2`` and three ``irfft2`` to form
+    ``flat_lap h`` and ``grad h``, then three ``rfft2`` and one ``irfft2``
+    for the outer Laplacian and divergence; ``M`` costs two of each.
+    Without ``transport`` the kernel is the weighted bilaplacian
+    ``flat_lap e^{2u} flat_lap`` alone.  ``M`` is symmetric positive
+    semidefinite in the flat product and inverts the weighted bilaplacian
+    on mean-zero fields resolved away from the Nyquist lines.
+    """
+
+    def __init__(self, cs: ConformalStructure, transport: bool = True) -> None:
+        lattice = cs.lattice
+        self.lap = _laplacian_multiplier(lattice)
+        self.d1 = _derivative_multiplier(lattice, 1, 1)
+        self.d2 = _derivative_multiplier(lattice, 2, 1)
+        self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap != 0.0)
+        self.e2u = cs.e2u.values
+        self.em2u = cs.em2u.values
+        self.em2u_mean = float(np.mean(self.em2u))
+        self.kg_sq = cs.kg_sq.values if transport else None
+
+    def apply(self, h: NDArray) -> NDArray:
+        spectrum = np.fft.rfft2(h)
+        out = self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
+        if self.kg_sq is not None:
+            for d in (self.d1, self.d2):
+                out -= d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
+        return np.fft.irfft2(out)
+
+    def precondition(self, r: NDArray) -> NDArray:
+        s = np.fft.irfft2(self.inv_lap * np.fft.rfft2(r))
+        # the constant left free by the inner inverse makes the outer
+        # Laplacian's argument mean-zero, hence solvable
+        c = -float(np.mean(self.em2u * s)) / self.em2u_mean
+        return np.fft.irfft2(self.inv_lap * np.fft.rfft2(self.em2u * (s + c)))
+
+
 def el_residual(
     cs: ConformalStructure, theta: AngleField, formulation: str = "curved"
 ) -> ScalarField:
@@ -121,10 +198,11 @@ def el_residual(
     Args:
         cs: Conformal structure.
         theta: Angle field on the same lattice.
-        formulation: ``"flat_weighted"``, what solve reports measure, uses
-            flat spectral operators on the periodic part and total gradient;
-            ``"curved"``, an oracle, assembles the equation with the curved
-            operators of ``cs`` and is ``exp(2u)`` times the flat form.
+        formulation: ``"flat_weighted"``, what solve reports measure, is
+            ``P alpha - b``: the spectral kernel on the periodic part minus
+            the flat :func:`right_hand_side`; ``"curved"``, an oracle,
+            assembles the equation with the curved operators of ``cs`` and
+            is ``exp(2u)`` times the flat form.
 
     Returns:
         The residual as a scalar field.  Both formulations integrate to
@@ -132,11 +210,8 @@ def el_residual(
     """
     cs._check(theta.lattice)
     if formulation == "flat_weighted":
-        lap_alpha = flat_laplacian(theta.periodic)
-        fourth = flat_laplacian(cs.e2u * lap_alpha)
-        transport = flat_divergence(cs.kg_sq * theta.total_gradient())
-        twist = flat_divergence(cs.kg_sq * rotate_J(flat_gradient(cs.u)))
-        return fourth - transport + twist
+        source = right_hand_side(cs, theta.homotopy, "flat_weighted")
+        return ScalarField(cs.lattice, _Kernel(cs).apply(theta.periodic.values) - source.values)
     if formulation == "curved":
         Z = frame_connection(cs).Z
         grad_theta = cs.e2u * theta.total_gradient()

@@ -525,6 +525,8 @@ def classify(
     """
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem: {problem!r}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be a positive sample count, got {resolution}")
     rng = np.random.default_rng(seed)
     samples = _sphere_samples(model.dim, resolution, rng)
 

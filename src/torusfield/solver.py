@@ -8,21 +8,23 @@ part of the angle.  Its operator
 is symmetric positive semidefinite in the flat L2 product, with kernel
 exactly the constants, so every solve runs preconditioned conjugate
 gradients on the mean-zero subspace against this flat-weighted form.  One
-spectral kernel applies P on raw sample arrays with the lattice's own
-multipliers, on the ``rfft2`` half spectrum every flat derivative uses (see
-:mod:`torusfield.lattice`).  The preconditioner is the exact inverse of the
-leading-order term flat_lap e^{2u} flat_lap on mean-zero fields,
+spectral kernel (``energy._Kernel``, beside the flat residual) applies P on
+raw sample arrays with the lattice's own multipliers, on the ``rfft2`` half
+spectrum every flat derivative uses (see :mod:`torusfield.lattice`).  The
+preconditioner is the exact inverse of the leading-order term
+flat_lap e^{2u} flat_lap on mean-zero fields,
 
     M r = flat_lap^+[e^{-2u}(flat_lap^+ r + c)],   c = -mean(e^{-2u} flat_lap^+ r) / mean(e^{-2u}),
 
 which keeps iteration counts grid-independent and nearly independent of
-the size of the conformal exponent.  Reports measure criticality on this
-flat assembly too, weighted by e^{2u} where the curved equation is asked for.
-The curved assembly (the pointwise multiple e^{2u} P, symmetric against the
-curved area element) survives only as an independent oracle.
+the size of the conformal exponent.  Reports measure criticality on the
+kernel and source the solve holds, weighted by e^{2u} where the curved
+equation is asked for.  The curved assembly (the pointwise multiple
+e^{2u} P, symmetric against the curved area element) survives only as an
+independent oracle.
 
 Two independent verification hooks live here as well: an inverse-iteration
-bound for the smallest Rayleigh quotient of the weighted bilaplacian (the
+estimate of the smallest Rayleigh quotient of the weighted bilaplacian (the
 operator whose kernel rigidity forces purely "vertical" critical fields to
 be constant), and a gradient-descent oracle that minimizes the energy
 directly and must land on the same field the linear solve produces.
@@ -37,19 +39,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .angles import AngleField, HomotopyClass, linear_representative
-from .conformal import ConformalStructure, frame_connection
-from .energy import EnergyBreakdown, bienergy, el_residual
-from .lattice import (
-    LatticeSpec,
-    ScalarField,
-    VectorFieldFlat,
-    _derivative_multiplier,
-    _laplacian_multiplier,
-    flat_divergence,
-    flat_gradient,
-    rotate_J,
-)
+from .angles import AngleField, HomotopyClass
+from .conformal import ConformalStructure
+from .energy import EnergyBreakdown, _Kernel, _source_flux, bienergy, right_hand_side
+from .lattice import LatticeSpec, ScalarField, _laplacian_multiplier, flat_divergence
 
 _FORMULATIONS = ("curved", "flat_weighted")
 
@@ -59,9 +52,8 @@ _FORMULATIONS = ("curved", "flat_weighted")
 _STAGNATION_FLOOR = 1e-12
 _STAGNATION_WINDOW = 16
 
-#: inverse iterations of the rigidity check, and its inner solves' tolerance
-_RIGIDITY_OUTER_ITERATIONS = 30
-_RIGIDITY_INNER_TOLERANCE = 1e-9
+#: applications of M in the rigidity check, the one forming its start included
+_RIGIDITY_ITERATIONS = 31
 
 #: relative gradient reduction at which the descent oracle declares victory
 _DESCENT_GRADIENT_REDUCTION = 1e-8
@@ -146,80 +138,7 @@ def apply_operator_P(
     raise ValueError(f"unknown formulation: {formulation!r}")
 
 
-def _constant_gradient(homotopy: HomotopyClass, lattice: LatticeSpec) -> VectorFieldFlat:
-    Y0 = linear_representative(homotopy, lattice).gradient
-    shape = lattice.shape
-    return VectorFieldFlat.from_arrays(lattice, np.full(shape, Y0[0]), np.full(shape, Y0[1]))
-
-
-def _source_flux(cs: ConformalStructure, homotopy: HomotopyClass) -> VectorFieldFlat:
-    """``k_g^2 (Y0 - J grad u)``, whose flat divergence is the flat source."""
-    return cs.kg_sq * (_constant_gradient(homotopy, cs.lattice) - rotate_J(flat_gradient(cs.u)))
-
-
-def right_hand_side(
-    cs: ConformalStructure, homotopy: HomotopyClass, formulation: str = "curved"
-) -> ScalarField:
-    """Assemble the source term of the solve for the given winding class.
-
-    Flat form: div(k_g^2 (Y0 - J grad u)) with Y0 the constant gradient of
-    the linear representative.  Curved form: the same equation multiplied
-    through by e^{2u}, assembled with the curved operators (its leading
-    term is a Laplacian of an identically-vanishing divergence and is kept
-    for faithfulness to the equation as written).
-    """
-    if formulation == "flat_weighted":
-        return flat_divergence(_source_flux(cs, homotopy))
-    if formulation == "curved":
-        YZ = cs.e2u * _constant_gradient(homotopy, cs.lattice) + frame_connection(cs).Z
-        return cs.laplacian(cs.divergence(YZ)) + cs.divergence(cs.kg_sq * YZ)
-    raise ValueError(f"unknown formulation: {formulation!r}")
-
-
-### The spectral kernel and conjugate gradients on raw arrays
-
-
-class _Kernel:
-    """``P`` and the preconditioner ``M`` of one structure on raw ``(n1, n2)``
-    arrays.
-
-    ``lap``, ``d1`` and ``d2`` are the lattice's masked half-spectrum
-    multipliers as they are; ``inv_lap`` is the Laplacian's pseudo-inverse,
-    zero on the mean and on the Nyquist lines where the Laplacian vanishes.
-    An apply of ``P`` costs one ``rfft2`` and three ``irfft2`` to form
-    ``flat_lap h`` and ``grad h``, then three ``rfft2`` and one ``irfft2``
-    for the outer Laplacian and divergence; ``M`` costs two of each.
-    Without ``transport`` the kernel is the weighted bilaplacian
-    ``flat_lap e^{2u} flat_lap`` alone.  ``M`` is symmetric positive
-    semidefinite in the flat product and inverts the weighted bilaplacian
-    on mean-zero fields resolved away from the Nyquist lines.
-    """
-
-    def __init__(self, cs: ConformalStructure, transport: bool = True) -> None:
-        lattice = cs.lattice
-        self.lap = _laplacian_multiplier(lattice)
-        self.d1 = _derivative_multiplier(lattice, 1, 1)
-        self.d2 = _derivative_multiplier(lattice, 2, 1)
-        self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap != 0.0)
-        self.e2u = cs.e2u.values
-        self.em2u = cs.em2u.values
-        self.em2u_mean = float(np.mean(self.em2u))
-        self.kg_sq = cs.kg_sq.values if transport else None
-
-    def apply(self, h: NDArray) -> NDArray:
-        spectrum = np.fft.rfft2(h)
-        out = self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
-        if self.kg_sq is not None:
-            for d in (self.d1, self.d2):
-                out -= d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
-        return np.fft.irfft2(out)
-
-    def precondition(self, r: NDArray) -> NDArray:
-        s = np.fft.irfft2(self.inv_lap * np.fft.rfft2(r))
-        # the constant left free by the inner inverse makes the outer
-        # Laplacian's argument mean-zero, hence solvable
-        c = -float(np.mean(self.em2u * s)) / self.em2u_mean
-        return np.fft.irfft2(self.inv_lap * np.fft.rfft2(self.em2u * (s + c)))
+### Conjugate gradients on raw arrays
 
 
 def _dot(x: NDArray, y: NDArray) -> float:
@@ -315,25 +234,26 @@ def _iteration_budget(lattice: LatticeSpec) -> int:
 
 
 def _criticality(
-    cs: ConformalStructure, theta: AngleField, source: ScalarField, formulation: str
+    kernel: _Kernel, theta: AngleField, source: ScalarField, formulation: str
 ) -> tuple[float, float]:
-    """Max-norms of the flat critical-point residual at ``theta`` and of the
-    flat ``source``, weighted by e^{2u} for ``"curved"`` (the curved equation
-    is the flat one multiplied through by it) and by 1 for ``"flat_weighted"``."""
-    weight = cs.e2u if formulation == "curved" else 1.0
-    residual = weight * el_residual(cs, theta, "flat_weighted")
-    return residual.max_abs(), (weight * source).max_abs()
+    """Max-norms of ``P alpha - b`` at ``theta`` on ``kernel`` and of the flat
+    ``source`` b, weighted by e^{2u} for ``"curved"`` (the curved equation is
+    the flat one multiplied through by it) and by 1 for ``"flat_weighted"``."""
+    weight = kernel.e2u if formulation == "curved" else 1.0
+    residual = weight * (kernel.apply(theta.periodic.values) - source.values)
+    return float(np.max(np.abs(residual))), float(np.max(np.abs(weight * source.values)))
 
 
 def _report(
     cs: ConformalStructure,
+    kernel: _Kernel,
     theta: AngleField,
     opts: SolveOptions,
     source: ScalarField,
     history: list[float],
     started: float,
 ) -> SolveReport:
-    residual, scale = _criticality(cs, theta, source, opts.formulation)
+    residual, scale = _criticality(kernel, theta, source, opts.formulation)
     return SolveReport(
         iterations=len(history) - 1,
         final_relative_residual=history[-1],
@@ -377,20 +297,24 @@ def solve_homotopy_class(
     kmax = np.sqrt(np.max(_laplacian_multiplier(lattice)))
     floor = 3e5 * np.finfo(float).eps * lattice.n1 * lattice.n2 * kmax
     vanishing = b.max_abs() <= floor * max(flux.comp1.max_abs(), flux.comp2.max_abs())
+    kernel = _Kernel(cs)
     if vanishing or np.ptp(cs.u.values) == 0.0:
-        return representative, _report(cs, representative, opts, b, [0.0], started)
+        return representative, _report(cs, kernel, representative, opts, b, [0.0], started)
 
     _check_compatibility(b.values)
-    kernel = _Kernel(cs)
     budget = _iteration_budget(lattice)
     x, history = _pcg(kernel.apply, kernel.precondition, b.values, opts.tolerance, budget)
     theta = AngleField(homotopy, ScalarField(lattice, _project(x)))
-    return theta, _report(cs, theta, opts, b, history, started)
+    return theta, _report(cs, kernel, theta, opts, b, history, started)
 
 
 def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCertificate:
     """Estimate the smallest mean-zero Rayleigh quotient of the weighted
-    bilaplacian h -> flat_lap(e^{2u} flat_lap h) by inverse iteration.
+    bilaplacian h -> flat_lap(e^{2u} flat_lap h) by inverse iteration with
+    the kernel's ``M``, the operator's inverse off the Nyquist lines, from
+    ``M raw`` with ``raw`` drawn from ``seed``.  The range of ``M`` excludes
+    the mean and every mode the Laplacian annihilates.  The estimate is a
+    Rayleigh quotient, so an upper bound on the smallest one, and seed-dependent.
 
     A strictly positive quotient certifies that the only periodic angle
     functions annihilated by the operator are constants, i.e. the purely
@@ -398,34 +322,20 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
     against the flat lattice's smallest nonzero eigenvalue with a 1e-6
     safety margin.
     """
-    lattice = cs.lattice
     kernel = _Kernel(cs, transport=False)
-    budget = _iteration_budget(lattice)
-
-    # start inside the operator's resolvable subspace: modes the derivative
-    # multipliers annihilate (the mean and the unpaired highest frequencies)
-    # are invisible to the operator and would leave the inner solves chasing
-    # an inconsistent component forever
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal(lattice.shape)
-    x = np.fft.irfft2(np.where(kernel.lap != 0.0, np.fft.rfft2(raw), 0.0))
-    x /= np.sqrt(_dot(x, x))
-
-    rayleigh = _dot(x, kernel.apply(x))
-    for _ in range(_RIGIDITY_OUTER_ITERATIONS):
-        y, _ = _pcg(kernel.apply, kernel.precondition, x, _RIGIDITY_INNER_TOLERANCE, budget)
-        y = _project(y)
-        y /= np.sqrt(_dot(y, y))
-        updated = _dot(y, kernel.apply(y))
+    x = np.random.default_rng(seed).standard_normal(cs.lattice.shape)
+    rayleigh = np.inf
+    for _ in range(_RIGIDITY_ITERATIONS):
+        x = kernel.precondition(x)
+        x /= np.sqrt(_dot(x, x))
+        updated = _dot(x, kernel.apply(x))
         settled = abs(updated - rayleigh) <= 1e-9 * max(abs(updated), 1e-300)
-        x, rayleigh = y, updated
+        rayleigh = updated
         if settled:
             break
 
-    nonzero = kernel.lap[kernel.lap != 0.0]
-    flat_reference = float(np.min(nonzero * nonzero))
-    verdict = rayleigh >= 1e-6 * flat_reference
-    return RigidityCertificate(smallest_rayleigh=rayleigh, verdict=verdict)
+    flat_reference = float(np.min(kernel.lap[kernel.lap != 0.0])) ** 2
+    return RigidityCertificate(rayleigh, verdict=rayleigh >= 1e-6 * flat_reference)
 
 
 def descent_oracle(
@@ -437,9 +347,10 @@ def descent_oracle(
     """Minimize the energy over the periodic part by line-searched descent.
 
     An independent check on the linear solver: no operator equation is
-    solved; each step moves against the energy gradient (twice the
-    critical-point residual) with an exact-minimizing step along the
-    direction, guarded by halving if roundoff ever breaks monotonicity.
+    solved; each step moves against the energy gradient ``2 (P alpha - b)``,
+    taken on the spectral kernel and the flat source assembled once, with
+    an exact-minimizing step along the direction, guarded by halving if
+    roundoff ever breaks monotonicity.
 
     ``step_rule`` selects the descent direction: ``"preconditioned"``
     applies the solver's preconditioner, the inverse of the leading-order
@@ -456,17 +367,17 @@ def descent_oracle(
         raise ValueError(f"unknown step_rule: {step_rule!r}")
     lattice = cs.lattice
     kernel = _Kernel(cs)
+    source = right_hand_side(cs, homotopy, "flat_weighted").values
     precondition = kernel.precondition if step_rule == "preconditioned" else _project
 
     alpha = np.zeros(lattice.shape)
-    theta = AngleField(homotopy, ScalarField(lattice, alpha))
-    energy = bienergy(cs, theta).bienergy
+    energy = bienergy(cs, AngleField(homotopy, ScalarField(lattice, alpha))).bienergy
     trace = [energy]
     stalled = False
     reference_slope: float | None = None
 
     for _ in range(steps):
-        gradient = 2.0 * el_residual(cs, theta, "flat_weighted").values
+        gradient = 2.0 * (kernel.apply(alpha) - source)
         direction = -precondition(gradient)
         slope = _dot(gradient, direction)  # negative along a descent direction
         if reference_slope is None:
@@ -488,7 +399,7 @@ def descent_oracle(
         else:
             stalled = True
             break
-        alpha, theta, energy = candidate, candidate_theta, candidate_energy
+        alpha, energy = candidate, candidate_energy
         trace.append(energy)
 
     final = AngleField(homotopy, ScalarField(lattice, alpha - np.mean(alpha)))

@@ -14,9 +14,9 @@ import numpy as np
 
 from .angles import AngleField
 from .conformal import ConformalStructure
-from .energy import bienergy
+from .energy import _Kernel, bienergy, right_hand_side
 from .lattice import ScalarField, dot, flat_gradient, flat_laplacian, integrate_inner
-from .solver import _criticality, right_hand_side
+from .solver import _criticality
 
 #: max-norm level (relative to the source, both weighted by e^{2u}) above
 #: which a field is rejected as a base point for second-difference checks
@@ -52,11 +52,31 @@ def hessian_form(cs: ConformalStructure, beta: ScalarField) -> float:
     return vertical + horizontal
 
 
+def _require_critical(cs: ConformalStructure, theta_star: AngleField) -> None:
+    """Refuse ``theta_star`` unless it is critical to within 1e-6 of the source scale."""
+    source = right_hand_side(cs, theta_star.homotopy, "flat_weighted")
+    residual, scale = _criticality(_Kernel(cs), theta_star, source, "curved")
+    scale = max(1.0, scale)
+    if residual > _CRITICALITY_THRESHOLD * scale:
+        raise NotCriticalError(
+            "base field does not satisfy the critical-point equation "
+            f"(residual {residual:.3e} against scale {scale:.3e})"
+        )
+
+
+def _second_difference(
+    cs: ConformalStructure, theta_star: AngleField, base: float, beta: ScalarField, h: float
+) -> float:
+    """Second difference of the energy along ``t -> theta_star + sin(t) * beta``
+    (``base`` is its value at ``t = 0``)."""
+    step = float(np.sin(h))
+    plus = bienergy(cs, theta_star.shifted(beta * step)).bienergy
+    minus = bienergy(cs, theta_star.shifted(beta * (-step))).bienergy
+    return (plus - 2.0 * base + minus) / (h * h)
+
+
 def hessian_vs_energy_check(
-    cs: ConformalStructure,
-    theta_star: AngleField,
-    beta: ScalarField,
-    h: float = 1e-3,
+    cs: ConformalStructure, theta_star: AngleField, beta: ScalarField, h: float = 1e-3
 ) -> HessianSample:
     """Compare :func:`hessian_form` against a symmetric second difference of
     the energy at a critical field.
@@ -73,25 +93,8 @@ def hessian_vs_energy_check(
     """
     cs._check(theta_star.lattice)
     cs._check(beta.lattice)
-
-    source = right_hand_side(cs, theta_star.homotopy, "flat_weighted")
-    residual, scale = _criticality(cs, theta_star, source, "curved")
-    scale = max(1.0, scale)
-    if residual > _CRITICALITY_THRESHOLD * scale:
-        raise NotCriticalError(
-            "base field does not satisfy the critical-point equation "
-            f"(residual {residual:.3e} against scale {scale:.3e})"
-        )
+    _require_critical(cs, theta_star)
 
     quadratic = hessian_form(cs, beta)
-    step = float(np.sin(h))
-    base = bienergy(cs, theta_star).bienergy
-    plus = bienergy(cs, theta_star.shifted(beta * step)).bienergy
-    minus = bienergy(cs, theta_star.shifted(beta * (-step))).bienergy
-    second_difference = (plus - 2.0 * base + minus) / (h * h)
-    return HessianSample(
-        beta=beta,
-        quadratic_value=quadratic,
-        second_difference=second_difference,
-        gap=abs(quadratic - second_difference),
-    )
+    second = _second_difference(cs, theta_star, bienergy(cs, theta_star).bienergy, beta, h)
+    return HessianSample(beta, quadratic, second, gap=abs(quadratic - second))

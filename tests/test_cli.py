@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from torusfield import cli, stability
 from torusfield.cli import main
 from torusfield.io import read_field_csv
 
@@ -184,6 +185,41 @@ def test_stability_reports_nonnegative_directions(capsys):
     assert out.count("PASS direction") == 2
 
 
+def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
+    # every direction shares the solved field: one criticality gate and one
+    # base energy per run, then two energies per step size and direction
+    counts = {"gate": 0, "energy": 0}
+
+    def counting(key, call):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return call(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(stability, "_criticality", counting("gate", stability._criticality))
+    for module in (cli, stability):
+        monkeypatch.setattr(module, "bienergy", counting("energy", module.bienergy))
+    code, out = run(
+        capsys, "stability", "--grid", "16", "--u", "0.2*sin(2pi*x)",
+        "--class", "1", "0", "--samples", "3",
+    )
+    assert code == 0
+    assert out.count("PASS direction") == 3
+    assert counts == {"gate": 1, "energy": 1 + 2 * 2 * 3}
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_stability_rejects_a_nonpositive_sample_count(capsys, samples):
+    code = main([
+        "stability", "--grid", "16", "--u", "0.2*sin(2pi*x)",
+        "--class", "1", "0", "--samples", samples,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--samples" in captured.err
+    assert "directions" not in captured.out
+
+
 ### lie
 
 
@@ -237,6 +273,23 @@ def test_lie_sol3_full_problem_compare_is_usage_error(capsys):
 def test_lie_parameter_validation(capsys, argv):
     code, _ = run(capsys, *argv)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ("--model", "su2"),
+        ("--model", "hyperbolic", "--params", "4,1", "--problem", "biharmonic-vector-field"),
+    ],
+)
+@pytest.mark.parametrize("resolution", ["0", "-5"])
+@pytest.mark.parametrize("compare", [(), ("--compare",)])
+def test_lie_rejects_a_nonpositive_resolution(capsys, family, resolution, compare):
+    code = main(["lie", *family, *compare, "--resolution", resolution])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "resolution" in captured.err
+    assert captured.out == ""
 
 
 ### usage errors across the board

@@ -1,9 +1,11 @@
-"""Property tests of the solver's spectral kernel and its preconditioner.
+"""Property tests of the spectral kernel, its preconditioner, and the
+rigidity estimate built on them.
 
 Each identity holds for every lattice, grid, exponent and field, so each is
-checked over random oblique lattices, even grids of 8 to 32 points per side,
-band-limited exponents of amplitude at most 0.5, and random fields.  Bounds
-are roundoff scaled by the largest symbol involved, never fixed constants.
+checked over random oblique lattices, even grids of 8 to 32 points per side
+(16 where a dense matrix of the operator is the oracle), band-limited
+exponents of amplitude at most 0.5, and random fields.  Bounds are roundoff
+scaled by the largest symbol involved, never fixed constants.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusfield.conformal import ConformalStructure
@@ -22,7 +24,7 @@ from torusfield.lattice import (
     bandlimited_field,
     flat_laplacian,
 )
-from torusfield.solver import _Kernel, apply_operator_P
+from torusfield.solver import _Kernel, apply_operator_P, section_rigidity_check
 
 EPS = np.finfo(float).eps
 
@@ -58,12 +60,12 @@ def _rms(values: np.ndarray) -> float:
 
 
 @st.composite
-def cases(draw) -> Case:
+def cases(draw, max_half_points: int = 16) -> Case:
     spread = st.floats(-0.4, 0.4)
     length = st.floats(0.5, 2.0)
     d1 = (draw(length), draw(spread))
     d2 = (draw(spread), draw(length))
-    n1, n2 = (2 * draw(st.integers(4, 16)) for _ in range(2))
+    n1, n2 = (2 * draw(st.integers(4, max_half_points)) for _ in range(2))
     band = draw(st.integers(1, 3))
     amplitude = draw(st.floats(0.0, 0.5))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -115,3 +117,28 @@ def test_preconditioner_inverts_the_weighted_bilaplacian(case, band):
     condition = (case.lap_max / case.lap_min) ** 2 * np.max(cs.e2u.values) * np.max(em2u)
 
     assert _rms(error) <= aliasing + 100.0 * EPS * condition * _rms(h)
+
+
+@settings(max_examples=40)
+@given(cases(max_half_points=8), st.integers(0, 2**32 - 1))
+def test_rigidity_estimate_bounds_the_dense_minimum(case, seed):
+    # the estimate is a Rayleigh quotient on the operator's range, so it can
+    # never undercut the smallest nonzero eigenvalue of the dense matrix of
+    # the same operator; how close it comes depends on the seed, so only the
+    # bound and the verdict are asserted
+    lattice = case.lattice
+    bilaplacian = _Kernel(case.cs, transport=False)
+    columns = np.eye(lattice.n1 * lattice.n2).reshape(-1, *lattice.shape)
+    dense = np.stack([bilaplacian.apply(column).ravel() for column in columns], axis=1)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    # the Laplacian annihilates the mean and the two Nyquist lines
+    P, Q = lattice.frequencies
+    annihilated = (P == -lattice.n1 // 2) | (Q == -lattice.n2 // 2) | ((P == 0) & (Q == 0))
+    null = int(np.count_nonzero(annihilated))
+    smallest = eigenvalues[null]
+    roundoff = 100.0 * EPS * float(np.max(case.cs.e2u.values)) * case.lap_max**2
+    assert np.max(np.abs(eigenvalues[:null])) <= roundoff < smallest
+
+    certificate = section_rigidity_check(case.cs, seed=seed)
+    assert certificate.smallest_rayleigh >= smallest - roundoff
+    assert certificate.verdict == (smallest >= 1e-6 * case.lap_min**2)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
 from torusfield.conformal import ConformalStructure
+from torusfield.energy import el_residual
 from torusfield.lattice import (
     LatticeSpec,
     ScalarField,
@@ -27,7 +28,7 @@ from torusfield.lattice import (
     flat_laplacian,
     spectral_derivative,
 )
-from torusfield.solver import _Kernel
+from torusfield.solver import _Kernel, _criticality, right_hand_side
 
 EPS = np.finfo(float).eps
 
@@ -146,6 +147,10 @@ def _count_transforms(monkeypatch, call) -> dict[str, int]:
         ("flat_laplacian", {"rfft2": 1, "irfft2": 1}),
         ("kernel_apply", {"rfft2": 4, "irfft2": 4}),
         ("kernel_precondition", {"rfft2": 2, "irfft2": 2}),
+        # the flat residual is the kernel plus the flat source, and the
+        # report's criticality reuses both: no second assembly of P
+        ("el_residual", {"rfft2": 8, "irfft2": 8}),
+        ("criticality", {"rfft2": 4, "irfft2": 4}),
     ],
 )
 def test_transform_counts_are_pinned(monkeypatch, layer, expected):
@@ -153,9 +158,13 @@ def test_transform_counts_are_pinned(monkeypatch, layer, expected):
     cs = _structure(lattice, np.random.default_rng(0), 2, 0.3)
     kernel = _Kernel(cs)
     h = np.random.default_rng(1).standard_normal(lattice.shape)
+    theta = AngleField(HomotopyClass(1, -1), ScalarField(lattice, h))
+    source = right_hand_side(cs, theta.homotopy, "flat_weighted")
     calls = {
         "flat_laplacian": lambda: flat_laplacian(cs.u),
         "kernel_apply": lambda: kernel.apply(h),
         "kernel_precondition": lambda: kernel.precondition(h),
+        "el_residual": lambda: el_residual(cs, theta, "flat_weighted"),
+        "criticality": lambda: _criticality(kernel, theta, source, "curved"),
     }
     assert _count_transforms(monkeypatch, calls[layer]) == expected

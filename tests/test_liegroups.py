@@ -498,6 +498,22 @@ def test_classify_rejects_unknown_problem():
         classify(sol3(), "nonsense")
 
 
+@pytest.mark.parametrize(
+    "model, problem",
+    [
+        (su2(2.0, 1.5, 1.0), "biharmonic_section"),
+        (hyperbolic(4, 1.0), "biharmonic_vector_field"),
+    ],
+)
+@pytest.mark.parametrize("resolution", [0, -5])
+def test_nonpositive_resolution_is_rejected(model, problem, resolution):
+    # three-sphere samples have no real per-axis count for a negative
+    # resolution, and a zero one would classify on the seeded extras alone
+    for search in (classify, compare_known):
+        with pytest.raises(ValueError, match="resolution"):
+            search(model, problem, resolution=resolution)
+
+
 ### Regression against the known solution sets
 
 
