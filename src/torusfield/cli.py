@@ -25,7 +25,6 @@ from .lattice import (
     bandlimited_field,
     flat_laplacian,
     integrate_inner,
-    rotate_J,
 )
 from .liegroups import LeftInvariantModel, classify, compare_known, hyperbolic, sol3, su2
 from .solver import (
@@ -382,10 +381,10 @@ def _check_gauss_bonnet(cs, homotopy, rng):
 
 
 def _check_frame_twist(cs, homotopy, rng):
-    """The frame vector Z is -J of the curved gradient of u."""
-    Z = frame_connection(cs).Z
-    direct = rotate_J(cs.gradient(cs.u))
-    gap = max((Z.comp1 + direct.comp1).max_abs(), (Z.comp2 + direct.comp2).max_abs())
+    """The frame vector Z = aS + bW, flat components (a e^u, b e^u), is -J grad_g u."""
+    conn = frame_connection(cs)
+    direct = cs.e2u * cs.jgrad_u  # J grad_g u: J commutes with the factor e^{2u}
+    gap = max((conn.a * cs.eu + direct.comp1).max_abs(), (conn.b * cs.eu + direct.comp2).max_abs())
     scale = max(1.0, direct.comp1.max_abs(), direct.comp2.max_abs())
     return gap / scale <= 1e-12, f"max gap {gap:.2e} (tolerance 1e-12)"
 

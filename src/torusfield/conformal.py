@@ -82,16 +82,15 @@ def gaussian_curvature(u: ScalarField) -> ScalarField:
     finite-difference metric-curvature oracle and Gauss–Bonnet.
     """
     _warn_if_unresolved(u, "conformal exponent")
-    return ScalarField(
-        u.lattice, -np.exp(2.0 * u.values) * flat_laplacian(u).values
-    )
+    return ConformalStructure(u).kg
 
 
 @dataclass(frozen=True, eq=False)
 class ConformalStructure:
     """A torus metric ``exp(-2u) * flat`` with its derived curved calculus.
     What depends on ``u`` alone is computed at first use and kept, so one
-    structure serves the solves of every winding class."""
+    structure serves the solves of every winding class; ``jgrad_u = J flat_grad(u)``
+    is the one derivative of ``u`` that the energy, the source and the frame read."""
 
     u: ScalarField
 
@@ -123,6 +122,10 @@ class ConformalStructure:
     @cached_property
     def kg_sq(self) -> ScalarField:
         return self.kg * self.kg
+
+    @cached_property
+    def jgrad_u(self) -> VectorFieldFlat:
+        return rotate_J(flat_gradient(self.u))
 
     # -- curved calculus ----------------------------------------------------------
 
@@ -175,10 +178,9 @@ def frame_connection(cs: ConformalStructure) -> FrameConnection:
     ``Z`` has flat components ``-exp(2u) * J flat_grad(u)`` and equals
     ``-J grad_g u``.
     """
-    du = flat_gradient(cs.u)
-    a = cs.eu * du.comp2
-    b = -(cs.eu * du.comp1)
-    Z = -rotate_J(cs.e2u * du)
+    a = -(cs.eu * cs.jgrad_u.comp1)
+    b = -(cs.eu * cs.jgrad_u.comp2)
+    Z = -(cs.e2u * cs.jgrad_u)
     return FrameConnection(a, b, Z)
 
 

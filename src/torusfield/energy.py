@@ -39,18 +39,15 @@ from numpy.typing import NDArray
 from .angles import AngleField, HomotopyClass, linear_representative
 from .conformal import RESOLUTION_THRESHOLD, ConformalStructure, ResolutionWarning, frame_connection
 from .lattice import (
-    LatticeSpec,
     ScalarField,
     VectorFieldFlat,
     _derivative_multiplier,
     _laplacian_multiplier,
     dot,
     flat_divergence,
-    flat_gradient,
     flat_laplacian,
     integrate_inner,
     resolution_fraction,
-    rotate_J,
 )
 
 
@@ -100,7 +97,7 @@ def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
     vertical = integrate_inner(lap_alpha, lap_alpha, weight=cs.e2u)
 
     # flat components of the first-order term: grad theta_total - J grad u
-    bend = theta.total_gradient() - rotate_J(flat_gradient(cs.u))
+    bend = theta.total_gradient() - cs.jgrad_u
     density = dot(bend, bend)
     horizontal = integrate_inner(density, cs.kg_sq)
     total_bending = 0.5 * integrate_inner(density)
@@ -114,15 +111,10 @@ def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
     )
 
 
-def _constant_gradient(homotopy: HomotopyClass, lattice: LatticeSpec) -> VectorFieldFlat:
-    Y0 = linear_representative(homotopy, lattice).gradient
-    shape = lattice.shape
-    return VectorFieldFlat.from_arrays(lattice, np.full(shape, Y0[0]), np.full(shape, Y0[1]))
-
-
 def _source_flux(cs: ConformalStructure, homotopy: HomotopyClass) -> VectorFieldFlat:
     """``k_g^2 (Y0 - J grad u)``, whose flat divergence is the flat source."""
-    return cs.kg_sq * (_constant_gradient(homotopy, cs.lattice) - rotate_J(flat_gradient(cs.u)))
+    y1, y2 = map(float, linear_representative(homotopy, cs.lattice).gradient)
+    return cs.kg_sq * VectorFieldFlat(y1 - cs.jgrad_u.comp1, y2 - cs.jgrad_u.comp2)
 
 
 def right_hand_side(
@@ -139,7 +131,9 @@ def right_hand_side(
     if formulation == "flat_weighted":
         return flat_divergence(_source_flux(cs, homotopy))
     if formulation == "curved":
-        YZ = cs.e2u * _constant_gradient(homotopy, cs.lattice) + frame_connection(cs).Z
+        y1, y2 = map(float, linear_representative(homotopy, cs.lattice).gradient)
+        Z = frame_connection(cs).Z
+        YZ = VectorFieldFlat(cs.e2u * y1 + Z.comp1, cs.e2u * y2 + Z.comp2)
         return cs.laplacian(cs.divergence(YZ)) + cs.divergence(cs.kg_sq * YZ)
     raise ValueError(f"unknown formulation: {formulation!r}")
 
@@ -254,8 +248,14 @@ def directional_derivative_check(
     residual = el_residual(cs, theta, formulation="curved")
     analytic = 2.0 * cs.integrate(beta, residual)
 
-    step = float(np.sin(h))
-    plus = bienergy(cs, theta.shifted(beta * step)).bienergy
-    minus = bienergy(cs, theta.shifted(beta * (-step))).bienergy
+    plus, minus = _sinusoidal_energies(cs, theta, beta, h)
     numeric = (plus - minus) / (2.0 * h)
     return DerivativePair(analytic=analytic, numeric=numeric)
+
+
+def _sinusoidal_energies(
+    cs: ConformalStructure, theta: AngleField, beta: ScalarField, h: float
+) -> tuple[float, float]:
+    """Energies at ``t = h`` and ``t = -h`` on the path ``t -> theta + sin(t) * beta``."""
+    step = float(np.sin(h))
+    return tuple(bienergy(cs, theta.shifted(beta * s)).bienergy for s in (step, -step))

@@ -39,9 +39,9 @@ already cut to that half.  This is exact: with the Nyquist rules above every
 multiplier is Hermitian (``m(-k) = conj(m(k))``), so ``irfft2(m * rfft2(f))``
 reproduces the full-spectrum ``ifft2(m * fft2(f)).real`` to round-off, with
 half the transform work.  The solver's kernel takes the same multipliers as
-they are.  Only ``ScalarField.spectrum`` (read by ``resolution_fraction``)
-and ``bandlimited_field`` stay on the full complex spectrum, each for a
-reason given there.
+they are, and ``resolution_fraction`` reads the same half spectrum.  Only
+``bandlimited_field`` stays on the full complex spectrum, for the reason
+given there.
 """
 
 from __future__ import annotations
@@ -206,10 +206,6 @@ class ScalarField:
         x, y = lattice.cartesian_coords
         return cls(lattice, np.asarray(fn(x, y), dtype=np.float64))
 
-    def spectrum(self) -> NDArray:
-        """The full complex ``fft2`` spectrum, in the layout of ``lattice.frequencies``."""
-        return np.fft.fft2(self.values)
-
     def mean(self) -> float:
         return float(np.mean(self.values))
 
@@ -309,8 +305,10 @@ def spectral_derivative(f: ScalarField, direction: int, order: int = 1) -> Scala
 
 
 def flat_gradient(f: ScalarField) -> VectorFieldFlat:
-    """Flat gradient ``(d1 f, d2 f)``."""
-    return VectorFieldFlat(spectral_derivative(f, 1), spectral_derivative(f, 2))
+    """Flat gradient ``(d1 f, d2 f)``, both from one forward transform."""
+    spectrum = np.fft.rfft2(f.values)
+    d1, d2 = (np.fft.irfft2(_derivative_multiplier(f.lattice, d, 1) * spectrum) for d in (1, 2))
+    return VectorFieldFlat.from_arrays(f.lattice, d1, d2)
 
 
 def flat_divergence(X: VectorFieldFlat) -> ScalarField:
@@ -363,18 +361,19 @@ def resolution_fraction(f: ScalarField) -> float:
     A proxy for "is this field resolved on its grid": smooth well-sampled
     fields put essentially no energy near the Nyquist modes.
     """
-    P, Q = f.lattice.frequencies
-    # the full spectrum, so that the 1e-8 warning threshold of the conformal
-    # layer keeps reading the energy it was set against
-    energy = np.abs(f.spectrum()) ** 2
+    n1, n2 = f.lattice.shape
+    P, Q = (freq[:, : n2 // 2 + 1] for freq in f.lattice.frequencies)
+    energy = np.abs(np.fft.rfft2(f.values)) ** 2
+    # each interior column also stands for its conjugate mirror in the full spectrum
+    energy[:, 1 : n2 // 2] *= 2.0
     mean_energy = energy[0, 0]
     energy[0, 0] = 0.0
     total = float(np.sum(energy))
     # an FFT's roundoff is about eps log2(n1 n2) of the spectrum's 2-norm, so
     # a constant's non-mean energy sits at that level of its mean coefficient
-    if total <= (np.finfo(float).eps * np.log2(f.lattice.n1 * f.lattice.n2)) ** 2 * mean_energy:
+    if total <= (np.finfo(float).eps * np.log2(n1 * n2)) ** 2 * mean_energy:
         return 0.0
-    top = (np.abs(P) >= f.lattice.n1 / 3.0) | (np.abs(Q) >= f.lattice.n2 / 3.0)
+    top = (np.abs(P) >= n1 / 3.0) | (np.abs(Q) >= n2 / 3.0)
     return float(np.sum(energy[top]) / total)
 
 

@@ -217,6 +217,12 @@ class _CubicMap:
     def residual(self, V: NDArray) -> NDArray:
         return _tangent_part(self.expression(V), V)
 
+    def scaled_residual(self, V: NDArray) -> tuple[NDArray, float]:
+        """Tangent-residual norms at the points V (n, dim) and their scale ``1 + max |E(V)|``."""
+        E = self.expression(V)
+        scale = 1.0 + float(np.max(np.linalg.norm(E, axis=-1)))
+        return np.linalg.norm(_tangent_part(E, V), axis=-1), scale
+
     def linearize(self, V: NDArray) -> tuple[NDArray, NDArray]:
         """Projected residual F and its exact Jacobian along the sphere at
         the unit points V (n, dim): ``J[n] = DF(V) (I - V V^T)``, the
@@ -494,9 +500,8 @@ def _latitude_family(
         radius = float(np.sqrt(max(0.0, 1.0 - value * value)))
         top = top or (axis, value, radius, False)
         if radius > 1e-3:
-            raw = rng.standard_normal((16, members.shape[1] - 1))
-            raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-            points = np.insert(radius * raw, axis, value, axis=1)
+            latitude = _latitude_predicate(axis, value, members.shape[1])
+            points = latitude.sample(rng, 16, members.shape[1])
             points /= np.linalg.norm(points, axis=-1, keepdims=True)
             if np.all(np.linalg.norm(cubic.residual(points), axis=-1) <= 10.0 * threshold):
                 return axis, value, radius, True
@@ -531,11 +536,8 @@ def classify(
     samples = _sphere_samples(model.dim, resolution, rng)
 
     cubic = _cubic_map(model, problem)
-    expression = cubic.expression(samples)
-    scale = 1.0 + float(np.max(np.linalg.norm(expression, axis=-1)))
+    initial, scale = cubic.scaled_residual(samples)
     threshold = _CONVERGED_REL * scale
-
-    initial = np.linalg.norm(_tangent_part(expression, samples), axis=-1)
     if np.mean(initial <= 1e-9 * scale) > 0.999:
         component = CriticalComponent(
             "full_sphere", _subsample(samples), None, None, None, model.dim - 1
@@ -792,9 +794,7 @@ def compare_known(
     rng = np.random.default_rng(seed + 1)
     samples = np.concatenate([p.sample(rng, 50, model.dim) for p in predicates], axis=0)
     samples /= np.linalg.norm(samples, axis=-1, keepdims=True)
-    expression = _cubic_map(model, problem).expression(samples)
-    scale = 1.0 + float(np.max(np.linalg.norm(expression, axis=-1)))
-    direct = np.linalg.norm(_tangent_part(expression, samples), axis=-1)
+    direct, scale = _cubic_map(model, problem).scaled_residual(samples)
     predictions_hold = bool(np.all(direct <= 1e-9 * scale))
 
     coordinate_tol = 1e-6

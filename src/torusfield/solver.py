@@ -350,7 +350,8 @@ def descent_oracle(
     solved; each step moves against the energy gradient ``2 (P alpha - b)``,
     taken on the spectral kernel and the flat source assembled once, with
     an exact-minimizing step along the direction, guarded by halving if
-    roundoff ever breaks monotonicity.
+    roundoff ever breaks monotonicity.  The gradient starts at ``-2 b`` and follows
+    each step by ``2 step P d``, reusing the curvature's ``P d``: one apply per step.
 
     ``step_rule`` selects the descent direction: ``"preconditioned"``
     applies the solver's preconditioner, the inverse of the leading-order
@@ -375,9 +376,9 @@ def descent_oracle(
     trace = [energy]
     stalled = False
     reference_slope: float | None = None
+    gradient = -2.0 * source
 
     for _ in range(steps):
-        gradient = 2.0 * (kernel.apply(alpha) - source)
         direction = -precondition(gradient)
         slope = _dot(gradient, direction)  # negative along a descent direction
         if reference_slope is None:
@@ -387,7 +388,8 @@ def descent_oracle(
         if abs(slope) <= _DESCENT_GRADIENT_REDUCTION**2 * reference_slope:
             break
 
-        curvature = _dot(kernel.apply(direction), direction)
+        applied = kernel.apply(direction)
+        curvature = _dot(applied, direction)
         step = -slope / (2.0 * curvature) if curvature > 0.0 else 1.0
         for _halving in range(40):
             candidate = alpha + step * direction
@@ -400,6 +402,7 @@ def descent_oracle(
             stalled = True
             break
         alpha, energy = candidate, candidate_energy
+        gradient = gradient + 2.0 * step * applied
         trace.append(energy)
 
     final = AngleField(homotopy, ScalarField(lattice, alpha - np.mean(alpha)))

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .angles import AngleField
 from .conformal import ConformalStructure
-from .energy import _Kernel, bienergy, right_hand_side
+from .energy import _Kernel, _sinusoidal_energies, bienergy, right_hand_side
 from .lattice import ScalarField, dot, flat_gradient, flat_laplacian, integrate_inner
 from .solver import _criticality
 
@@ -69,9 +67,7 @@ def _second_difference(
 ) -> float:
     """Second difference of the energy along ``t -> theta_star + sin(t) * beta``
     (``base`` is its value at ``t = 0``)."""
-    step = float(np.sin(h))
-    plus = bienergy(cs, theta_star.shifted(beta * step)).bienergy
-    minus = bienergy(cs, theta_star.shifted(beta * (-step))).bienergy
+    plus, minus = _sinusoidal_energies(cs, theta_star, beta, h)
     return (plus - 2.0 * base + minus) / (h * h)
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from torusfield import cli, stability
+from torusfield import cli, energy, stability
 from torusfield.cli import main
 from torusfield.io import read_field_csv
 
@@ -197,7 +197,8 @@ def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
         return counted
 
     monkeypatch.setattr(stability, "_criticality", counting("gate", stability._criticality))
-    for module in (cli, stability):
+    # the second differences take their energies through energy's own bienergy
+    for module in (cli, energy, stability):
         monkeypatch.setattr(module, "bienergy", counting("energy", module.bienergy))
     code, out = run(
         capsys, "stability", "--grid", "16", "--u", "0.2*sin(2pi*x)",

@@ -15,17 +15,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
 from torusfield.conformal import ConformalStructure
-from torusfield.energy import el_residual
+from torusfield.energy import bienergy, el_residual
 from torusfield.lattice import (
     LatticeSpec,
     ScalarField,
     bandlimited_field,
+    flat_gradient,
     flat_laplacian,
+    resolution_fraction,
+    rotate_J,
     spectral_derivative,
 )
 from torusfield.solver import _Kernel, _criticality, right_hand_side
@@ -149,10 +152,17 @@ def _count_transforms(monkeypatch, call) -> dict[str, int]:
         ("kernel_precondition", {"rfft2": 2, "irfft2": 2}),
         # the flat residual is the kernel plus the flat source, and the
         # report's criticality reuses both: no second assembly of P
-        ("el_residual", {"rfft2": 8, "irfft2": 8}),
+        ("el_residual", {"rfft2": 6, "irfft2": 6}),
         ("criticality", {"rfft2": 4, "irfft2": 4}),
+        # with J grad u kept on the structure, the source is one divergence
+        # and the energy the resolution check, flat_lap alpha and grad alpha
+        ("right_hand_side", {"rfft2": 2, "irfft2": 2}),
+        ("bienergy", {"rfft2": 3, "irfft2": 3}),
+        ("flat_gradient", {"rfft2": 1, "irfft2": 2}),
+        ("resolution_fraction", {"rfft2": 1}),
     ],
 )
+@pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
 def test_transform_counts_are_pinned(monkeypatch, layer, expected):
     lattice = LatticeSpec((1.0, 0.0), (0.5, 1.5), 16, 12)
     cs = _structure(lattice, np.random.default_rng(0), 2, 0.3)
@@ -166,5 +176,52 @@ def test_transform_counts_are_pinned(monkeypatch, layer, expected):
         "kernel_precondition": lambda: kernel.precondition(h),
         "el_residual": lambda: el_residual(cs, theta, "flat_weighted"),
         "criticality": lambda: _criticality(kernel, theta, source, "curved"),
+        "right_hand_side": lambda: right_hand_side(cs, theta.homotopy, "flat_weighted"),
+        "bienergy": lambda: bienergy(cs, theta),
+        "flat_gradient": lambda: flat_gradient(cs.u),
+        "resolution_fraction": lambda: resolution_fraction(cs.u),
     }
     assert _count_transforms(monkeypatch, calls[layer]) == expected
+
+
+def _full_spectrum_resolution_fraction(f: ScalarField) -> tuple[float, float]:
+    """Share of the non-mean ``fft2`` energy with ``|p| >= n1/3`` or
+    ``|q| >= n2/3``, and that non-mean energy."""
+    P, Q = f.lattice.frequencies
+    energy = np.abs(np.fft.fft2(f.values)) ** 2
+    energy[0, 0] = 0.0
+    top = (np.abs(P) >= f.lattice.n1 / 3.0) | (np.abs(Q) >= f.lattice.n2 / 3.0)
+    total = float(np.sum(energy))
+    return float(np.sum(energy[top])) / total, total
+
+
+@given(
+    lattices(),
+    st.integers(0, 8),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_half_spectrum_layers_equal_their_full_derivations(lattice, decades, mean, seed):
+    # a smooth field plus white noise, which fills the Nyquist lines, from
+    # 1e-8 of the smooth part up to its size
+    assume(lattice.n1 != lattice.n2)
+    rng = np.random.default_rng(seed)
+    smooth = bandlimited_field(lattice, rng, band=3).values
+    f = ScalarField(lattice, smooth + mean + 10.0**-decades * rng.standard_normal(lattice.shape))
+
+    # a ratio of energy sums whose coefficients are off by the transforms'
+    # roundoff, ulp times the whole energy (Parseval, mean included)
+    reference, energy = _full_spectrum_resolution_fraction(f)
+    ulp = EPS * np.log2(lattice.n1 * lattice.n2)
+    everything = lattice.n1 * lattice.n2 * float(np.sum(f.values**2))
+    bound = (ulp * np.sqrt(reference * energy * everything) + ulp**2 * everything) / energy
+    assert abs(resolution_fraction(f) - reference) <= 2.0 * bound
+
+    grad = flat_gradient(f)
+    np.testing.assert_array_equal(grad.comp1.values, spectral_derivative(f, 1).values)
+    np.testing.assert_array_equal(grad.comp2.values, spectral_derivative(f, 2).values)
+
+    cs = ConformalStructure(f)
+    cached, direct = cs.jgrad_u, rotate_J(flat_gradient(f))
+    np.testing.assert_array_equal(cached.comp1.values, direct.comp1.values)
+    np.testing.assert_array_equal(cached.comp2.values, direct.comp2.values)

@@ -424,6 +424,22 @@ def test_descent_matches_linear_solver():
     assert np.all(diffs <= 0.0)
 
 
+def test_descent_applies_P_once_per_step(monkeypatch, wavy64):
+    # the gradient follows each step by 2 step P d, reusing the P d of the
+    # step's curvature, so no apply re-forms it from alpha
+    applies = []
+    original = _Kernel.apply
+
+    def counted(self, h):
+        applies.append(1)
+        return original(self, h)
+
+    monkeypatch.setattr(_Kernel, "apply", counted)
+    result = descent_oracle(wavy64, HomotopyClass(1, 0), steps=50)
+    assert not result.stalled
+    assert len(applies) == len(result.energy_trace) - 1 > 0
+
+
 @pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
 def test_descent_plain_rule_is_monotone(wavy64):
     # the raw gradient genuinely carries |k|^4-amplified high modes (that is
