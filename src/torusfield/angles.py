@@ -61,13 +61,18 @@ class LinearRepresentative:
     samples: ScalarField
 
 
+def _constant_gradient(homotopy: HomotopyClass, lattice: LatticeSpec) -> tuple[float, float]:
+    """``Y0 = 2*pi*(m*delta1 + n*delta2)``, the one way a class enters a derivative."""
+    delta = lattice.dual_basis
+    y1, y2 = TWO_PI * (homotopy.m * delta[0] + homotopy.n * delta[1])
+    return float(y1), float(y2)
+
+
 def linear_representative(homotopy: HomotopyClass, lattice: LatticeSpec) -> LinearRepresentative:
     """Harmonic representative of a homotopy class on a given lattice."""
     lam1, lam2 = lattice.fractional_coords
     values = TWO_PI * (homotopy.m * lam1 + homotopy.n * lam2)
-    delta = lattice.dual_basis
-    gradient = TWO_PI * (homotopy.m * delta[0] + homotopy.n * delta[1])
-    gradient = gradient.copy()
+    gradient = np.array(_constant_gradient(homotopy, lattice))
     gradient.flags.writeable = False
     return LinearRepresentative(gradient, ScalarField(lattice, values))
 
@@ -96,15 +101,11 @@ class AngleField:
         rep = linear_representative(self.homotopy, self.lattice)
         return rep.samples.values + self.periodic.values
 
-    def constant_gradient(self) -> NDArray:
-        """``Y0``, the gradient of the linear representative."""
-        return linear_representative(self.homotopy, self.lattice).gradient
-
     def total_gradient(self) -> VectorFieldFlat:
         """Flat gradient of the total angle: ``Y0 + grad(alpha)``."""
-        y0 = self.constant_gradient()
+        y1, y2 = _constant_gradient(self.homotopy, self.lattice)
         grad_alpha = flat_gradient(self.periodic)
-        return VectorFieldFlat(grad_alpha.comp1 + float(y0[0]), grad_alpha.comp2 + float(y0[1]))
+        return VectorFieldFlat(grad_alpha.comp1 + y1, grad_alpha.comp2 + y2)
 
     def shifted(self, beta: ScalarField) -> "AngleField":
         """Same class, periodic part moved by ``beta`` (a class-preserving variation)."""

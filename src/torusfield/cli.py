@@ -225,10 +225,10 @@ def _cmd_stability(args: argparse.Namespace) -> int:
         raise ValueError(f"--samples wants a positive count, got {args.samples}")
     config = _load_config(args)
     cs, homotopy, opts = runio.realize(config)
-    theta, _ = solve_homotopy_class(cs, homotopy, opts)
-    # every direction shares one base point: gate it and take its energy once
+    theta, report = solve_homotopy_class(cs, homotopy, opts)
+    # every direction shares one base point: gate it once; the report holds its energy
     _require_critical(cs, theta)
-    base = bienergy(cs, theta).bienergy
+    base = report.energy.bienergy
     rng = np.random.default_rng(args.seed)
     failures = 0
     for index in range(args.samples):
@@ -286,10 +286,12 @@ def _cmd_lie(args: argparse.Namespace) -> int:
 
 def _build_model(family: str, params_text: str | None) -> LeftInvariantModel:
     params: list[float] = []
-    if params_text:
+    if params_text is not None:
         try:
             params = [float(piece) for piece in params_text.split(",") if piece.strip()]
         except ValueError:
+            params = []
+        if not params:
             raise ValueError(f"--params wants a comma list of numbers, got {params_text!r}")
     if family == "su2":
         if not params:

@@ -42,12 +42,15 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 from torusfield.angles import AngleField
 from torusfield.lattice import (
     LatticeSpec,
     ScalarField,
     VectorFieldFlat,
+    _derivative_multiplier,
+    _laplacian_multiplier,
     dot,
     flat_divergence,
     flat_gradient,
@@ -89,8 +92,9 @@ def gaussian_curvature(u: ScalarField) -> ScalarField:
 class ConformalStructure:
     """A torus metric ``exp(-2u) * flat`` with its derived curved calculus.
     What depends on ``u`` alone is computed at first use and kept, so one
-    structure serves the solves of every winding class; ``jgrad_u = J flat_grad(u)``
-    is the one derivative of ``u`` that the energy, the source and the frame read."""
+    structure serves the solves of every winding class: ``jgrad_u = J flat_grad(u)``
+    is the one derivative of ``u`` that the energy, the source and the frame read,
+    and ``kernel`` the one spectral ``P`` and ``M`` of every flat apply."""
 
     u: ScalarField
 
@@ -127,6 +131,10 @@ class ConformalStructure:
     def jgrad_u(self) -> VectorFieldFlat:
         return rotate_J(flat_gradient(self.u))
 
+    @cached_property
+    def kernel(self) -> "_Kernel":
+        return _Kernel(self)
+
     # -- curved calculus ----------------------------------------------------------
 
     def gradient(self, f: ScalarField) -> VectorFieldFlat:
@@ -159,6 +167,49 @@ class ConformalStructure:
     def _check(self, lattice: LatticeSpec) -> None:
         if lattice != self.lattice:
             raise ValueError("lattice mismatch")
+
+
+class _Kernel:
+    """``P`` and the preconditioner ``M`` of one structure on raw ``(n1, n2)``
+    arrays.
+
+    ``lap``, ``d1`` and ``d2`` are the lattice's masked half-spectrum
+    multipliers as they are; ``inv_lap`` is the Laplacian's pseudo-inverse,
+    zero on the mean and on the Nyquist lines where the Laplacian vanishes.
+    An apply of ``P`` costs one ``rfft2`` and three ``irfft2`` to form
+    ``flat_lap h`` and ``grad h``, then three ``rfft2`` and one ``irfft2``
+    for the outer Laplacian and divergence; ``M`` costs two of each.
+    Without ``transport`` the kernel is the weighted bilaplacian
+    ``flat_lap e^{2u} flat_lap`` alone.  ``M`` is symmetric positive
+    semidefinite in the flat product and inverts the weighted bilaplacian
+    on mean-zero fields resolved away from the Nyquist lines.
+    """
+
+    def __init__(self, cs: ConformalStructure, transport: bool = True) -> None:
+        lattice = cs.lattice
+        self.lap = _laplacian_multiplier(lattice)
+        self.d1 = _derivative_multiplier(lattice, 1, 1)
+        self.d2 = _derivative_multiplier(lattice, 2, 1)
+        self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap != 0.0)
+        self.e2u = cs.e2u.values
+        self.em2u = cs.em2u.values
+        self.em2u_mean = float(np.mean(self.em2u))
+        self.kg_sq = cs.kg_sq.values if transport else None
+
+    def apply(self, h: NDArray) -> NDArray:
+        spectrum = np.fft.rfft2(h)
+        out = self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
+        if self.kg_sq is not None:
+            for d in (self.d1, self.d2):
+                out -= d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
+        return np.fft.irfft2(out)
+
+    def precondition(self, r: NDArray) -> NDArray:
+        s = np.fft.irfft2(self.inv_lap * np.fft.rfft2(r))
+        # the constant left free by the inner inverse makes the outer
+        # Laplacian's argument mean-zero, hence solvable
+        c = -float(np.mean(self.em2u * s)) / self.em2u_mean
+        return np.fft.irfft2(self.inv_lap * np.fft.rfft2(self.em2u * (s + c)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,9 +18,10 @@ which involve one spectral multiplier apiece instead of chained
 divergence/gradient compositions.  The geometric route survives in the test
 suite as an independent oracle.
 
-The critical-point equation ``P alpha = b`` has its one spectral kernel
-(``_Kernel``) and source (``right_hand_side``) here; the flat
-``el_residual`` is ``P alpha - b`` on them.
+The source ``b`` of the critical-point equation ``P alpha = b``
+(``right_hand_side``) is assembled here, and the flat ``el_residual`` is
+``P alpha - b`` on the structure's one spectral kernel (``cs.kernel``).
+A winding class enters every derivative through ``Y0`` alone.
 
 The overall normalization is fixed by the plain flat quadrature measure.
 Any alternative convention rescales every energy by one global positive
@@ -34,15 +35,12 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
 
-from .angles import AngleField, HomotopyClass, linear_representative
+from .angles import AngleField, HomotopyClass, _constant_gradient
 from .conformal import RESOLUTION_THRESHOLD, ConformalStructure, ResolutionWarning, frame_connection
 from .lattice import (
     ScalarField,
     VectorFieldFlat,
-    _derivative_multiplier,
-    _laplacian_multiplier,
     dot,
     flat_divergence,
     flat_laplacian,
@@ -113,7 +111,7 @@ def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
 
 def _source_flux(cs: ConformalStructure, homotopy: HomotopyClass) -> VectorFieldFlat:
     """``k_g^2 (Y0 - J grad u)``, whose flat divergence is the flat source."""
-    y1, y2 = map(float, linear_representative(homotopy, cs.lattice).gradient)
+    y1, y2 = _constant_gradient(homotopy, cs.lattice)
     return cs.kg_sq * VectorFieldFlat(y1 - cs.jgrad_u.comp1, y2 - cs.jgrad_u.comp2)
 
 
@@ -131,54 +129,11 @@ def right_hand_side(
     if formulation == "flat_weighted":
         return flat_divergence(_source_flux(cs, homotopy))
     if formulation == "curved":
-        y1, y2 = map(float, linear_representative(homotopy, cs.lattice).gradient)
+        y1, y2 = _constant_gradient(homotopy, cs.lattice)
         Z = frame_connection(cs).Z
         YZ = VectorFieldFlat(cs.e2u * y1 + Z.comp1, cs.e2u * y2 + Z.comp2)
         return cs.laplacian(cs.divergence(YZ)) + cs.divergence(cs.kg_sq * YZ)
     raise ValueError(f"unknown formulation: {formulation!r}")
-
-
-class _Kernel:
-    """``P`` and the preconditioner ``M`` of one structure on raw ``(n1, n2)``
-    arrays.
-
-    ``lap``, ``d1`` and ``d2`` are the lattice's masked half-spectrum
-    multipliers as they are; ``inv_lap`` is the Laplacian's pseudo-inverse,
-    zero on the mean and on the Nyquist lines where the Laplacian vanishes.
-    An apply of ``P`` costs one ``rfft2`` and three ``irfft2`` to form
-    ``flat_lap h`` and ``grad h``, then three ``rfft2`` and one ``irfft2``
-    for the outer Laplacian and divergence; ``M`` costs two of each.
-    Without ``transport`` the kernel is the weighted bilaplacian
-    ``flat_lap e^{2u} flat_lap`` alone.  ``M`` is symmetric positive
-    semidefinite in the flat product and inverts the weighted bilaplacian
-    on mean-zero fields resolved away from the Nyquist lines.
-    """
-
-    def __init__(self, cs: ConformalStructure, transport: bool = True) -> None:
-        lattice = cs.lattice
-        self.lap = _laplacian_multiplier(lattice)
-        self.d1 = _derivative_multiplier(lattice, 1, 1)
-        self.d2 = _derivative_multiplier(lattice, 2, 1)
-        self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap != 0.0)
-        self.e2u = cs.e2u.values
-        self.em2u = cs.em2u.values
-        self.em2u_mean = float(np.mean(self.em2u))
-        self.kg_sq = cs.kg_sq.values if transport else None
-
-    def apply(self, h: NDArray) -> NDArray:
-        spectrum = np.fft.rfft2(h)
-        out = self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
-        if self.kg_sq is not None:
-            for d in (self.d1, self.d2):
-                out -= d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
-        return np.fft.irfft2(out)
-
-    def precondition(self, r: NDArray) -> NDArray:
-        s = np.fft.irfft2(self.inv_lap * np.fft.rfft2(r))
-        # the constant left free by the inner inverse makes the outer
-        # Laplacian's argument mean-zero, hence solvable
-        c = -float(np.mean(self.em2u * s)) / self.em2u_mean
-        return np.fft.irfft2(self.inv_lap * np.fft.rfft2(self.em2u * (s + c)))
 
 
 def el_residual(
@@ -205,7 +160,7 @@ def el_residual(
     cs._check(theta.lattice)
     if formulation == "flat_weighted":
         source = right_hand_side(cs, theta.homotopy, "flat_weighted")
-        return ScalarField(cs.lattice, _Kernel(cs).apply(theta.periodic.values) - source.values)
+        return ScalarField(cs.lattice, cs.kernel.apply(theta.periodic.values) - source.values)
     if formulation == "curved":
         Z = frame_connection(cs).Z
         grad_theta = cs.e2u * theta.total_gradient()

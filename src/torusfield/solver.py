@@ -8,11 +8,12 @@ part of the angle.  Its operator
 is symmetric positive semidefinite in the flat L2 product, with kernel
 exactly the constants, so every solve runs preconditioned conjugate
 gradients on the mean-zero subspace against this flat-weighted form.  One
-spectral kernel (``energy._Kernel``, beside the flat residual) applies P on
-raw sample arrays with the lattice's own multipliers, on the ``rfft2`` half
-spectrum every flat derivative uses (see :mod:`torusfield.lattice`).  The
-preconditioner is the exact inverse of the leading-order term
-flat_lap e^{2u} flat_lap on mean-zero fields,
+spectral kernel per structure (``ConformalStructure.kernel``: the solve, its
+report, the flat residual, the stability gate and the descent oracle share
+it) applies P on raw sample arrays with the lattice's own multipliers, on
+the ``rfft2`` half spectrum every flat derivative uses (see
+:mod:`torusfield.lattice`).  The preconditioner is the exact inverse of the
+leading-order term flat_lap e^{2u} flat_lap on mean-zero fields,
 
     M r = flat_lap^+[e^{-2u}(flat_lap^+ r + c)],   c = -mean(e^{-2u} flat_lap^+ r) / mean(e^{-2u}),
 
@@ -40,9 +41,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angles import AngleField, HomotopyClass
-from .conformal import ConformalStructure
-from .energy import EnergyBreakdown, _Kernel, _source_flux, bienergy, right_hand_side
-from .lattice import LatticeSpec, ScalarField, _laplacian_multiplier, flat_divergence
+from .conformal import ConformalStructure, _Kernel
+from .energy import EnergyBreakdown, _source_flux, bienergy, right_hand_side
+from .lattice import LatticeSpec, ScalarField, flat_divergence
 
 _FORMULATIONS = ("curved", "flat_weighted")
 
@@ -132,7 +133,7 @@ def apply_operator_P(
     """
     cs._check(h.lattice)
     if formulation == "flat_weighted":
-        return ScalarField(cs.lattice, _Kernel(cs).apply(h.values))
+        return ScalarField(cs.lattice, cs.kernel.apply(h.values))
     if formulation == "curved":
         return cs.laplacian(cs.laplacian(h)) - cs.divergence(cs.kg_sq * cs.gradient(h))
     raise ValueError(f"unknown formulation: {formulation!r}")
@@ -234,26 +235,25 @@ def _iteration_budget(lattice: LatticeSpec) -> int:
 
 
 def _criticality(
-    kernel: _Kernel, theta: AngleField, source: ScalarField, formulation: str
+    cs: ConformalStructure, theta: AngleField, source: ScalarField, formulation: str
 ) -> tuple[float, float]:
-    """Max-norms of ``P alpha - b`` at ``theta`` on ``kernel`` and of the flat
-    ``source`` b, weighted by e^{2u} for ``"curved"`` (the curved equation is
-    the flat one multiplied through by it) and by 1 for ``"flat_weighted"``."""
-    weight = kernel.e2u if formulation == "curved" else 1.0
-    residual = weight * (kernel.apply(theta.periodic.values) - source.values)
+    """Max-norms of ``P alpha - b`` at ``theta`` on the kernel of ``cs`` and of
+    the flat ``source`` b, weighted by e^{2u} for ``"curved"`` (the curved equation
+    is the flat one multiplied through by it) and by 1 for ``"flat_weighted"``."""
+    weight = cs.e2u.values if formulation == "curved" else 1.0
+    residual = weight * (cs.kernel.apply(theta.periodic.values) - source.values)
     return float(np.max(np.abs(residual))), float(np.max(np.abs(weight * source.values)))
 
 
 def _report(
     cs: ConformalStructure,
-    kernel: _Kernel,
     theta: AngleField,
     opts: SolveOptions,
     source: ScalarField,
     history: list[float],
     started: float,
 ) -> SolveReport:
-    residual, scale = _criticality(kernel, theta, source, opts.formulation)
+    residual, scale = _criticality(cs, theta, source, opts.formulation)
     return SolveReport(
         iterations=len(history) - 1,
         final_relative_residual=history[-1],
@@ -294,18 +294,18 @@ def solve_homotopy_class(
     # roundoff and aliasing, PCG stalls on it, and the representative is the
     # exact solution.  On grids 8^2 to 512^2 PCG stalled on every source up
     # to 8e4 eps n1 n2 kmax |flux| and converged from 1e6 up (measured).
-    kmax = np.sqrt(np.max(_laplacian_multiplier(lattice)))
+    kernel = cs.kernel
+    kmax = np.sqrt(np.max(kernel.lap))
     floor = 3e5 * np.finfo(float).eps * lattice.n1 * lattice.n2 * kmax
     vanishing = b.max_abs() <= floor * max(flux.comp1.max_abs(), flux.comp2.max_abs())
-    kernel = _Kernel(cs)
     if vanishing or np.ptp(cs.u.values) == 0.0:
-        return representative, _report(cs, kernel, representative, opts, b, [0.0], started)
+        return representative, _report(cs, representative, opts, b, [0.0], started)
 
     _check_compatibility(b.values)
     budget = _iteration_budget(lattice)
     x, history = _pcg(kernel.apply, kernel.precondition, b.values, opts.tolerance, budget)
     theta = AngleField(homotopy, ScalarField(lattice, _project(x)))
-    return theta, _report(cs, kernel, theta, opts, b, history, started)
+    return theta, _report(cs, theta, opts, b, history, started)
 
 
 def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCertificate:
@@ -339,37 +339,26 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
 
 
 def descent_oracle(
-    cs: ConformalStructure,
-    homotopy: HomotopyClass,
-    steps: int = 500,
-    step_rule: str = "preconditioned",
+    cs: ConformalStructure, homotopy: HomotopyClass, steps: int = 500
 ) -> DescentResult:
     """Minimize the energy over the periodic part by line-searched descent.
 
     An independent check on the linear solver: no operator equation is
-    solved; each step moves against the energy gradient ``2 (P alpha - b)``,
-    taken on the spectral kernel and the flat source assembled once, with
-    an exact-minimizing step along the direction, guarded by halving if
-    roundoff ever breaks monotonicity.  The gradient starts at ``-2 b`` and follows
-    each step by ``2 step P d``, reusing the curvature's ``P d``: one apply per step.
-
-    ``step_rule`` selects the descent direction: ``"preconditioned"``
-    applies the solver's preconditioner, the inverse of the leading-order
-    term ``flat_lap e^{2u} flat_lap``, to the gradient (the gradient in the
-    inner product in which the operator is best conditioned, making
-    convergence grid-independent); ``"plain"`` uses the raw gradient, which
-    converges too slowly for production use but exercises the textbook
-    iteration.
+    solved; each step moves along ``-M g``, the structure's preconditioner
+    (the inverse of the leading-order term ``flat_lap e^{2u} flat_lap``,
+    which makes convergence grid-independent) applied to the energy
+    gradient ``g = 2 (P alpha - b)``, taken on the structure's kernel and
+    the flat source assembled once.  The step exactly minimizes along the
+    direction, guarded by halving if roundoff ever breaks monotonicity.  The
+    gradient starts at ``-2 b`` and follows each step by ``2 step P d``,
+    reusing the curvature's ``P d``: one apply per step.
 
     Returns the final angle field, the energy trace (nonincreasing), and a
     flag set when the line search stalls before the gradient target.
     """
-    if step_rule not in ("preconditioned", "plain"):
-        raise ValueError(f"unknown step_rule: {step_rule!r}")
     lattice = cs.lattice
-    kernel = _Kernel(cs)
+    kernel = cs.kernel
     source = right_hand_side(cs, homotopy, "flat_weighted").values
-    precondition = kernel.precondition if step_rule == "preconditioned" else _project
 
     alpha = np.zeros(lattice.shape)
     energy = bienergy(cs, AngleField(homotopy, ScalarField(lattice, alpha))).bienergy
@@ -379,7 +368,7 @@ def descent_oracle(
     gradient = -2.0 * source
 
     for _ in range(steps):
-        direction = -precondition(gradient)
+        direction = -kernel.precondition(gradient)
         slope = _dot(gradient, direction)  # negative along a descent direction
         if reference_slope is None:
             reference_slope = abs(slope)

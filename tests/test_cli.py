@@ -186,8 +186,9 @@ def test_stability_reports_nonnegative_directions(capsys):
 
 
 def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
-    # every direction shares the solved field: one criticality gate and one
-    # base energy per run, then two energies per step size and direction
+    # every direction shares the solved field: one criticality gate per run,
+    # the base energy read from the solve's report, then two energies per
+    # step size and direction
     counts = {"gate": 0, "energy": 0}
 
     def counting(key, call):
@@ -206,7 +207,7 @@ def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
     )
     assert code == 0
     assert out.count("PASS direction") == 3
-    assert counts == {"gate": 1, "energy": 1 + 2 * 2 * 3}
+    assert counts == {"gate": 1, "energy": 2 * 2 * 3}
 
 
 @pytest.mark.parametrize("samples", ["0", "-2"])
@@ -269,6 +270,11 @@ def test_lie_sol3_full_problem_compare_is_usage_error(capsys):
         ("lie", "--model", "hyperbolic", "--params", "3.5,1"),
         ("lie", "--model", "hyperbolic", "--params", "1,2,3"),
         ("lie", "--model", "su2", "--params", "a,b,c"),
+        # an explicit --params with no number is not a request for the defaults
+        ("lie", "--model", "su2", "--params", ","),
+        ("lie", "--model", "su2", "--params", ""),
+        ("lie", "--model", "hyperbolic", "--params", " , "),
+        ("lie", "--model", "sol3", "--params", ","),
     ],
 )
 def test_lie_parameter_validation(capsys, argv):

@@ -18,7 +18,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
+from torusfield.angles import (
+    AngleField,
+    HomotopyClass,
+    _constant_gradient,
+    angle_to_unit_field,
+    linear_representative,
+    winding_class,
+)
 from torusfield.conformal import ConformalStructure
 from torusfield.energy import bienergy, el_residual
 from torusfield.lattice import (
@@ -34,6 +41,7 @@ from torusfield.lattice import (
 from torusfield.solver import _Kernel, _criticality, right_hand_side
 
 EPS = np.finfo(float).eps
+TWO_PI = 2.0 * np.pi
 
 
 #: (direction, order) of every derivative under test; direction None is the Laplacian
@@ -123,6 +131,18 @@ def test_winding_class_survives_the_unit_field(lattice, m, n, band, amplitude, s
     assert winding_class(angle_to_unit_field(AngleField(cls, alpha))) == cls
 
 
+@given(lattices(), st.integers(-5, 5), st.integers(-5, 5))
+def test_constant_gradient_is_the_representative_gradient(lattice, m, n):
+    cls = HomotopyClass(m, n)
+    y0 = np.array(_constant_gradient(cls, lattice))
+    assert y0.tobytes() == linear_representative(cls, lattice).gradient.tobytes()
+    # the dual relations <Y0, d1> = 2 pi m and <Y0, d2> = 2 pi n, to the
+    # roundoff of inverting the generator matrix
+    bound = 8.0 * EPS * np.linalg.cond(np.array([lattice.d1, lattice.d2])) * TWO_PI * (abs(m) + abs(n))
+    assert abs(float(y0 @ np.array(lattice.d1)) - TWO_PI * m) <= bound
+    assert abs(float(y0 @ np.array(lattice.d2)) - TWO_PI * n) <= bound
+
+
 _TRANSFORMS = (
     "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
     "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
@@ -175,7 +195,7 @@ def test_transform_counts_are_pinned(monkeypatch, layer, expected):
         "kernel_apply": lambda: kernel.apply(h),
         "kernel_precondition": lambda: kernel.precondition(h),
         "el_residual": lambda: el_residual(cs, theta, "flat_weighted"),
-        "criticality": lambda: _criticality(kernel, theta, source, "curved"),
+        "criticality": lambda: _criticality(cs, theta, source, "curved"),
         "right_hand_side": lambda: right_hand_side(cs, theta.homotopy, "flat_weighted"),
         "bienergy": lambda: bienergy(cs, theta),
         "flat_gradient": lambda: flat_gradient(cs.u),

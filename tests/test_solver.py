@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from torusfield import angles, energy
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
 from torusfield.conformal import ConformalStructure
 from torusfield.energy import bienergy, directional_derivative_check, el_residual
@@ -24,7 +25,6 @@ from torusfield.lattice import (
 from torusfield.solver import (
     CompatibilityError,
     ConvergenceError,
-    DescentResult,
     SolveOptions,
     SolveReport,
     _STAGNATION_WINDOW,
@@ -371,6 +371,43 @@ def test_solve_and_stability_gate_need_no_curved_calculus(monkeypatch):
     assert sample.gap <= 1e-4 * sample.quadratic_value
 
 
+def test_kernel_is_built_once_per_structure(monkeypatch):
+    # P and M depend on the exponent alone: every class, the flat residual,
+    # the flat operator, the stability gate and the descent oracle share them
+    built = []
+    original = _Kernel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Kernel, "__init__", counted)
+    cs, _, _ = realize(RunConfig(grid="32", u="0.2*sin(2pi*x)+0.1*cos(2pi*y)"))
+    for m in range(-2, 3):
+        for n in range(-2, 3):
+            theta, _ = solve_homotopy_class(cs, HomotopyClass(m, n))
+    el_residual(cs, theta, "flat_weighted")
+    apply_operator_P(cs, theta.periodic, "flat_weighted")
+    beta = bandlimited_field(cs.lattice, np.random.default_rng(3), band=3, amplitude=0.5)
+    hessian_vs_energy_check(cs, theta, beta)
+    descent_oracle(cs, HomotopyClass(1, 0), steps=3)
+    assert len(built) == 1
+
+
+def test_derivatives_never_sample_the_representative(monkeypatch, wavy64):
+    # a class enters a derivative through its constant gradient Y0 alone
+    def sampled(*args):
+        raise AssertionError("sampled linear representative built")
+
+    for module in (angles, energy):
+        monkeypatch.setattr(module, "linear_representative", sampled, raising=False)
+    cls = HomotopyClass(2, -1)
+    theta, report = solve_homotopy_class(wavy64, cls)
+    assert report.energy == bienergy(wavy64, theta)
+    for formulation in ("flat_weighted", "curved"):
+        assert right_hand_side(wavy64, cls, formulation).max_abs() > 0.0
+
+
 def test_early_returns_report_a_trivial_history(flat64):
     _, report = solve_homotopy_class(flat64, HomotopyClass(1, 0))
     assert report.residual_history == (0.0,)
@@ -439,17 +476,3 @@ def test_descent_applies_P_once_per_step(monkeypatch, wavy64):
     assert not result.stalled
     assert len(applies) == len(result.energy_trace) - 1 > 0
 
-
-@pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
-def test_descent_plain_rule_is_monotone(wavy64):
-    # the raw gradient genuinely carries |k|^4-amplified high modes (that is
-    # why production preconditions), so the resolution warning is expected
-    result = descent_oracle(wavy64, HomotopyClass(1, 0), steps=5, step_rule="plain")
-    assert isinstance(result, DescentResult)
-    diffs = np.diff(result.energy_trace)
-    assert np.all(diffs <= 0.0)
-
-
-def test_descent_rejects_unknown_rule(flat64):
-    with pytest.raises(ValueError, match="step_rule"):
-        descent_oracle(flat64, HomotopyClass(0, 0), steps=1, step_rule="newton")

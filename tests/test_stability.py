@@ -98,6 +98,24 @@ def test_noncritical_base_point_is_refused(solved_instance):
         hessian_vs_energy_check(cs, not_critical, beta)
 
 
+def test_fine_grid_solve_is_a_valid_base_point():
+    # at 768^2 the residual of a converged solve is set by the flat assembly's
+    # roundoff, 1.37e-6 of the source scale, not by the 1e-10 tolerance
+    lattice = LatticeSpec.unit_square(768)
+    cs = ConformalStructure.from_exponent(ScalarField.from_function(
+        lattice, lambda x, y: 0.2 * np.sin(TWO_PI * x) + 0.1 * np.cos(TWO_PI * y)
+    ))
+    theta, report = solve_homotopy_class(cs, HomotopyClass(1, 0))
+    assert report.el_residual_relative > 1e-6
+    beta = bandlimited_field(lattice, np.random.default_rng(11), band=3)
+    sample = hessian_vs_energy_check(cs, theta, beta)
+    assert sample.gap <= 1e-4 * sample.quadratic_value
+    # the roundoff allowance is a small fraction of the scale: a field one
+    # band-limited wobble away from the solve is still refused
+    with pytest.raises(NotCriticalError):
+        hessian_vs_energy_check(cs, theta.shifted(beta * 1e-3), beta)
+
+
 def test_flat_parallel_field_is_a_valid_base_point(flat64):
     theta = AngleField(HomotopyClass(2, 1), ScalarField.from_constant(flat64.lattice, 0.0))
     rng = np.random.default_rng(10)
