@@ -170,19 +170,19 @@ class ConformalStructure:
 
 
 class _Kernel:
-    """``P`` and the preconditioner ``M`` of one structure on raw ``(n1, n2)``
-    arrays.
+    """``P`` and the preconditioner ``M`` of one structure on ``rfft2`` half
+    spectra, and on raw arrays through one transform each way.
 
     ``lap``, ``d1`` and ``d2`` are the lattice's masked half-spectrum
     multipliers as they are; ``inv_lap`` is the Laplacian's pseudo-inverse,
     zero on the mean and on the Nyquist lines where the Laplacian vanishes.
-    An apply of ``P`` costs one ``rfft2`` and three ``irfft2`` to form
-    ``flat_lap h`` and ``grad h``, then three ``rfft2`` and one ``irfft2``
-    for the outer Laplacian and divergence; ``M`` costs two of each.
-    Without ``transport`` the kernel is the weighted bilaplacian
-    ``flat_lap e^{2u} flat_lap`` alone.  ``M`` is symmetric positive
-    semidefinite in the flat product and inverts the weighted bilaplacian
-    on mean-zero fields resolved away from the Nyquist lines.
+    ``apply_spectrum`` costs three ``irfft2`` (``flat_lap h``, ``grad h``) and three
+    ``rfft2`` (outer Laplacian, divergence), ``precondition_spectrum`` one of each.
+    Without ``transport`` the kernel is ``flat_lap e^{2u} flat_lap`` alone.  ``M`` is
+    symmetric positive semidefinite in the flat product and inverts that bilaplacian
+    on mean-zero fields resolved off the Nyquist lines.  ``inner`` is the flat product
+    on half spectra (columns 0 and ``n2/2`` count once, the others twice); ``hermitian``
+    keeps of those two columns, in place, what ``irfft2`` reads: ``(c(k) + conj c(-k))/2``.
     """
 
     def __init__(self, cs: ConformalStructure, transport: bool = True) -> None:
@@ -195,21 +195,36 @@ class _Kernel:
         self.em2u = cs.em2u.values
         self.em2u_mean = float(np.mean(self.em2u))
         self.kg_sq = cs.kg_sq.values if transport else None
+        column = np.arange(lattice.n2 + 2) // 2  # of each real and imaginary part
+        self.weight = np.where(column % (lattice.n2 // 2), 2.0, 1.0) / (lattice.n1 * lattice.n2)
+        self.mirror = np.ix_(-np.arange(lattice.n1) % lattice.n1, [0, -1])
 
-    def apply(self, h: NDArray) -> NDArray:
-        spectrum = np.fft.rfft2(h)
+    def apply_spectrum(self, spectrum: NDArray) -> NDArray:
         out = self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
         if self.kg_sq is not None:
             for d in (self.d1, self.d2):
                 out -= d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
-        return np.fft.irfft2(out)
+        return out
 
-    def precondition(self, r: NDArray) -> NDArray:
-        s = np.fft.irfft2(self.inv_lap * np.fft.rfft2(r))
+    def precondition_spectrum(self, spectrum: NDArray) -> NDArray:
+        s = np.fft.irfft2(self.inv_lap * spectrum)
         # the constant left free by the inner inverse makes the outer
         # Laplacian's argument mean-zero, hence solvable
         c = -float(np.mean(self.em2u * s)) / self.em2u_mean
-        return np.fft.irfft2(self.inv_lap * np.fft.rfft2(self.em2u * (s + c)))
+        return self.inv_lap * np.fft.rfft2(self.em2u * (s + c))
+
+    def apply(self, h: NDArray) -> NDArray:
+        return np.fft.irfft2(self.apply_spectrum(np.fft.rfft2(h)))
+
+    def precondition(self, r: NDArray) -> NDArray:
+        return np.fft.irfft2(self.precondition_spectrum(np.fft.rfft2(r)))
+
+    def inner(self, x: NDArray, y: NDArray) -> float:
+        return float(np.sum(self.weight * (x.view(np.float64) * y.view(np.float64))))
+
+    def hermitian(self, spectrum: NDArray) -> NDArray:
+        spectrum[:, [0, -1]] = 0.5 * (spectrum[:, [0, -1]] + spectrum[self.mirror].conj())
+        return spectrum
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,10 +10,10 @@ exactly the constants, so every solve runs preconditioned conjugate
 gradients on the mean-zero subspace against this flat-weighted form.  One
 spectral kernel per structure (``ConformalStructure.kernel``: the solve, its
 report, the flat residual, the stability gate and the descent oracle share
-it) applies P on raw sample arrays with the lattice's own multipliers, on
-the ``rfft2`` half spectrum every flat derivative uses (see
-:mod:`torusfield.lattice`).  The preconditioner is the exact inverse of the
-leading-order term flat_lap e^{2u} flat_lap on mean-zero fields,
+it) applies P with the lattice's own multipliers on the ``rfft2`` half
+spectrum, where the PCG iterates stay: an iteration costs three ``rfft2``
+and three ``irfft2`` for P and one of each for the preconditioner, the
+exact inverse of the leading-order term flat_lap e^{2u} flat_lap on mean-zero fields,
 
     M r = flat_lap^+[e^{-2u}(flat_lap^+ r + c)],   c = -mean(e^{-2u} flat_lap^+ r) / mean(e^{-2u}),
 
@@ -139,7 +139,7 @@ def apply_operator_P(
     raise ValueError(f"unknown formulation: {formulation!r}")
 
 
-### Conjugate gradients on raw arrays
+### Conjugate gradients on the half spectrum
 
 
 def _dot(x: NDArray, y: NDArray) -> float:
@@ -164,34 +164,31 @@ def _check_compatibility(b: NDArray) -> None:
 
 
 def _pcg(
-    apply: Callable[[NDArray], NDArray],
-    precondition: Callable[[NDArray], NDArray],
-    b: NDArray,
-    tolerance: float,
-    max_iterations: int,
+    kernel: _Kernel, precondition: Callable, b: NDArray, tolerance: float, max_iterations: int
 ) -> tuple[NDArray, list[float]]:
-    """Preconditioned conjugate gradients on the mean-zero subspace, in the
-    flat product.
-
-    Returns the solution and the relative-residual history (one entry per
-    iteration after the initial 1.0; ``[0.0]`` for a zero source).  Raises
-    ConvergenceError when the budget runs out or the residual stagnates.
+    """Preconditioned conjugate gradients for ``kernel``'s P on the mean-zero
+    subspace, in the flat product, on ``rfft2`` half spectra (the mean is entry
+    ``[0, 0]``).  ``b̂`` and each output of P and ``precondition`` are made
+    Hermitian, so that ``kernel.inner`` counts only what ``irfft2`` sees.
+    Returns the solution, by one ``irfft2``, and the relative-residual history
+    (one entry per iteration after the initial 1.0; ``[0.0]`` for a zero
+    source).  Raises ConvergenceError when the budget runs out or on stagnation.
     """
-    b = _project(b)
-    bnorm = np.sqrt(_dot(b, b))
-    x = np.zeros_like(b)
+    r = kernel.hermitian(np.fft.rfft2(b))
+    r[0, 0] = 0.0
+    bnorm = np.sqrt(kernel.inner(r, r))
+    x = np.zeros_like(r)
     if bnorm == 0.0:
-        return x, [0.0]
+        return np.zeros_like(b), [0.0]
 
-    r = b.copy()
-    z = precondition(r)
+    z = kernel.hermitian(precondition(r))
     d = z.copy()
-    rz = _dot(r, z)
+    rz = kernel.inner(r, z)
     history = [1.0]
     mark, marked = 1.0, 0
     for iteration in range(1, max_iterations + 1):
-        Ad = apply(d)
-        dAd = _dot(d, Ad)
+        Ad = kernel.hermitian(kernel.apply_spectrum(d))
+        dAd = kernel.inner(d, Ad)
         if dAd <= 0.0:
             raise ConvergenceError(
                 "search direction lost positivity (operator not positive "
@@ -201,10 +198,10 @@ def _pcg(
         step = rz / dAd
         x += step * d
         r -= step * Ad
-        rel = float(np.sqrt(_dot(r, r)) / bnorm)
+        rel = float(np.sqrt(kernel.inner(r, r)) / bnorm)
         history.append(rel)
         if rel <= tolerance:
-            return x, history
+            return np.fft.irfft2(x), history
         if rel <= 0.5 * mark:
             mark, marked = rel, iteration
         elif mark <= _STAGNATION_FLOOR and iteration - marked >= _STAGNATION_WINDOW:
@@ -213,8 +210,8 @@ def _pcg(
                 f"halved in {_STAGNATION_WINDOW} iterations below roundoff",
                 history,
             )
-        z = precondition(r)
-        rz_next = _dot(r, z)
+        z = kernel.hermitian(precondition(r))
+        rz_next = kernel.inner(r, z)
         if rz_next <= 0.0:
             raise ConvergenceError(
                 f"preconditioned residual vanished at relative residual {rel:.3e}: "
@@ -267,9 +264,7 @@ def _report(
 
 
 def solve_homotopy_class(
-    cs: ConformalStructure,
-    homotopy: HomotopyClass,
-    opts: SolveOptions | None = None,
+    cs: ConformalStructure, homotopy: HomotopyClass, opts: SolveOptions | None = None
 ) -> tuple[AngleField, SolveReport]:
     """Solve for the critical angle field in the given winding class.
 
@@ -303,7 +298,7 @@ def solve_homotopy_class(
 
     _check_compatibility(b.values)
     budget = _iteration_budget(lattice)
-    x, history = _pcg(kernel.apply, kernel.precondition, b.values, opts.tolerance, budget)
+    x, history = _pcg(kernel, kernel.precondition_spectrum, b.values, opts.tolerance, budget)
     theta = AngleField(homotopy, ScalarField(lattice, _project(x)))
     return theta, _report(cs, theta, opts, b, history, started)
 

@@ -4,7 +4,8 @@ The flat derivatives run on the ``rfft2`` half spectrum; each must equal
 the full complex spectrum's derivative with the same alias and Nyquist
 rules, built here independently from ``lattice.frequencies`` and
 ``lattice.wavevector``.  Gauss-Bonnet and the winding round trip hold for
-every lattice, grid, exponent and class.  All are checked over random
+every lattice, grid, exponent and class, and the kernel's Parseval product
+and Hermitian projection, on which PCG runs, for every lattice and grid.  All are checked over random
 oblique lattices and even grids of 8 to 32 points per side; bounds are
 roundoff scaled by the largest symbol involved, never fixed constants.
 """
@@ -38,7 +39,7 @@ from torusfield.lattice import (
     rotate_J,
     spectral_derivative,
 )
-from torusfield.solver import _Kernel, _criticality, right_hand_side
+from torusfield.solver import _Kernel, _criticality, _dot, right_hand_side, solve_homotopy_class
 
 EPS = np.finfo(float).eps
 TWO_PI = 2.0 * np.pi
@@ -172,11 +173,12 @@ def _count_transforms(monkeypatch, call) -> dict[str, int]:
         ("kernel_precondition", {"rfft2": 2, "irfft2": 2}),
         # the flat residual is the kernel plus the flat source, and the
         # report's criticality reuses both: no second assembly of P
-        ("el_residual", {"rfft2": 6, "irfft2": 6}),
+        ("el_residual", {"rfft2": 6, "irfft2": 5}),
         ("criticality", {"rfft2": 4, "irfft2": 4}),
         # with J grad u kept on the structure, the source is one divergence
-        # and the energy the resolution check, flat_lap alpha and grad alpha
-        ("right_hand_side", {"rfft2": 2, "irfft2": 2}),
+        # summed before one inverse transform, and the energy the resolution
+        # check, flat_lap alpha and grad alpha
+        ("right_hand_side", {"rfft2": 2, "irfft2": 1}),
         ("bienergy", {"rfft2": 3, "irfft2": 3}),
         ("flat_gradient", {"rfft2": 1, "irfft2": 2}),
         ("resolution_fraction", {"rfft2": 1}),
@@ -202,6 +204,26 @@ def test_transform_counts_are_pinned(monkeypatch, layer, expected):
         "resolution_fraction": lambda: resolution_fraction(cs.u),
     }
     assert _count_transforms(monkeypatch, calls[layer]) == expected
+
+
+@pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
+def test_solve_makes_eight_transforms_per_iteration(monkeypatch):
+    # P and M on the half spectrum (3 + 3 and 1 + 1) per iteration, less
+    # the last M; around them the source (2 + 1), the transforms of b and
+    # of the solution, the first M, and the report (criticality 4 + 4,
+    # bienergy 3 + 3)
+    lattice = LatticeSpec((1.0, 0.0), (0.5, 1.5), 16, 12)
+    cs = _structure(lattice, np.random.default_rng(0), 2, 0.3)
+    # the first solve also derives what the structure keeps (kg, J grad u)
+    solve_homotopy_class(cs, HomotopyClass(0, 1))
+    solved = []
+    counts = _count_transforms(
+        monkeypatch, lambda: solved.append(solve_homotopy_class(cs, HomotopyClass(1, -1)))
+    )
+    iterations = solved[0][1].iterations
+    assert iterations > 0
+    assert counts == {"rfft2": 4 * iterations + 10, "irfft2": 4 * iterations + 9}
+    assert sum(counts.values()) == 8 * iterations + 19
 
 
 def _full_spectrum_resolution_fraction(f: ScalarField) -> tuple[float, float]:
@@ -245,3 +267,42 @@ def test_half_spectrum_layers_equal_their_full_derivations(lattice, decades, mea
     cached, direct = cs.jgrad_u, rotate_J(flat_gradient(f))
     np.testing.assert_array_equal(cached.comp1.values, direct.comp1.values)
     np.testing.assert_array_equal(cached.comp2.values, direct.comp2.values)
+
+
+@given(lattices(), st.integers(0, 2**32 - 1))
+def test_parseval_product_of_half_spectra_is_the_flat_sum_product(lattice, seed):
+    rng = np.random.default_rng(seed)
+    kernel = _Kernel(_structure(lattice, rng, 2, 0.3))
+    x, y = rng.standard_normal((2, *lattice.shape))
+    gap = abs(kernel.inner(np.fft.rfft2(x), np.fft.rfft2(y)) - _dot(x, y))
+    ulp = EPS * np.log2(lattice.n1 * lattice.n2)
+    assert gap <= 2.0 * ulp * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+@given(lattices(), st.integers(0, 2**32 - 1))
+def test_hermitian_projection_keeps_what_irfft2_sees(lattice, seed):
+    # any half spectrum, its edge columns far from conjugate pairs
+    rng = np.random.default_rng(seed)
+    kernel = _Kernel(_structure(lattice, rng, 2, 0.3))
+    shape = (lattice.n1, lattice.n2 // 2 + 1)
+    spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    once = kernel.hermitian(spectrum.copy())
+    np.testing.assert_array_equal(kernel.hermitian(once.copy()), once)
+    edges = once[:, [0, -1]]
+    np.testing.assert_array_equal(edges[-np.arange(lattice.n1) % lattice.n1], edges.conj())
+    points = lattice.n1 * lattice.n2
+    gap = np.max(np.abs(np.fft.irfft2(once) - np.fft.irfft2(spectrum)))
+    assert gap <= 2.0 * EPS * np.log2(points) * np.linalg.norm(spectrum) / np.sqrt(points)
+
+
+@given(lattices(), st.integers(1, 3), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_spectral_kernel_is_symmetric_in_the_parseval_product(lattice, band, amplitude, seed):
+    rng = np.random.default_rng(seed)
+    cs = _structure(lattice, rng, band, amplitude)
+    kernel = _Kernel(cs)
+    x, y = rng.standard_normal((2, *lattice.shape))
+    f, g = np.fft.rfft2(x), np.fft.rfft2(y)
+    gap = abs(kernel.inner(kernel.apply_spectrum(f), g) - kernel.inner(f, kernel.apply_spectrum(g)))
+    lap_max = float(np.max(kernel.lap))
+    symbol = float(np.max(cs.e2u.values)) * lap_max**2 + float(np.max(cs.kg_sq.values)) * lap_max
+    assert gap <= 10.0 * EPS * symbol * np.linalg.norm(x) * np.linalg.norm(y)
