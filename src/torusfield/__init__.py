@@ -60,7 +60,6 @@ from torusfield.liegroups import (
     su2,
 )
 from torusfield.solver import (
-    CompatibilityError,
     ConvergenceError,
     DescentResult,
     RigidityCertificate,
@@ -82,7 +81,6 @@ from torusfield.stability import (
 __all__ = [
     "AngleField",
     "ComparisonReport",
-    "CompatibilityError",
     "ConformalStructure",
     "ConvergenceError",
     "CriticalComponent",

@@ -171,21 +171,22 @@ class ConformalStructure:
 
 class _Kernel:
     """``P`` and the preconditioner ``M`` of one structure on ``rfft2`` half
-    spectra, and on raw arrays through one transform each way.
+    spectra, and ``P`` on raw arrays through one transform each way.
 
     ``lap``, ``d1`` and ``d2`` are the lattice's masked half-spectrum
     multipliers as they are; ``inv_lap`` is the Laplacian's pseudo-inverse,
     zero on the mean and on the Nyquist lines where the Laplacian vanishes.
-    ``apply_spectrum`` costs three ``irfft2`` (``flat_lap h``, ``grad h``) and three
-    ``rfft2`` (outer Laplacian, divergence), ``precondition_spectrum`` one of each.
-    Without ``transport`` the kernel is ``flat_lap e^{2u} flat_lap`` alone.  ``M`` is
-    symmetric positive semidefinite in the flat product and inverts that bilaplacian
-    on mean-zero fields resolved off the Nyquist lines.  ``inner`` is the flat product
-    on half spectra (columns 0 and ``n2/2`` count once, the others twice); ``hermitian``
-    keeps of those two columns, in place, what ``irfft2`` reads: ``(c(k) + conj c(-k))/2``.
+    ``bilaplacian_spectrum``, the leading-order term ``flat_lap e^{2u} flat_lap``,
+    costs one ``irfft2`` and one ``rfft2``; ``apply_spectrum`` adds the transport
+    term for two more of each (``grad h``, divergence), and ``precondition_spectrum``
+    costs one of each.  ``M`` is symmetric positive semidefinite in the flat product
+    and inverts the bilaplacian on mean-zero fields resolved off the Nyquist lines.
+    ``inner`` is the flat product on half spectra (columns 0 and ``n2/2`` count once,
+    the others twice); ``hermitian`` keeps of those two columns, in place, what
+    ``irfft2`` reads: ``(c(k) + conj c(-k))/2``.
     """
 
-    def __init__(self, cs: ConformalStructure, transport: bool = True) -> None:
+    def __init__(self, cs: ConformalStructure) -> None:
         lattice = cs.lattice
         self.lap = _laplacian_multiplier(lattice)
         self.d1 = _derivative_multiplier(lattice, 1, 1)
@@ -194,16 +195,18 @@ class _Kernel:
         self.e2u = cs.e2u.values
         self.em2u = cs.em2u.values
         self.em2u_mean = float(np.mean(self.em2u))
-        self.kg_sq = cs.kg_sq.values if transport else None
+        self.kg_sq = cs.kg_sq.values
         column = np.arange(lattice.n2 + 2) // 2  # of each real and imaginary part
         self.weight = np.where(column % (lattice.n2 // 2), 2.0, 1.0) / (lattice.n1 * lattice.n2)
         self.mirror = np.ix_(-np.arange(lattice.n1) % lattice.n1, [0, -1])
 
+    def bilaplacian_spectrum(self, spectrum: NDArray) -> NDArray:
+        return self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
+
     def apply_spectrum(self, spectrum: NDArray) -> NDArray:
-        out = self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
-        if self.kg_sq is not None:
-            for d in (self.d1, self.d2):
-                out -= d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
+        out = self.bilaplacian_spectrum(spectrum)
+        for d in (self.d1, self.d2):
+            out -= d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
         return out
 
     def precondition_spectrum(self, spectrum: NDArray) -> NDArray:
@@ -215,9 +218,6 @@ class _Kernel:
 
     def apply(self, h: NDArray) -> NDArray:
         return np.fft.irfft2(self.apply_spectrum(np.fft.rfft2(h)))
-
-    def precondition(self, r: NDArray) -> NDArray:
-        return np.fft.irfft2(self.precondition_spectrum(np.fft.rfft2(r)))
 
     def inner(self, x: NDArray, y: NDArray) -> float:
         return float(np.sum(self.weight * (x.view(np.float64) * y.view(np.float64))))

@@ -452,7 +452,8 @@ def write_outputs(
     theta: AngleField,
     report: SolveReport,
 ) -> list[Path]:
-    """Write the artifacts ``config.outputs`` asks for; returns their paths."""
+    """Write the artifacts ``config.outputs`` asks for (``RunConfig`` admits only
+    ``OUTPUT_KINDS``); returns their paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -473,8 +474,4 @@ def write_outputs(
             target = outdir / "quiver.txt"
             write_quiver(target, theta)
             written.append(target)
-        else:
-            raise ValueError(
-                f"unknown output kind {kind!r}; choose from {', '.join(OUTPUT_KINDS)}"
-            )
     return written

@@ -9,9 +9,9 @@ is symmetric positive semidefinite in the flat L2 product, with kernel
 exactly the constants, so every solve runs preconditioned conjugate
 gradients on the mean-zero subspace against this flat-weighted form.  One
 spectral kernel per structure (``ConformalStructure.kernel``: the solve, its
-report, the flat residual, the stability gate and the descent oracle share
-it) applies P with the lattice's own multipliers on the ``rfft2`` half
-spectrum, where the PCG iterates stay: an iteration costs three ``rfft2``
+report, the flat residual, the stability gate and both verification hooks
+share it) applies P with the lattice's own multipliers on the ``rfft2`` half
+spectrum, where every iterate stays: a PCG iteration costs three ``rfft2``
 and three ``irfft2`` for P and one of each for the preconditioner, the
 exact inverse of the leading-order term flat_lap e^{2u} flat_lap on mean-zero fields,
 
@@ -24,11 +24,12 @@ equation is asked for.  The curved assembly (the pointwise multiple
 e^{2u} P, symmetric against the curved area element) survives only as an
 independent oracle.
 
-Two independent verification hooks live here as well: an inverse-iteration
-estimate of the smallest Rayleigh quotient of the weighted bilaplacian (the
-operator whose kernel rigidity forces purely "vertical" critical fields to
-be constant), and a gradient-descent oracle that minimizes the energy
-directly and must land on the same field the linear solve produces.
+Two independent verification hooks live here as well, on the same half
+spectra: an inverse-iteration estimate of the smallest Rayleigh quotient of
+the weighted bilaplacian (the operator whose kernel rigidity forces purely
+"vertical" critical fields to be constant), and a gradient-descent oracle
+that minimizes the energy directly and must land on the same field the
+linear solve produces.
 """
 
 from __future__ import annotations
@@ -66,15 +67,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual_history: list[float]):
         super().__init__(message)
         self.residual_history = residual_history
-
-
-class CompatibilityError(ValueError):
-    """Right-hand side has a nonzero mean, so the singular system has no
-    solution.
-
-    The assembled right-hand side is always a divergence, so this cannot
-    fire on well-formed inputs; it guards against hand-built systems.
-    """
 
 
 @dataclass(frozen=True)
@@ -142,25 +134,8 @@ def apply_operator_P(
 ### Conjugate gradients on the half spectrum
 
 
-def _dot(x: NDArray, y: NDArray) -> float:
-    # pairwise summation in a fixed order keeps reruns bit-identical
-    return float(np.sum(x * y))
-
-
 def _project(arr: NDArray) -> NDArray:
     return arr - np.mean(arr)
-
-
-def _check_compatibility(b: NDArray) -> None:
-    scale = max(float(np.max(np.abs(b))), np.finfo(float).tiny)
-    # the absolute floor keeps a mathematically-zero source, represented
-    # only by fourth-order spectral roundoff, from reading as incompatible:
-    # a genuinely unsolvable source has a mean on the order of its data
-    if abs(float(np.mean(b))) > max(1e-9 * scale, 1e-12):
-        raise CompatibilityError(
-            "right-hand side is not orthogonal to constants; the singular "
-            "system has no solution"
-        )
 
 
 def _pcg(
@@ -286,9 +261,10 @@ def solve_homotopy_class(
     # curvature is a pointwise function of u (any single-eigenvalue exponent
     # does this), the trivial class's transport term is a Jacobian of
     # functionally dependent fields.  The assembly then holds only its
-    # roundoff and aliasing, PCG stalls on it, and the representative is the
-    # exact solution.  On grids 8^2 to 512^2 PCG stalled on every source up
-    # to 8e4 eps n1 n2 kmax |flux| and converged from 1e6 up (measured).
+    # roundoff and aliasing, at 5e2 to 6e4 eps n1 n2 kmax |flux| (measured),
+    # and the representative is the exact solution.  PCG converges on such a
+    # source too, but only in 21 to 391 iterations and to max|alpha| up to
+    # 2e-8; sources that do not vanish measured 1e6 and up (grids 8^2 to 512^2).
     kernel = cs.kernel
     kmax = np.sqrt(np.max(kernel.lap))
     floor = 3e5 * np.finfo(float).eps * lattice.n1 * lattice.n2 * kmax
@@ -296,7 +272,6 @@ def solve_homotopy_class(
     if vanishing or np.ptp(cs.u.values) == 0.0:
         return representative, _report(cs, representative, opts, b, [0.0], started)
 
-    _check_compatibility(b.values)
     budget = _iteration_budget(lattice)
     x, history = _pcg(kernel, kernel.precondition_spectrum, b.values, opts.tolerance, budget)
     theta = AngleField(homotopy, ScalarField(lattice, _project(x)))
@@ -306,10 +281,12 @@ def solve_homotopy_class(
 def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCertificate:
     """Estimate the smallest mean-zero Rayleigh quotient of the weighted
     bilaplacian h -> flat_lap(e^{2u} flat_lap h) by inverse iteration with
-    the kernel's ``M``, the operator's inverse off the Nyquist lines, from
-    ``M raw`` with ``raw`` drawn from ``seed``.  The range of ``M`` excludes
-    the mean and every mode the Laplacian annihilates.  The estimate is a
-    Rayleigh quotient, so an upper bound on the smallest one, and seed-dependent.
+    the structure's ``M``, the operator's inverse off the Nyquist lines, from
+    ``M raw`` with ``raw`` drawn from ``seed``.  The iterate stays a half
+    spectrum, as in the solve: a step is one ``M`` and one bilaplacian, four
+    transforms.  The range of ``M`` excludes the mean and every mode the
+    Laplacian annihilates.  The estimate is a Rayleigh quotient, so an upper
+    bound on the smallest one, and seed-dependent.
 
     A strictly positive quotient certifies that the only periodic angle
     functions annihilated by the operator are constants, i.e. the purely
@@ -317,13 +294,13 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
     against the flat lattice's smallest nonzero eigenvalue with a 1e-6
     safety margin.
     """
-    kernel = _Kernel(cs, transport=False)
-    x = np.random.default_rng(seed).standard_normal(cs.lattice.shape)
+    kernel = cs.kernel
+    x = np.fft.rfft2(np.random.default_rng(seed).standard_normal(cs.lattice.shape))
     rayleigh = np.inf
     for _ in range(_RIGIDITY_ITERATIONS):
-        x = kernel.precondition(x)
-        x /= np.sqrt(_dot(x, x))
-        updated = _dot(x, kernel.apply(x))
+        x = kernel.hermitian(kernel.precondition_spectrum(x))
+        x /= np.sqrt(kernel.inner(x, x))
+        updated = kernel.inner(x, kernel.bilaplacian_spectrum(x))
         settled = abs(updated - rayleigh) <= 1e-9 * max(abs(updated), 1e-300)
         rayleigh = updated
         if settled:
@@ -346,14 +323,16 @@ def descent_oracle(
     the flat source assembled once.  The step exactly minimizes along the
     direction, guarded by halving if roundoff ever breaks monotonicity.  The
     gradient starts at ``-2 b`` and follows each step by ``2 step P d``,
-    reusing the curvature's ``P d``: one apply per step.
+    reusing the curvature's ``P d``: one apply per step.  Gradient and
+    direction stay half spectra; the line search reads the direction through
+    one ``irfft2``, and ``bienergy`` judges every candidate.
 
     Returns the final angle field, the energy trace (nonincreasing), and a
     flag set when the line search stalls before the gradient target.
     """
     lattice = cs.lattice
     kernel = cs.kernel
-    source = right_hand_side(cs, homotopy, "flat_weighted").values
+    source = np.fft.rfft2(right_hand_side(cs, homotopy, "flat_weighted").values)
 
     alpha = np.zeros(lattice.shape)
     energy = bienergy(cs, AngleField(homotopy, ScalarField(lattice, alpha))).bienergy
@@ -363,8 +342,8 @@ def descent_oracle(
     gradient = -2.0 * source
 
     for _ in range(steps):
-        direction = -kernel.precondition(gradient)
-        slope = _dot(gradient, direction)  # negative along a descent direction
+        direction = -kernel.hermitian(kernel.precondition_spectrum(gradient))
+        slope = kernel.inner(gradient, direction)  # negative along a descent direction
         if reference_slope is None:
             reference_slope = abs(slope)
             if reference_slope == 0.0:
@@ -372,11 +351,12 @@ def descent_oracle(
         if abs(slope) <= _DESCENT_GRADIENT_REDUCTION**2 * reference_slope:
             break
 
-        applied = kernel.apply(direction)
-        curvature = _dot(applied, direction)
+        applied = kernel.apply_spectrum(direction)
+        curvature = kernel.inner(applied, direction)
         step = -slope / (2.0 * curvature) if curvature > 0.0 else 1.0
+        moved = np.fft.irfft2(direction)
         for _halving in range(40):
-            candidate = alpha + step * direction
+            candidate = alpha + step * moved
             candidate_theta = AngleField(homotopy, ScalarField(lattice, candidate))
             candidate_energy = bienergy(cs, candidate_theta).bienergy
             if candidate_energy <= energy:

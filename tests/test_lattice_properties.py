@@ -39,7 +39,13 @@ from torusfield.lattice import (
     rotate_J,
     spectral_derivative,
 )
-from torusfield.solver import _Kernel, _criticality, _dot, right_hand_side, solve_homotopy_class
+from torusfield.solver import (
+    _Kernel,
+    _criticality,
+    right_hand_side,
+    section_rigidity_check,
+    solve_homotopy_class,
+)
 
 EPS = np.finfo(float).eps
 TWO_PI = 2.0 * np.pi
@@ -170,7 +176,8 @@ def _count_transforms(monkeypatch, call) -> dict[str, int]:
     [
         ("flat_laplacian", {"rfft2": 1, "irfft2": 1}),
         ("kernel_apply", {"rfft2": 4, "irfft2": 4}),
-        ("kernel_precondition", {"rfft2": 2, "irfft2": 2}),
+        # M on a half spectrum
+        ("kernel_precondition", {"rfft2": 1, "irfft2": 1}),
         # the flat residual is the kernel plus the flat source, and the
         # report's criticality reuses both: no second assembly of P
         ("el_residual", {"rfft2": 6, "irfft2": 5}),
@@ -182,6 +189,8 @@ def _count_transforms(monkeypatch, call) -> dict[str, int]:
         ("bienergy", {"rfft2": 3, "irfft2": 3}),
         ("flat_gradient", {"rfft2": 1, "irfft2": 2}),
         ("resolution_fraction", {"rfft2": 1}),
+        # P's leading-order term alone, as the rigidity check applies it
+        ("kernel_bilaplacian", {"rfft2": 1, "irfft2": 1}),
     ],
 )
 @pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
@@ -190,12 +199,14 @@ def test_transform_counts_are_pinned(monkeypatch, layer, expected):
     cs = _structure(lattice, np.random.default_rng(0), 2, 0.3)
     kernel = _Kernel(cs)
     h = np.random.default_rng(1).standard_normal(lattice.shape)
+    spectrum = np.fft.rfft2(h)
     theta = AngleField(HomotopyClass(1, -1), ScalarField(lattice, h))
     source = right_hand_side(cs, theta.homotopy, "flat_weighted")
     calls = {
         "flat_laplacian": lambda: flat_laplacian(cs.u),
         "kernel_apply": lambda: kernel.apply(h),
-        "kernel_precondition": lambda: kernel.precondition(h),
+        "kernel_precondition": lambda: kernel.precondition_spectrum(spectrum),
+        "kernel_bilaplacian": lambda: kernel.bilaplacian_spectrum(spectrum),
         "el_residual": lambda: el_residual(cs, theta, "flat_weighted"),
         "criticality": lambda: _criticality(cs, theta, source, "curved"),
         "right_hand_side": lambda: right_hand_side(cs, theta.homotopy, "flat_weighted"),
@@ -224,6 +235,26 @@ def test_solve_makes_eight_transforms_per_iteration(monkeypatch):
     assert iterations > 0
     assert counts == {"rfft2": 4 * iterations + 10, "irfft2": 4 * iterations + 9}
     assert sum(counts.values()) == 8 * iterations + 19
+
+
+@pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
+def test_rigidity_check_makes_four_transforms_per_step(monkeypatch):
+    # M and the bilaplacian on the half spectrum (1 + 1 each) per step, after
+    # the one rfft2 of the random start
+    lattice = LatticeSpec((1.0, 0.0), (0.5, 1.5), 16, 12)
+    cs = _structure(lattice, np.random.default_rng(0), 2, 0.3)
+    cs.kernel  # built once per structure, outside the count
+    steps = []
+    original = _Kernel.precondition_spectrum
+
+    def counted(self, spectrum):
+        steps.append(1)
+        return original(self, spectrum)
+
+    monkeypatch.setattr(_Kernel, "precondition_spectrum", counted)
+    counts = _count_transforms(monkeypatch, lambda: section_rigidity_check(cs))
+    assert len(steps) > 0
+    assert counts == {"rfft2": 2 * len(steps) + 1, "irfft2": 2 * len(steps)}
 
 
 def _full_spectrum_resolution_fraction(f: ScalarField) -> tuple[float, float]:
@@ -274,7 +305,7 @@ def test_parseval_product_of_half_spectra_is_the_flat_sum_product(lattice, seed)
     rng = np.random.default_rng(seed)
     kernel = _Kernel(_structure(lattice, rng, 2, 0.3))
     x, y = rng.standard_normal((2, *lattice.shape))
-    gap = abs(kernel.inner(np.fft.rfft2(x), np.fft.rfft2(y)) - _dot(x, y))
+    gap = abs(kernel.inner(np.fft.rfft2(x), np.fft.rfft2(y)) - float(np.sum(x * y)))
     ulp = EPS * np.log2(lattice.n1 * lattice.n2)
     assert gap <= 2.0 * ulp * np.linalg.norm(x) * np.linalg.norm(y)
 

@@ -8,9 +8,10 @@ import pytest
 from torusfield.angles import AngleField, HomotopyClass
 from torusfield.conformal import ConformalStructure
 from torusfield.lattice import LatticeSpec, ScalarField, bandlimited_field
-from torusfield.solver import solve_homotopy_class
+from torusfield.solver import _criticality, right_hand_side, solve_homotopy_class
 from torusfield.stability import HessianSample, NotCriticalError, hessian_form, hessian_vs_energy_check
 
+EPS = np.finfo(float).eps
 TWO_PI = 2.0 * np.pi
 FOURTH_POWER_OF_2PI = 1558.5454565440389  # (2*pi)**4
 
@@ -99,16 +100,27 @@ def test_noncritical_base_point_is_refused(solved_instance):
 
 
 def test_fine_grid_solve_is_a_valid_base_point():
-    # at 1024^2 the residual of a converged solve is set by the flat assembly's
-    # roundoff, 2.78e-6 of the source scale, not by the 1e-10 tolerance
-    lattice = LatticeSpec.unit_square(1024)
+    # a converged solve moved along beta until its e^{2u}-weighted residual
+    # sits halfway into the roundoff allowance above 1e-6 of the source scale:
+    # the residual is affine in the move, so the step follows from P beta,
+    # and the premise holds whatever roundoff the solve itself leaves
+    lattice = LatticeSpec.unit_square(256)
     cs = ConformalStructure.from_exponent(ScalarField.from_function(
         lattice, lambda x, y: 0.2 * np.sin(TWO_PI * x) + 0.1 * np.cos(TWO_PI * y)
     ))
-    theta, report = solve_homotopy_class(cs, HomotopyClass(1, 0))
-    assert report.el_residual_relative > 1e-6
+    theta, _ = solve_homotopy_class(cs, HomotopyClass(1, 0))
+    source = right_hand_side(cs, theta.homotopy, "flat_weighted")
+    _, scale = _criticality(cs, theta, source, "curved")
+    threshold = 1e-6 * max(1.0, scale)
+    lap, e2u = float(np.max(cs.kernel.lap)), float(np.max(cs.e2u.values))
+    roundoff = EPS * lap * (lap * e2u + float(np.max(cs.kg_sq.values))) * e2u
+
     beta = bandlimited_field(lattice, np.random.default_rng(11), band=3)
-    sample = hessian_vs_energy_check(cs, theta, beta)
+    push = float(np.max(np.abs(cs.e2u.values * cs.kernel.apply(beta.values))))
+    base = theta.shifted(beta * ((threshold + 5.0 * roundoff * theta.periodic.max_abs()) / push))
+    residual, _ = _criticality(cs, base, source, "curved")
+    assert threshold < residual < threshold + 10.0 * roundoff * base.periodic.max_abs()
+    sample = hessian_vs_energy_check(cs, base, beta)
     assert sample.gap <= 1e-4 * sample.quadratic_value
     # the roundoff allowance is a small fraction of the scale: a field one
     # band-limited wobble away from the solve is still refused
