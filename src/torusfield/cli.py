@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -44,10 +44,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NotCriticalError as exc:
+    except (ConvergenceError, NotCriticalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
@@ -146,7 +143,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--tolerance", type=float, help="relative residual target")
     sub.add_argument("--formulation", choices=("curved", "flat_weighted"),
-                     help="assembly the reported residual is measured in")
+                     help="weight of the reported residual: e^(2u) (curved) or 1")
 
 
 def _load_config(args: argparse.Namespace) -> runio.RunConfig:
@@ -156,17 +153,10 @@ def _load_config(args: argparse.Namespace) -> runio.RunConfig:
         config = runio.RunConfig.from_text(
             Path(args.config).read_text(encoding="utf-8")
         )
-    overrides: dict[str, object] = {}
-    for key in ("lattice", "grid", "u", "tolerance", "formulation"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "winding", None) is not None:
-        overrides["winding"] = tuple(args.winding)
-    if getattr(args, "outputs", None) is not None:
-        overrides["outputs"] = tuple(
-            kind for kind in args.outputs.split(",") if kind
-        )
+    names = (field.name for field in fields(runio.RunConfig))
+    overrides = {key: getattr(args, key) for key in names if getattr(args, key, None) is not None}
+    if "outputs" in overrides:
+        overrides["outputs"] = tuple(kind for kind in overrides["outputs"].split(",") if kind)
     return replace(config, **overrides)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -414,22 +414,16 @@ def write_quiver(path: str | Path, theta: AngleField, stride: int = 4) -> None:
 
 def report_document(config: RunConfig, report: SolveReport) -> dict:
     """The JSON-ready form of a solve report: all report fields plus the
-    config echo.
+    config echo, ``winding`` under the config file's key ``class``.
 
     ``wall_time`` is always ``null``: reports promise byte-identical reruns
     and elapsed time is the one field that cannot keep that promise.  The
     measured value stays available on the in-memory report.
     """
+    echo = asdict(config)
+    echo["class"] = echo.pop("winding")
     return {
-        "config": {
-            "lattice": config.lattice,
-            "grid": config.grid,
-            "u": config.u,
-            "class": list(config.winding),
-            "tolerance": config.tolerance,
-            "formulation": config.formulation,
-            "outputs": list(config.outputs),
-        },
+        "config": echo,
         "winding_class": [report.homotopy_class.m, report.homotopy_class.n],
         "iterations": report.iterations,
         "final_relative_residual": report.final_relative_residual,

@@ -255,11 +255,11 @@ def solve_homotopy_class(
     flux = _source_flux(cs, homotopy)
     b = flat_divergence(flux)
 
-    # A constant exponent is flat in disguise: the linear representative is
-    # already critical and the source vanishes identically.  The source can
-    # vanish identically even on a curved structure: when the squared
-    # curvature is a pointwise function of u (any single-eigenvalue exponent
-    # does this), the trivial class's transport term is a Jacobian of
+    # A constant exponent is flat in disguise: its k_g is exactly zero, so the
+    # linear representative is critical and the source vanishes identically.
+    # The source can vanish identically even on a curved structure: when the
+    # squared curvature is a pointwise function of u (any single-eigenvalue
+    # exponent does this), the trivial class's transport term is a Jacobian of
     # functionally dependent fields.  The assembly then holds only its
     # roundoff and aliasing, at 5e2 to 6e4 eps n1 n2 kmax |flux| (measured),
     # and the representative is the exact solution.  PCG converges on such a
@@ -268,8 +268,7 @@ def solve_homotopy_class(
     kernel = cs.kernel
     kmax = np.sqrt(np.max(kernel.lap))
     floor = 3e5 * np.finfo(float).eps * lattice.n1 * lattice.n2 * kmax
-    vanishing = b.max_abs() <= floor * max(flux.comp1.max_abs(), flux.comp2.max_abs())
-    if vanishing or np.ptp(cs.u.values) == 0.0:
+    if b.max_abs() <= floor * max(flux.comp1.max_abs(), flux.comp2.max_abs()):
         return representative, _report(cs, representative, opts, b, [0.0], started)
 
     budget = _iteration_budget(lattice)

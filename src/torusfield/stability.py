@@ -1,9 +1,10 @@
 """Second variation of the energy at critical unit fields.
 
-The Hessian of the energy in a fixed winding class is an explicit sum of
+The Hessian of the energy in a fixed winding class is the solver's own ``P``:
+the second variation along ``beta`` is ``2<beta, P beta>``, by parts a sum of
 two squares, so critical fields can never be strict saddle points.  This
-module evaluates that quadratic form and verifies it against symmetric
-second differences of the energy along class-preserving variations.
+module evaluates that form on the structure's kernel and verifies it against
+symmetric second differences of the energy along class-preserving variations.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 from .angles import AngleField
 from .conformal import ConformalStructure
 from .energy import _sinusoidal_energies, bienergy, right_hand_side
-from .lattice import ScalarField, dot, flat_gradient, flat_laplacian, integrate_inner
-from .solver import _criticality
+from .lattice import ScalarField, integrate_inner
+from .solver import _criticality, apply_operator_P
 
 #: max-norm level (relative to the source, both weighted by e^{2u}) above
 #: which a field is rejected as a base point for second-difference checks
@@ -24,8 +25,10 @@ _CRITICALITY_THRESHOLD = 1e-6
 
 
 class NotCriticalError(ValueError):
-    """The base field is not a critical point, so a second difference of the
-    energy would mix in first-order terms and measure nothing useful."""
+    """The base field is not critical.  A symmetric second difference of the
+    quadratic energy cancels the first variation anywhere, but the check is of
+    the second variation at a critical field, and large first-order terms cost
+    cancellation digits."""
 
 
 class HessianSample(NamedTuple):
@@ -36,20 +39,14 @@ class HessianSample(NamedTuple):
 
 
 def hessian_form(cs: ConformalStructure, beta: ScalarField) -> float:
-    """Quadratic form of the second variation along the periodic direction
-    ``beta``.
+    """Quadratic form ``2<beta, P beta>`` of the second variation along the
+    periodic direction ``beta``, with ``P`` the solver's kernel.
 
-    The value is a sum of two nonnegative quadratures and vanishes exactly
-    when ``beta`` is constant (on metrics whose curvature does not vanish
-    on open sets; where it does, only the fourth-order term constrains
-    ``beta``).
+    The value is nonnegative and vanishes exactly when ``beta`` is constant
+    (on metrics whose curvature does not vanish on open sets; where it does,
+    only the fourth-order term constrains ``beta``).
     """
-    cs._check(beta.lattice)
-    lap = flat_laplacian(beta)
-    vertical = 2.0 * integrate_inner(lap, lap, weight=cs.e2u)
-    grad = flat_gradient(beta)
-    horizontal = 2.0 * integrate_inner(dot(grad, grad), cs.kg_sq)
-    return vertical + horizontal
+    return 2.0 * integrate_inner(beta, apply_operator_P(cs, beta, "flat_weighted"))
 
 
 def _require_critical(cs: ConformalStructure, theta_star: AngleField) -> None:
@@ -89,7 +86,8 @@ def hessian_vs_energy_check(
     (see :func:`torusfield.energy.directional_derivative_check` for why a
     straight line would make the convergence contract vacuous), giving
     ``gap = quadratic_value * h^2 / 3`` up to higher order: halving ``h``
-    quarters the gap.
+    quarters the gap, but only if ``P`` is the energy's Hessian.  The base
+    must be critical (see :class:`NotCriticalError`).
 
     Raises:
         NotCriticalError: when ``theta_star`` does not satisfy the

@@ -159,6 +159,19 @@ def test_constant_exponent_is_treated_as_flat():
     assert report.iterations == 0
 
 
+@pytest.mark.parametrize("lattice, grid", [("unit-square", "20x14"), ("1,0;0.5,1.5", "30x42")])
+@pytest.mark.parametrize("u", ["0.4", "12"])
+def test_constant_exponent_carries_no_energy_on_any_grid(lattice, grid, u):
+    # off powers of two the rfft2 of a constant leaves roundoff off the
+    # mean, which e^{2u} would amplify into curvature, energy and residual
+    cs, cls, opts = realize(RunConfig(lattice=lattice, grid=grid, u=u, winding=(2, -1)))
+    theta, report = solve_homotopy_class(cs, cls, opts)
+    assert theta.periodic.max_abs() == 0.0
+    assert report.iterations == 0
+    assert report.energy.bienergy == 0.0
+    assert report.el_residual_maxnorm == 0.0
+
+
 def test_solve_converges_and_beats_linear_representative(wavy64):
     cls = HomotopyClass(1, 0)
     theta, report = solve_homotopy_class(wavy64, cls)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusfield.angles import AngleField, HomotopyClass
-from torusfield.conformal import ConformalStructure
+from torusfield.conformal import ConformalStructure, _Kernel
 from torusfield.lattice import LatticeSpec, ScalarField, bandlimited_field
 from torusfield.solver import _criticality, right_hand_side, solve_homotopy_class
 from torusfield.stability import HessianSample, NotCriticalError, hessian_form, hessian_vs_energy_check
@@ -78,6 +78,28 @@ def test_halving_h_quarters_the_gap(solved_instance):
     wide = hessian_vs_energy_check(cs, theta, beta, h=2e-3)
     narrow = hessian_vs_energy_check(cs, theta, beta, h=1e-3)
     assert 3.5 <= wide.gap / narrow.gap <= 4.5
+
+
+def test_second_variation_is_taken_on_the_solvers_kernel(monkeypatch):
+    # a transport term 1 % off: the solve and the criticality gate read the
+    # same kernel, so the solved field passes the gate, but that kernel is no
+    # longer the energy's Hessian, and the gap stops quartering with h
+    def transport_off(self, spectrum):
+        out = self.bilaplacian_spectrum(spectrum)
+        for d in (self.d1, self.d2):
+            out -= 0.99 * d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
+        return out
+
+    monkeypatch.setattr(_Kernel, "apply_spectrum", transport_off)
+    lattice = LatticeSpec.unit_square(16)
+    cs = ConformalStructure.from_exponent(ScalarField.from_function(
+        lattice, lambda x, y: 0.2 * np.sin(TWO_PI * x) + 0.1 * np.cos(TWO_PI * y)
+    ))
+    theta, _ = solve_homotopy_class(cs, HomotopyClass(1, 0))
+    beta = bandlimited_field(lattice, np.random.default_rng(8), band=3, amplitude=0.5)
+    wide = hessian_vs_energy_check(cs, theta, beta, h=2e-3)
+    narrow = hessian_vs_energy_check(cs, theta, beta, h=1e-3)
+    assert not 3.5 <= wide.gap / narrow.gap <= 4.5
 
 
 def test_zero_direction_gives_zero_sample(solved_instance):
