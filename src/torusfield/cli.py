@@ -33,7 +33,7 @@ from .solver import (
     section_rigidity_check,
     solve_homotopy_class,
 )
-from .stability import NotCriticalError, _require_critical, _second_difference, hessian_form
+from .stability import NotCriticalError, _differences, _require_critical, hessian_form
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -224,9 +224,11 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     for index in range(args.samples):
         beta = bandlimited_field(cs.lattice, rng, band=3, amplitude=0.5)
         quadratic = hessian_form(cs, beta)
-        wide = abs(quadratic - _second_difference(cs, theta, base, beta, 1e-3))
-        narrow = abs(quadratic - _second_difference(cs, theta, base, beta, 5e-4))
-        nonnegative = quadratic >= 0.0
+        first, second = _differences(cs, theta, base, beta, 1e-3)
+        wide = abs(quadratic - second)
+        narrow = abs(quadratic - _differences(cs, theta, base, beta, 5e-4)[1])
+        # the first variation sees the source, which second differences do not
+        critical = abs(first) <= 1e-6 * max(1.0, base)
         # the gap shrinks like h^2; below the quadrature noise floor the
         # ratio is meaningless, so small gaps pass outright
         floor = 1e-9 * max(1.0, abs(quadratic))
@@ -236,11 +238,11 @@ def _cmd_stability(args: argparse.Namespace) -> int:
             ratio = wide / max(narrow, 1e-300)
             converges = 3.5 <= ratio <= 4.5
             ratio_note = f"halving ratio {ratio:.2f}"
-        ok = nonnegative and converges
+        ok = quadratic >= 0.0 and converges and critical
         failures += 0 if ok else 1
         print(
             f"{'PASS' if ok else 'FAIL'} direction {index}: "
-            f"quadratic {quadratic:.6e}, {ratio_note}"
+            f"quadratic {quadratic:.6e}, {ratio_note}, first variation {first:.3e}"
         )
     if failures:
         print(f"{failures} of {args.samples} directions failed")

@@ -67,13 +67,14 @@ def _require_critical(cs: ConformalStructure, theta_star: AngleField) -> None:
         )
 
 
-def _second_difference(
+def _differences(
     cs: ConformalStructure, theta_star: AngleField, base: float, beta: ScalarField, h: float
-) -> float:
-    """Second difference of the energy along ``t -> theta_star + sin(t) * beta``
-    (``base`` is its value at ``t = 0``)."""
+) -> tuple[float, float]:
+    """First and second differences of the energy along ``t -> theta_star +
+    sin(t) * beta`` (``base`` is its value at ``t = 0``); the energy is
+    quadratic in ``sin(t)``, so the first is the first variation to roundoff."""
     plus, minus = _sinusoidal_energies(cs, theta_star, beta, h)
-    return (plus - 2.0 * base + minus) / (h * h)
+    return (plus - minus) / (2.0 * np.sin(h)), (plus - 2.0 * base + minus) / (h * h)
 
 
 def hessian_vs_energy_check(
@@ -99,5 +100,5 @@ def hessian_vs_energy_check(
     _require_critical(cs, theta_star)
 
     quadratic = hessian_form(cs, beta)
-    second = _second_difference(cs, theta_star, bienergy(cs, theta_star).bienergy, beta, h)
+    _, second = _differences(cs, theta_star, bienergy(cs, theta_star).bienergy, beta, h)
     return HessianSample(beta, quadratic, second, gap=abs(quadratic - second))

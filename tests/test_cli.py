@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from torusfield import cli, energy, stability
+from torusfield import cli, energy, solver, stability
 from torusfield.cli import main
 from torusfield.io import read_field_csv
+from torusfield.lattice import VectorFieldFlat
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -208,6 +209,25 @@ def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
     assert code == 0
     assert out.count("PASS direction") == 3
     assert counts == {"gate": 1, "energy": 2 * 2 * 3}
+
+
+def test_stability_fails_a_solve_against_a_wrong_source(capsys, monkeypatch):
+    # Y0 scaled by 1.01 in the source alone: the solve and the criticality
+    # gate both see the same wrong source and second differences cannot see
+    # it, but the energy's first variation along each direction no longer
+    # vanishes
+    def skewed(cs, homotopy):
+        y1, y2 = energy._constant_gradient(homotopy, cs.lattice)
+        return cs.kg_sq * VectorFieldFlat(1.01 * y1 - cs.jgrad_u.comp1, 1.01 * y2 - cs.jgrad_u.comp2)
+
+    monkeypatch.setattr(energy, "_source_flux", skewed)
+    monkeypatch.setattr(solver, "_source_flux", skewed)
+    code, out = run(
+        capsys, "stability", "--grid", "16", "--u", "0.2*sin(2pi*x)",
+        "--class", "1", "0", "--samples", "2",
+    )
+    assert code == 1
+    assert out.count("FAIL direction") == 2
 
 
 @pytest.mark.parametrize("samples", ["0", "-2"])

@@ -448,8 +448,10 @@ def test_classify_counts_its_work():
     assert 0 < result.converged <= result.samples
     assert result.clusters >= len(result.components)
     assert 0 < result.sweeps <= _NEWTON_ITERATIONS
+    # each sweep solves at most one Gauss-Newton step per sample
+    assert 0 <= result.fallback <= result.samples * result.sweeps
     sphere = classify(su2(1.0, 1.0, 1.0), "biharmonic_section", resolution=2000)
-    assert (sphere.clusters, sphere.sweeps) == (1, 0)
+    assert (sphere.clusters, sphere.sweeps, sphere.fallback) == (1, 0, 0)
     assert sphere.converged == sphere.samples
 
 
@@ -460,7 +462,7 @@ def test_pole_collapsed_axis_yields_to_the_next_tangent_orthogonal_one(pole_firs
     # and along axis 1 the family would collapse to a pole
     cubic = _cubic_map(hyperbolic(4, 1.0), "biharmonic_vector_field")
     member = np.array([0.0, 1.0, 0.0, 0.0])
-    local_dim, null_basis = _local_structure(cubic, member)
+    (local_dim,), (null_basis,) = _local_structure(cubic, member[None, :])
     assert local_dim == 2
     np.testing.assert_array_equal(np.linalg.norm(null_basis, axis=1)[:2], 0.0)
     if pole_first:

@@ -1,4 +1,5 @@
-"""Property tests of the classifier's polynomial maps.
+"""Property tests of the classifier's polynomial maps and of its
+least-squares kernel.
 
 Every defining expression is the odd cubic ``E(V) = V M + K(V, V, V)``, with
 ``M`` and ``K`` built once per model and problem from the einsum frame
@@ -6,6 +7,12 @@ calculus.  Over random ``su2`` scales, half-spaces of dimension 2 to 5,
 ``sol3``, each problem and random unit batches, the map must reproduce that
 einsum oracle, its exact Jacobian must match the oracle's central
 difference, and it must be odd.  Bounds scale with the size of the tensors.
+
+The Gauss-Newton steps are solved by a batched Householder kernel that
+hands ill-conditioned systems to ``pinv``.  Over dimensions 2 to 5 with
+graded column scales, a step the kernel keeps must be ``pinv``'s to within
+a fixed multiple of ``cond * eps``, and a system with exactly dependent
+columns must never be kept.
 """
 
 from __future__ import annotations
@@ -17,9 +24,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torusfield.liegroups import (
+    _LEAST_SQUARES_COND,
     _PROBLEMS,
     _cubic_map,
     _defining_expression,
+    _least_squares,
     _tangent_part,
     hyperbolic,
     sol3,
@@ -78,3 +87,40 @@ def test_exact_jacobian_is_the_oracle_central_difference(case):
 def test_polynomial_map_is_odd(case):
     _, _, cubic, V, _ = case
     assert np.array_equal(cubic.expression(-V), -cubic.expression(V))
+
+
+@st.composite
+def graded_systems(draw):
+    """Stacked (count, dim + 1, dim) systems whose column scales span up to
+    nine decades, so that some condition estimates pass the fallback limit."""
+    dim = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 16))
+    scales = 10.0 ** rng.uniform(-draw(st.integers(0, 9)), 0.0, (count, 1, dim))
+    return rng.standard_normal((count, dim + 1, dim)) * scales, rng
+
+
+@given(graded_systems())
+def test_least_squares_kernel_keeps_only_steps_that_match_pinv(system):
+    A, rng = system
+    # consistent right-hand sides, so that the step's error is first order
+    # in cond: |dx| <= C cond eps |x| (Golub & Van Loan, 5.3)
+    count, _, dim = A.shape
+    b = np.einsum("nij,nj->ni", A, rng.standard_normal((count, dim)))
+    step, cond = _least_squares(A, b)
+    reference = np.einsum("nij,nj->ni", np.linalg.pinv(A), b)
+    kept = cond <= _LEAST_SQUARES_COND
+    gap = np.linalg.norm(step - reference, axis=1)
+    bound = 64.0 * cond * np.finfo(float).eps * np.linalg.norm(reference, axis=1)
+    assert np.all(gap[kept] <= bound[kept])
+
+
+@given(graded_systems(), st.integers(-3, 3), st.booleans())
+def test_least_squares_kernel_sends_dependent_columns_to_the_fallback(system, power, zero):
+    A, rng = system
+    dim = A.shape[2]
+    source, copy = rng.choice(dim, size=2, replace=False)
+    # a power-of-two multiple (or zero) is exactly dependent in floating point
+    A[:, :, copy] = 0.0 if zero else 2.0**power * A[:, :, source]
+    _, cond = _least_squares(A, rng.standard_normal(A.shape[:2]))
+    assert not np.any(cond <= _LEAST_SQUARES_COND)

@@ -276,6 +276,11 @@ def test_tolerance_below_roundoff_stagnates():
     assert len(history) - 1 - int(np.argmin(history)) <= 2 * _STAGNATION_WINDOW
 
 
+#: a single-eigenvalue exponent of one variable: the trivial class's source
+#: vanishes identically, the other classes' sources do not
+ZERO_SOURCE_U = "0.3*cos(2pi*x)"
+
+
 @pytest.mark.parametrize(
     "grid, u",
     [
@@ -283,6 +288,9 @@ def test_tolerance_below_roundoff_stagnates():
         ("24", "0.6*sin(2pi*x)+0.6*cos(2pi*y)"),
         ("32", "1.2*sin(2pi*x)+0.6*cos(2pi*y)"),
         ("128", "0.3*sin(2pi*(3*x+4*y))+0.3*cos(2pi*(5*y))"),
+        ("8", ZERO_SOURCE_U),
+        ("48x40", ZERO_SOURCE_U),
+        ("128", ZERO_SOURCE_U),
     ],
 )
 def test_vanishing_source_returns_the_representative(grid, u, monkeypatch):
@@ -296,6 +304,19 @@ def test_vanishing_source_returns_the_representative(grid, u, monkeypatch):
     theta, report = solve_homotopy_class(cs, cls)
     assert report.iterations == 0
     assert theta.periodic.max_abs() == 0.0
+
+
+@pytest.mark.parametrize("grid", ["8", "48x40", "128"])
+@pytest.mark.filterwarnings("ignore:angle field is spectrally under-resolved")
+def test_nontrivial_class_on_a_zero_source_structure_is_solved(grid):
+    # the same structures as the trivial class above, whose source vanishes:
+    # class (1, 0)'s does not, and must stay above the floor on every grid
+    # (8^2 under-resolves the field, which warns)
+    cs, cls, opts = realize(RunConfig(grid=grid, u=ZERO_SOURCE_U, winding=(1, 0)))
+    theta, report = solve_homotopy_class(cs, cls, opts)
+    assert report.iterations >= 1
+    assert report.final_relative_residual <= opts.tolerance
+    assert theta.periodic.max_abs() > 0.0
 
 
 @pytest.mark.parametrize("amplitude", [1e-6, 1e-9])
