@@ -14,7 +14,10 @@ Jacobian ``M^T + 3 K(V, V, .)``) and the checks against the known
 closed-form sets run on the tensors.  A Gauss-Newton sweep solves its steps
 in one batched Householder QR (``pinv`` only above ``_LEAST_SQUARES_COND``):
 the eight comparisons of acceptance criterion 7 take 0.92 s, not 1.73 s
-with ``pinv`` throughout (2-core Xeon, NumPy 2.4, one BLAS thread).
+with ``pinv`` throughout (2-core Xeon, NumPy 2.4, one BLAS thread).  The
+cell-hash clusters are merged in the same pass that classifies them, each
+fragment joining the component of its signature as it is found, and a
+latitude family is sampled once, by its first fragment.
 
 Supported models: ``su2`` (compact, three bracket scales), ``sol3``
 (solvable), ``hyperbolic`` (half-space of curvature ``-c^2`` in any
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -101,9 +104,9 @@ class LeftInvariantModel:
 
 
 def su2(lam1: float, lam2: float, lam3: float) -> LeftInvariantModel:
-    """Compact model: bracket scales lam1 >= lam2 >= lam3 > 0."""
-    if not (lam1 >= lam2 >= lam3 > 0):
-        raise ValueError("bracket scales must satisfy lam1 >= lam2 >= lam3 > 0")
+    """Compact model: finite bracket scales lam1 >= lam2 >= lam3 > 0."""
+    if not (np.inf > lam1 >= lam2 >= lam3 > 0):
+        raise ValueError("bracket scales must be finite with lam1 >= lam2 >= lam3 > 0")
     half_sum = 0.5 * (lam1 + lam2 + lam3)
     mu = np.array([half_sum - lam1, half_sum - lam2, half_sum - lam3])
     gamma = np.zeros((3, 3, 3))
@@ -130,8 +133,8 @@ def hyperbolic(n: int, c: float) -> LeftInvariantModel:
     """Half-space model of constant curvature -c^2 in dimension n >= 2."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    if not c > 0:
-        raise ValueError("curvature scale must be positive")
+    if not np.inf > c > 0:
+        raise ValueError("curvature scale must be positive and finite")
     gamma = np.zeros((n, n, n))
     for i in range(1, n):
         gamma[i, i, 0] = c
@@ -520,7 +523,7 @@ def _local_structure(cubic: _CubicMap, V: NDArray) -> tuple[NDArray, NDArray]:
 
 def _latitude_family(
     cubic: _CubicMap, members: NDArray, null_basis: NDArray, threshold: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator, found: Sequence[CriticalComponent] = (),
 ) -> tuple[int, float, float, bool]:
     """``(axis, value, radius, holds)`` of the latitude {V_axis = value} an
     extended cluster lies on; when no latitude holds, the top-ranked
@@ -531,7 +534,8 @@ def _latitude_family(
     tangent-orthogonal at once, so candidates are ranked by row norm plus
     member spread and the first whose whole latitude (not just the cluster
     that suggested it) solves the system wins; an axis along which the
-    family collapses to a pole is skipped for the next one.
+    family collapses to a pole is skipped for the next one.  A candidate with the
+    signature of a family ``found`` so far holds unsampled: it was sampled then.
     """
     row_norms = np.linalg.norm(null_basis, axis=1)
     spreads = members.max(axis=0) - members.min(axis=0)
@@ -541,6 +545,8 @@ def _latitude_family(
         radius = float(np.sqrt(max(0.0, 1.0 - value * value)))
         top = top or (axis, value, radius, False)
         if radius > 1e-3:
+            if any(c.axis == axis and abs(c.value - value) <= _SIGNATURE_TOL for c in found):
+                return axis, value, radius, True
             latitude = _latitude_predicate(axis, value, members.shape[1])
             points = latitude.sample(rng, 16, members.shape[1])
             points /= np.linalg.norm(points, axis=-1, keepdims=True)
@@ -565,9 +571,10 @@ def classify(
 
     Dense deterministic sampling, batched Gauss-Newton refinement,
     clustering of converged solutions into points and latitude-type
-    families, and a local-dimension measurement per component.  Ambiguous
-    clusterings (two components closer than twice the merge tolerance) are
-    flagged rather than silently merged.
+    families, and a local-dimension measurement per component.  In one pass
+    over the clusters, each joins the component with its signature as it is
+    found (see :func:`_merge_fragment`); near-collisions are flagged as
+    ambiguous rather than silently merged.
     """
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem: {problem!r}")
@@ -580,13 +587,9 @@ def classify(
     initial, scale = cubic.scaled_residual(samples)
     threshold = _CONVERGED_REL * scale
     if np.mean(initial <= 1e-9 * scale) > 0.999:
-        component = CriticalComponent(
-            "full_sphere", _subsample(samples), None, None, None, model.dim - 1
-        )
-        return CriticalSet(
-            kind="full_sphere", components=(component,), ambiguous=False,
-            samples=len(samples), converged=int(np.sum(initial <= 1e-9 * scale)), clusters=1,
-        )
+        sphere = CriticalComponent("full_sphere", _subsample(samples), None, None, None, model.dim - 1)
+        return CriticalSet(kind="full_sphere", components=(sphere,), ambiguous=False, clusters=1,
+                           samples=len(samples), converged=int(np.sum(initial <= 1e-9 * scale)))
 
     refined, sweeps, fallback = _refine(cubic, samples, threshold)
     residual = np.linalg.norm(cubic.residual(refined), axis=-1)
@@ -595,8 +598,8 @@ def classify(
     if len(solutions) == 0:
         return CriticalSet(kind="empty", components=(), ambiguous=False, **counts)
 
-    raw_components: list[CriticalComponent] = []
-    unresolved = False
+    components: list[CriticalComponent] = []
+    ambiguous = False
     clusters = [solutions[indices] for indices in _cluster_indices(solutions)]
     representatives = np.empty((len(clusters), model.dim))
     for index, members in enumerate(clusters):
@@ -607,41 +610,34 @@ def classify(
     for members, representative, local_dim, null_basis in zip(
         clusters, representatives, nullities.tolist(), null_bases
     ):
-        if local_dim > 0:  # the solution manifold is extended here
-            axis, value, radius, holds = _latitude_family(cubic, members, null_basis, threshold, rng)
-            if holds:
-                kind = "circle" if local_dim == 1 else "hypersphere"
-                raw_components.append(
-                    CriticalComponent(kind, _subsample(members), axis, value, radius, local_dim)
-                )
-                continue
-            if radius > 1e-3:
-                # extended but not of the latitude type: report the raw
-                # cluster and flag the classification as unresolved
-                unresolved = True
-                raw_components.append(
-                    CriticalComponent("cluster", _subsample(members), None, None, None, local_dim)
-                )
-                continue
-            # radius ~ 0: a degenerate pole, an isolated point whose
-            # linearization happens to vanish
-        witness = representative.copy()
-        # degenerate roots converge slowly, leaving the witness a little
-        # off; when a signed coordinate axis sits nearby and itself solves
-        # the system exactly, adopt it (verified, not assumed)
-        nearest_axis = int(np.argmax(np.abs(witness)))
-        candidate = np.zeros(model.dim)
-        candidate[nearest_axis] = np.sign(witness[nearest_axis])
-        if np.linalg.norm(witness - candidate) <= 1e-3:
-            candidate_residual = float(np.linalg.norm(cubic.residual(candidate)))
-            if candidate_residual <= threshold:
-                witness = candidate
-        raw_components.append(
-            CriticalComponent("point", witness[None, :], None, None, None, local_dim)
+        # the solution manifold is extended where local_dim > 0; a latitude of radius
+        # ~ 0 is a degenerate pole, an isolated point whose linearization vanishes
+        axis, value, radius, holds = (
+            _latitude_family(cubic, members, null_basis, threshold, rng, components)
+            if local_dim > 0 else (None, None, 0.0, False)
         )
+        if holds:
+            kind = "circle" if local_dim == 1 else "hypersphere"
+            fragment = CriticalComponent(kind, _subsample(members), axis, value, radius, local_dim)
+        elif radius > 1e-3:
+            # extended but not of the latitude type: report the raw cluster
+            # and flag the classification as unresolved
+            ambiguous = True
+            fragment = CriticalComponent("cluster", _subsample(members), None, None, None, local_dim)
+        else:
+            witness = representative.copy()
+            # degenerate roots converge slowly, leaving the witness a little
+            # off; when a signed coordinate axis sits nearby and itself solves
+            # the system exactly, adopt it (verified, not assumed)
+            nearest_axis = int(np.argmax(np.abs(witness)))
+            candidate = np.zeros(model.dim)
+            candidate[nearest_axis] = np.sign(witness[nearest_axis])
+            near = np.linalg.norm(witness - candidate) <= 1e-3
+            if near and np.linalg.norm(cubic.residual(candidate)) <= threshold:
+                witness = candidate
+            fragment = CriticalComponent("point", witness[None, :], None, None, None, local_dim)
+        ambiguous |= _merge_fragment(components, fragment)
 
-    components, ambiguous = _merge_components(raw_components)
-    ambiguous = ambiguous or unresolved
     kinds = {c.kind for c in components}
     aggregate = _AGGREGATES.get(kinds.pop(), "mixed") if len(kinds) == 1 else "mixed"
     return CriticalSet(
@@ -650,43 +646,30 @@ def classify(
     )
 
 
-def _merge_components(
-    raw: list[CriticalComponent],
-) -> tuple[list[CriticalComponent], bool]:
-    """Merge fragments with identical signatures; flag near-collisions."""
-    merged: list[CriticalComponent] = []
-    ambiguous = False
-    for component in raw:
-        if component.kind == "cluster":
-            merged.append(component)
-            continue
-        target = None
-        for existing in merged:
-            if existing.kind != component.kind:
-                continue
-            if component.kind == "point":
-                gap = float(np.linalg.norm(existing.witnesses[0] - component.witnesses[0]))
-                if gap <= _SIGNATURE_TOL:
-                    target = existing
-                elif gap <= 2.0 * _CLUSTER_RADIUS:
-                    ambiguous = True
-            else:
-                if existing.axis != component.axis:
-                    continue
-                gap = abs((existing.value or 0.0) - (component.value or 0.0))
-                if gap <= _SIGNATURE_TOL:
-                    target = existing
-                elif gap <= 10.0 * _SIGNATURE_TOL:
-                    ambiguous = True
-            if target is not None:
-                break
-        if target is None:
-            merged.append(component)
+def _merge_fragment(components: list[CriticalComponent], fragment: CriticalComponent) -> bool:
+    """Join the fragment to the component of its signature, which moves to the
+    end of ``components``, or append it; True when it also falls in another's
+    near-collision band.  Signatures: points within ``_SIGNATURE_TOL`` (band
+    ``2 * _CLUSTER_RADIUS``), families on one axis with values within
+    ``_SIGNATURE_TOL`` (band ``10 * _SIGNATURE_TOL``); clusters never join."""
+    target, ambiguous = None, False
+    alike = [c for c in components if c.kind == fragment.kind and c.axis == fragment.axis]
+    for existing in alike if fragment.kind != "cluster" else ():
+        if fragment.kind == "point":
+            gap = float(np.linalg.norm(existing.witnesses[0] - fragment.witnesses[0]))
+            band = 2.0 * _CLUSTER_RADIUS
         else:
-            merged = [m for m in merged if m is not target]
-            witnesses = np.concatenate([target.witnesses, component.witnesses])
-            merged.append(replace(target, witnesses=witnesses, dim=max(target.dim, component.dim)))
-    return merged, ambiguous
+            gap, band = abs(existing.value - fragment.value), 10.0 * _SIGNATURE_TOL
+        if gap <= _SIGNATURE_TOL and target is None:
+            target = existing
+        elif gap <= band:
+            ambiguous = True
+    if target is not None:
+        components.remove(target)
+        witnesses = np.concatenate([target.witnesses, fragment.witnesses])
+        fragment = replace(target, witnesses=witnesses, dim=max(target.dim, fragment.dim))
+    components.append(fragment)
+    return ambiguous
 
 
 ### Regression against the known closed-form solution sets

@@ -77,6 +77,24 @@ def _differences(
     return (plus - minus) / (2.0 * np.sin(h)), (plus - 2.0 * base + minus) / (h * h)
 
 
+def halving_check(
+    cs: ConformalStructure, theta: AngleField, base: float, beta: ScalarField
+) -> tuple[float, float, bool, str]:
+    """:func:`hessian_form` along ``beta``, the energy's first variation at
+    ``theta`` (``base`` is the energy there), a verdict and its note: the form
+    is nonnegative and its gap to the energy's second difference shrinks like
+    ``h^2`` from ``h = 1e-3`` to ``5e-4`` (ratio in [3.5, 4.5]), as only the
+    Hessian's does.  The energy is quadratic, so any base will do."""
+    quadratic = hessian_form(cs, beta)
+    first, second = _differences(cs, theta, base, beta, 1e-3)
+    wide = abs(quadratic - second)
+    # below the quadrature noise floor the ratio is meaningless, so small gaps pass
+    if wide <= 1e-9 * max(1.0, abs(quadratic)):
+        return quadratic, first, quadratic >= 0.0, "gap at noise floor"
+    ratio = wide / max(abs(quadratic - _differences(cs, theta, base, beta, 5e-4)[1]), 1e-300)
+    return quadratic, first, quadratic >= 0.0 and 3.5 <= ratio <= 4.5, f"halving ratio {ratio:.2f}"
+
+
 def hessian_vs_energy_check(
     cs: ConformalStructure, theta_star: AngleField, beta: ScalarField, h: float = 1e-3
 ) -> HessianSample:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from torusfield import cli, energy, solver, stability
+from torusfield import cli, conformal, energy, solver, stability
 from torusfield.cli import main
 from torusfield.io import read_field_csv
 from torusfield.lattice import VectorFieldFlat
@@ -174,6 +174,32 @@ def test_verify_curved_torus_passes_everything(capsys):
     assert "FAIL" not in out
 
 
+def _transport_scaled(kernel, spectrum, factor=0.99):
+    out = kernel.bilaplacian_spectrum(spectrum)
+    for d in (kernel.d1, kernel.d2):
+        out -= factor * d * np.fft.rfft2(kernel.kg_sq * np.fft.irfft2(d * spectrum))
+    return out
+
+
+def _weighted_by_eu(kernel, spectrum):
+    out = kernel.lap * np.fft.rfft2(np.sqrt(kernel.e2u) * np.fft.irfft2(kernel.lap * spectrum))
+    for d in (kernel.d1, kernel.d2):
+        out -= d * np.fft.rfft2(kernel.kg_sq * np.fft.irfft2(d * spectrum))
+    return out
+
+
+@pytest.mark.parametrize("broken", [_transport_scaled, _weighted_by_eu])
+def test_verify_fails_a_kernel_that_is_not_the_energys_hessian(capsys, monkeypatch, broken):
+    # both kernels stay symmetric, so only the comparison with the energy's
+    # second differences can see them
+    monkeypatch.setattr(conformal._Kernel, "apply_spectrum", broken)
+    code, out = run(capsys, "verify", "--grid", "16", "--u", "0.2*sin(2pi*x)+0.1*cos(2pi*y)")
+    assert code == 1
+    assert "PASS operator-self-adjointness" in out
+    assert "FAIL second-variation-matches-energy" in out
+    assert out.splitlines()[-1] == "1 of 8 checks failed"
+
+
 ### stability
 
 
@@ -300,6 +326,20 @@ def test_lie_sol3_full_problem_compare_is_usage_error(capsys):
 def test_lie_parameter_validation(capsys, argv):
     code, _ = run(capsys, *argv)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [("hyperbolic", "inf,1"), ("hyperbolic", "1e400,1"), ("hyperbolic", "3,inf"), ("su2", "inf,1,1")],
+)
+def test_lie_rejects_nonfinite_parameters(capsys, model, params):
+    # an infinite dimension used to overflow int(); an infinite scale built
+    # a model of NaNs that classified as empty
+    code = main(["lie", "--model", model, "--params", params])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ import contextlib
 import io
 from pathlib import Path
 
+from torusfield import liegroups
 from torusfield.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "lie.txt"
@@ -44,15 +45,40 @@ def render() -> str:
                 argv += ["--params", params]
             if compare:
                 argv.append("--compare")
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            lines.append(f"$ {' '.join(argv)} -> {code}\n{out.getvalue()}{err.getvalue()}")
+            lines.append(capture(argv))
     return "".join(lines)
+
+
+def capture(argv: list[str]) -> str:
+    """``$ argv -> exit code`` followed by what the command printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"$ {' '.join(argv)} -> {code}\n{out.getvalue()}{err.getvalue()}"
 
 
 def test_lie_output_matches_golden_text():
     assert render() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_split_clusters_print_what_whole_clusters_print(monkeypatch):
+    # every cluster cut into two interleaved halves: the fragments of one
+    # component must merge back, so the printed classification cannot move
+    cases = [
+        ["lie", "--model", "su2", "--params", "2,2,1", "--resolution", "4000"],
+        ["lie", "--model", "hyperbolic", "--params", "3,1",
+         "--problem", "biharmonic-vector-field", "--resolution", "8000"],
+        ["lie", "--model", "sol3", "--compare", "--resolution", "4000"],
+    ]
+    whole = [capture(argv) for argv in cases]
+    cluster_indices = liegroups._cluster_indices
+
+    def halved(points):
+        return [half for indices in cluster_indices(points)
+                for half in (indices[0::2], indices[1::2]) if len(half)]
+
+    monkeypatch.setattr(liegroups, "_cluster_indices", halved)
+    assert [capture(argv) for argv in cases] == whole
 
 
 if __name__ == "__main__":

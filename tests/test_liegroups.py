@@ -6,14 +6,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from torusfield import liegroups
 from torusfield.liegroups import (
     _CONVERGED_REL,
     _NEWTON_ITERATIONS,
+    CriticalComponent,
     LeftInvariantModel,
     _cluster_indices,
     _cubic_map,
     _latitude_family,
     _local_structure,
+    _merge_fragment,
     _sphere_samples,
     classify,
     compare_known,
@@ -65,6 +68,16 @@ def test_hyperbolic_rejects_bad_parameters():
         hyperbolic(3, 0.0)
     with pytest.raises(ValueError):
         hyperbolic(3, -2.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_models_reject_nonfinite_parameters(bad):
+    with pytest.raises(ValueError, match="finite"):
+        su2(bad, 1.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        su2(2.0, 1.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        hyperbolic(3, bad)
 
 
 def test_su2_connection_table():
@@ -551,3 +564,100 @@ def test_compare_known_confirms_su2_equivalence():
 def test_compare_known_refuses_unclassified_problem():
     with pytest.raises(ValueError):
         compare_known(sol3(), "biharmonic_vector_field")
+
+
+### The merge rule: fragments of one component join as they are found
+
+
+def _fragment(kind, witness, axis=None, value=None, dim=0):
+    radius = None if value is None else float(np.sqrt(1.0 - value * value))
+    return CriticalComponent(kind, np.atleast_2d(witness).astype(float), axis, value, radius, dim)
+
+
+def _merged(fragments):
+    components: list[CriticalComponent] = []
+    ambiguous = False
+    for fragment in fragments:
+        ambiguous |= _merge_fragment(components, fragment)
+    return components, ambiguous
+
+
+def test_fragments_within_tolerance_merge_at_the_last_fragments_position():
+    north = np.array([0.0, 0.0, 1.0])
+    east = np.array([1.0, 0.0, 0.0])
+    nudge = np.array([5e-5, 0.0, 0.0])
+    fragments = [
+        _fragment("point", north),
+        _fragment("circle", [0.0, 1.0, 0.0], axis=2, value=0.0, dim=1),
+        _fragment("point", east),
+        _fragment("point", north + nudge, dim=1),
+        _fragment("circle", [0.0, -1.0, 5e-5], axis=2, value=5e-5, dim=2),
+    ]
+    components, ambiguous = _merged(fragments)
+    assert not ambiguous
+    assert [c.kind for c in components] == ["point", "point", "circle"]
+    east_point, north_point, circle = components
+    np.testing.assert_array_equal(east_point.witnesses, [east])
+    np.testing.assert_array_equal(north_point.witnesses, [north, north + nudge])
+    assert north_point.dim == 1
+    np.testing.assert_array_equal(circle.witnesses, [[0.0, 1.0, 0.0], [0.0, -1.0, 5e-5]])
+    assert (circle.axis, circle.value, circle.dim) == (2, 0.0, 2)
+
+
+def test_families_on_one_axis_5e_4_apart_stay_separate_and_are_ambiguous():
+    first = _fragment("circle", [0.0, 1.0, 0.0], axis=2, value=0.0, dim=1)
+    second = _fragment("circle", [0.0, 1.0, 5e-4], axis=2, value=5e-4, dim=1)
+    components, ambiguous = _merged([first, second])
+    assert components == [first, second] and ambiguous
+    # the same values on another axis are another family, far from this one
+    other = _fragment("circle", [1.0, 0.0, 0.0], axis=1, value=5e-4, dim=1)
+    components, ambiguous = _merged([first, other])
+    assert components == [first, other] and not ambiguous
+
+
+def test_points_0_05_apart_stay_separate_and_are_ambiguous():
+    first = _fragment("point", [0.0, 0.0, 1.0])
+    second = _fragment("point", [0.05, 0.0, np.sqrt(1.0 - 0.05**2)])
+    components, ambiguous = _merged([first, second])
+    assert components == [first, second] and ambiguous
+    far = _fragment("point", [1.0, 0.0, 0.0])
+    components, ambiguous = _merged([first, far])
+    assert components == [first, far] and not ambiguous
+
+
+def test_cluster_fragments_never_merge():
+    first = _fragment("cluster", [0.0, 0.0, 1.0], dim=1)
+    second = _fragment("cluster", [0.0, 0.0, 1.0], dim=1)
+    components, ambiguous = _merged([first, second])
+    assert components == [first, second] and not ambiguous
+
+
+def test_classify_samples_each_latitude_once(monkeypatch):
+    # hyperbolic 4-space splits its three hyperspheres into hundreds of
+    # fragments; only the first fragment of each samples its latitude
+    sampled = []
+    sample = liegroups._Predicate.sample
+
+    def recorded(self, rng, count, dim):
+        sampled.append((self.axis, round(self.value, 6)))
+        return sample(self, rng, count, dim)
+
+    monkeypatch.setattr(liegroups._Predicate, "sample", recorded)
+    cases = [
+        (su2(1.0, 1.0, 1.0), "biharmonic_section", 3000),
+        (su2(2.0, 2.0, 1.0), "biharmonic_section", 4000),
+        (su2(2.0, 1.0, 1.0), "biharmonic_section", 4000),
+        (su2(2.0, 1.5, 1.0), "biharmonic_section", 4000),
+        (sol3(), "biharmonic_section", 4000),
+        (hyperbolic(3, 1.0), "biharmonic_vector_field", 8000),
+        (hyperbolic(4, 1.0), "biharmonic_vector_field", 8000),
+        (hyperbolic(3, 2.0), "biharmonic_vector_field", 4000),
+    ]
+    counts = {}
+    for model, problem, resolution in cases:
+        sampled.clear()
+        clusters = classify(model, problem, resolution=resolution).clusters
+        assert len(set(sampled)) == len(sampled)
+        counts[model.name, model.dim, model.params] = (clusters, len(sampled))
+    assert counts["hyperbolic", 4, (1.0,)] == (503, 3)
+    assert sum(sampled for _, sampled in counts.values()) == 14
