@@ -84,7 +84,10 @@ def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
         bending energy, and the curved area.
     """
     cs._check(theta.lattice)
-    if resolution_fraction(theta.periodic) > RESOLUTION_THRESHOLD:
+    alpha = theta.periodic.values
+    # an angle within an FFT's roundoff of 1 rad is roundoff of (cos theta, sin theta)
+    roundoff = np.sqrt(np.mean(alpha**2)) <= np.finfo(float).eps * np.log2(alpha.size)
+    if not roundoff and resolution_fraction(theta.periodic) > RESOLUTION_THRESHOLD:
         warnings.warn(
             "angle field is spectrally under-resolved; energies are unreliable",
             ResolutionWarning,

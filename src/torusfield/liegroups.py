@@ -392,7 +392,7 @@ def _sphere_samples(dim: int, resolution: int, rng: np.random.Generator) -> NDAr
         grid = np.stack([r * np.cos(azimuth), r * np.sin(azimuth), z], axis=-1)
     else:
         angles = dim - 1
-        per_axis = max(6, int(round(resolution ** (1.0 / angles))))
+        per_axis = max(2, int(round(resolution ** (1.0 / angles))))
         polar = [np.linspace(0.0, np.pi, per_axis) for _ in range(angles - 1)]
         polar.append(np.linspace(0.0, 2.0 * np.pi, per_axis, endpoint=False))
         mesh = np.meshgrid(*polar, indexing="ij")

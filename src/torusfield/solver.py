@@ -18,11 +18,11 @@ exact inverse of the leading-order term flat_lap e^{2u} flat_lap on mean-zero fi
     M r = flat_lap^+[e^{-2u}(flat_lap^+ r + c)],   c = -mean(e^{-2u} flat_lap^+ r) / mean(e^{-2u}),
 
 which keeps iteration counts grid-independent and nearly independent of
-the size of the conformal exponent.  Reports measure criticality on the
-kernel and source the solve holds, weighted by e^{2u} where the curved
-equation is asked for.  The curved assembly (the pointwise multiple
-e^{2u} P, symmetric against the curved area element) survives only as an
-independent oracle.
+the size of the conformal exponent; every class, the trivial one included,
+is one such solve.  Reports measure criticality on the kernel and source
+the solve holds, weighted by e^{2u} where the curved equation is asked
+for.  The curved assembly (the pointwise multiple e^{2u} P, symmetric
+against the curved area element) survives only as an independent oracle.
 
 Two independent verification hooks live here as well, on the same half
 spectra: an inverse-iteration estimate of the smallest Rayleigh quotient of
@@ -43,8 +43,8 @@ from numpy.typing import NDArray
 
 from .angles import AngleField, HomotopyClass
 from .conformal import ConformalStructure, _Kernel
-from .energy import EnergyBreakdown, _source_flux, bienergy, right_hand_side
-from .lattice import LatticeSpec, ScalarField, flat_divergence
+from .energy import EnergyBreakdown, bienergy, right_hand_side
+from .lattice import LatticeSpec, ScalarField
 
 _FORMULATIONS = ("curved", "flat_weighted")
 
@@ -241,7 +241,7 @@ def _report(
 def solve_homotopy_class(
     cs: ConformalStructure, homotopy: HomotopyClass, opts: SolveOptions | None = None
 ) -> tuple[AngleField, SolveReport]:
-    """Solve for the critical angle field in the given winding class.
+    """Solve for the critical angle field in the given winding class by PCG.
 
     Returns the angle field (winding class plus mean-zero periodic part)
     and a report with iteration counts, the final relative residual, the
@@ -249,31 +249,12 @@ def solve_homotopy_class(
     ``opts.formulation``'s weighting, and the wall time.
     """
     opts = opts or SolveOptions()
-    lattice = cs.lattice
     started = time.perf_counter()
-    representative = AngleField(homotopy, ScalarField.from_constant(lattice, 0.0))
-    flux = _source_flux(cs, homotopy)
-    b = flat_divergence(flux)
-
-    # A constant exponent is flat in disguise: its k_g is exactly zero, so the
-    # linear representative is critical and the source vanishes identically.
-    # The source can vanish identically even on a curved structure: when the
-    # squared curvature is a pointwise function of u (any single-eigenvalue
-    # exponent does this), the trivial class's transport term is a Jacobian of
-    # functionally dependent fields.  The assembly then holds only its
-    # roundoff and aliasing, at 5e2 to 6e4 eps n1 n2 kmax |flux| (measured),
-    # and the representative is the exact solution.  PCG converges on such a
-    # source too, but only in 21 to 391 iterations and to max|alpha| up to
-    # 2e-8; sources that do not vanish measured 1e6 and up (grids 8^2 to 512^2).
+    b = right_hand_side(cs, homotopy, "flat_weighted")
     kernel = cs.kernel
-    kmax = np.sqrt(np.max(kernel.lap))
-    floor = 3e5 * np.finfo(float).eps * lattice.n1 * lattice.n2 * kmax
-    if b.max_abs() <= floor * max(flux.comp1.max_abs(), flux.comp2.max_abs()):
-        return representative, _report(cs, representative, opts, b, [0.0], started)
-
-    budget = _iteration_budget(lattice)
+    budget = _iteration_budget(cs.lattice)
     x, history = _pcg(kernel, kernel.precondition_spectrum, b.values, opts.tolerance, budget)
-    theta = AngleField(homotopy, ScalarField(lattice, _project(x)))
+    theta = AngleField(homotopy, ScalarField(cs.lattice, _project(x)))
     return theta, _report(cs, theta, opts, b, history, started)
 
 

@@ -83,15 +83,17 @@ def halving_check(
     """:func:`hessian_form` along ``beta``, the energy's first variation at
     ``theta`` (``base`` is the energy there), a verdict and its note: the form
     is nonnegative and its gap to the energy's second difference shrinks like
-    ``h^2`` from ``h = 1e-3`` to ``5e-4`` (ratio in [3.5, 4.5]), as only the
-    Hessian's does.  The energy is quadratic, so any base will do."""
+    ``h^2`` from ``h = 1e-2`` to ``5e-3`` (ratio in [3.5, 4.5]), as only the
+    Hessian's does.  The energy is quadratic in ``sin(t)``, so any base will
+    do; the ratio is ``4 (1 - h^2/10 + ...)``, and roundoff over gap falls
+    like ``h^-4``."""
     quadratic = hessian_form(cs, beta)
-    first, second = _differences(cs, theta, base, beta, 1e-3)
+    first, second = _differences(cs, theta, base, beta, 1e-2)
     wide = abs(quadratic - second)
     # below the quadrature noise floor the ratio is meaningless, so small gaps pass
     if wide <= 1e-9 * max(1.0, abs(quadratic)):
         return quadratic, first, quadratic >= 0.0, "gap at noise floor"
-    ratio = wide / max(abs(quadratic - _differences(cs, theta, base, beta, 5e-4)[1]), 1e-300)
+    ratio = wide / max(abs(quadratic - _differences(cs, theta, base, beta, 5e-3)[1]), 1e-300)
     return quadratic, first, quadratic >= 0.0 and 3.5 <= ratio <= 4.5, f"halving ratio {ratio:.2f}"
 
 

@@ -468,6 +468,16 @@ def test_classify_counts_its_work():
     assert sphere.converged == sphere.samples
 
 
+@pytest.mark.parametrize("dim", range(3, 11))
+def test_resolution_bounds_the_samples_in_every_dimension(dim):
+    # the points per angle round the resolution's root, at least 2, so up to
+    # dimension 10 the grid holds at most twice the resolution; 64 seeded
+    # points ride along
+    resolution = 20000
+    samples = _sphere_samples(dim, resolution, np.random.default_rng(0))
+    assert len(samples) <= 2 * resolution + 64
+
+
 @pytest.mark.parametrize("pole_first", [False, True])
 def test_pole_collapsed_axis_yields_to_the_next_tangent_orthogonal_one(pole_first):
     # a one-member cluster at a point of the equator {V_0 = 0} of hyperbolic

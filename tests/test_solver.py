@@ -12,7 +12,7 @@ import pytest
 
 from torusfield import angles, energy
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
-from torusfield.conformal import ConformalStructure
+from torusfield.conformal import ConformalStructure, ResolutionWarning
 from torusfield.energy import bienergy, directional_derivative_check, el_residual
 from torusfield.io import RunConfig, realize
 from torusfield.lattice import (
@@ -281,6 +281,43 @@ def test_tolerance_below_roundoff_stagnates():
 ZERO_SOURCE_U = "0.3*cos(2pi*x)"
 
 
+@pytest.mark.parametrize("grid, u", [("8", ZERO_SOURCE_U), ("128", ZERO_SOURCE_U)])
+def test_vanishing_source_returns_the_representative(grid, u):
+    # on these grids the trivial class's source assembles to exactly zero,
+    # on which PCG returns zero without iterating
+    cs, cls, _ = realize(RunConfig(grid=grid, u=u, winding=(0, 0)))
+    theta, report = solve_homotopy_class(cs, cls)
+    assert report.iterations == 0
+    assert theta.periodic.max_abs() == 0.0
+
+
+def _direct_pcg(cs: ConformalStructure, cls: HomotopyClass, tolerance: float) -> np.ndarray:
+    source = right_hand_side(cs, cls, "flat_weighted").values
+    kernel = cs.kernel
+    x, _ = _pcg(kernel, kernel.precondition_spectrum, source, tolerance, _iteration_budget(cs.lattice))
+    return _project(x)
+
+
+@pytest.mark.parametrize(
+    "grid, u",
+    [
+        ("48x40", ZERO_SOURCE_U),
+        ("64", "0.2*sin(2pi*x)+0.1*cos(2pi*y)"),
+        ("256", "0.2*sin(2pi*x)+0.1*cos(2pi*y)"),
+    ],
+)
+def test_resolved_vanishing_source_is_solved_to_roundoff(grid, u):
+    # single-eigenvalue exponents: the trivial class's source vanishes
+    # analytically and its assembly holds only roundoff, which the one PCG
+    # path solves to an angle at roundoff (the report's energy raises no
+    # ResolutionWarning on it)
+    cs, cls, opts = realize(RunConfig(grid=grid, u=u, winding=(0, 0)))
+    theta, report = solve_homotopy_class(cs, cls, opts)
+    assert report.final_relative_residual <= opts.tolerance
+    alpha = theta.periodic
+    assert alpha.max_abs() <= np.finfo(float).eps * np.log2(alpha.values.size)
+
+
 @pytest.mark.parametrize(
     "grid, u",
     [
@@ -288,30 +325,54 @@ ZERO_SOURCE_U = "0.3*cos(2pi*x)"
         ("24", "0.6*sin(2pi*x)+0.6*cos(2pi*y)"),
         ("32", "1.2*sin(2pi*x)+0.6*cos(2pi*y)"),
         ("128", "0.3*sin(2pi*(3*x+4*y))+0.3*cos(2pi*(5*y))"),
-        ("8", ZERO_SOURCE_U),
-        ("48x40", ZERO_SOURCE_U),
-        ("128", ZERO_SOURCE_U),
     ],
 )
-def test_vanishing_source_returns_the_representative(grid, u, monkeypatch):
-    # single-eigenvalue exponents, so the trivial class's source vanishes
-    # identically; on these grids aliasing lifts its assembly to 1e-9..1e-6
-    # of its inputs, on which PCG would run 21 to 391 iterations to a
-    # nonzero alpha (the budget is kept short, so that a wrong verdict
-    # fails fast)
-    monkeypatch.setattr("torusfield.solver._iteration_budget", lambda lattice: 1000)
-    cs, cls, _ = realize(RunConfig(grid=grid, u=u, winding=(0, 0)))
-    theta, report = solve_homotopy_class(cs, cls)
-    assert report.iterations == 0
-    assert theta.periodic.max_abs() == 0.0
+def test_aliased_vanishing_source_takes_the_one_solve_path(grid, u):
+    # the same vanishing source, lifted by aliasing to 1e-9..1e-6 of its
+    # inputs: the solve is PCG on the assembled source like any other, and
+    # its under-resolved angle (up to 2e-8) warns
+    cs, cls, opts = realize(RunConfig(grid=grid, u=u, winding=(0, 0)))
+    with pytest.warns(ResolutionWarning):
+        theta, report = solve_homotopy_class(cs, cls, opts)
+    assert report.final_relative_residual <= opts.tolerance
+    assert np.array_equal(theta.periodic.values, _direct_pcg(cs, cls, opts.tolerance))
+
+
+@pytest.mark.parametrize(
+    "grid, u",
+    [
+        ("64", "0.3*cos(2pi*x)+1e-06*sin(2pi*(x+y))"),
+        ("256", "0.3*cos(2pi*x)+1e-05*sin(2pi*(x+y))"),
+        ("512", "0.3*cos(2pi*x)+0.0001*sin(2pi*(x+2*y))"),
+    ],
+)
+def test_small_trivial_class_source_is_not_zeroed(grid, u):
+    # a weak second mode gives the trivial class a small real source (5e-5,
+    # 5e-4 and 4e-2 of the flux): it is solved, not taken for roundoff
+    cs, cls, opts = realize(RunConfig(grid=grid, u=u, winding=(0, 0)))
+    theta, report = solve_homotopy_class(cs, cls, opts)
+    assert report.iterations >= 1
+    alpha = theta.periodic.values
+    reference = _direct_pcg(cs, cls, 1e-12)
+    assert np.max(np.abs(alpha - reference)) <= 1e-10 * np.max(np.abs(alpha))
+
+
+def test_solutions_are_affine_in_the_class_at_a_fine_grid():
+    # the source is affine in (m, n) and the operator does not depend on it
+    cs, _, opts = realize(RunConfig(grid="256", u="0.3*cos(2pi*x)+1e-05*sin(2pi*(x+y))"))
+    alpha = {
+        (m, n): solve_homotopy_class(cs, HomotopyClass(m, n), opts)[0].periodic.values
+        for m, n in [(0, 0), (1, 0), (0, 1), (1, 1)]
+    }
+    gap = np.max(np.abs(alpha[1, 1] - alpha[1, 0] - alpha[0, 1] + alpha[0, 0]))
+    assert gap <= 1e-10 * np.max(np.abs(alpha[1, 0]))
 
 
 @pytest.mark.parametrize("grid", ["8", "48x40", "128"])
 @pytest.mark.filterwarnings("ignore:angle field is spectrally under-resolved")
 def test_nontrivial_class_on_a_zero_source_structure_is_solved(grid):
     # the same structures as the trivial class above, whose source vanishes:
-    # class (1, 0)'s does not, and must stay above the floor on every grid
-    # (8^2 under-resolves the field, which warns)
+    # class (1, 0)'s does not (8^2 under-resolves the field, which warns)
     cs, cls, opts = realize(RunConfig(grid=grid, u=ZERO_SOURCE_U, winding=(1, 0)))
     theta, report = solve_homotopy_class(cs, cls, opts)
     assert report.iterations >= 1
