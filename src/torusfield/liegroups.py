@@ -392,7 +392,11 @@ def _sphere_samples(dim: int, resolution: int, rng: np.random.Generator) -> NDAr
         grid = np.stack([r * np.cos(azimuth), r * np.sin(azimuth), z], axis=-1)
     else:
         angles = dim - 1
-        per_axis = max(2, int(round(resolution ** (1.0 / angles))))
+        # the largest count whose grid fits the resolution, at least 2; the
+        # float root may fall short of an exact power (8000 ** (1/3) is 19.999...)
+        per_axis = max(2, int(resolution ** (1.0 / angles)))
+        while (per_axis + 1) ** angles <= resolution:
+            per_axis += 1
         polar = [np.linspace(0.0, np.pi, per_axis) for _ in range(angles - 1)]
         polar.append(np.linspace(0.0, 2.0 * np.pi, per_axis, endpoint=False))
         mesh = np.meshgrid(*polar, indexing="ij")

@@ -75,6 +75,52 @@ def test_unreachable_tolerance_exits_one(capsys):
     assert "stagnated at best relative residual" in capsys.readouterr().err
 
 
+SUMMARY = re.compile(
+    r"class \((-?\d+), (-?\d+)\): \d+ iterations, relative residual \S+, bienergy (\S+)"
+)
+
+
+def test_solve_classes_prints_each_class_and_the_least_energy(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    geometry = ("--grid", "16", "--u", "0.2*sin(2pi*x)")
+    code, out = run(capsys, "solve", *geometry, "--classes=-1:1,-1:1")
+    assert code == 0
+    *lines, least = out.splitlines()
+    classes = [(m, n) for m in range(-1, 2) for n in range(-1, 2)]
+    assert [tuple(map(int, SUMMARY.fullmatch(line).groups()[:2])) for line in lines] == classes
+    # each line is what the one-class solve prints
+    for (m, n), line in zip(classes, lines):
+        assert run(capsys, "solve", *geometry, "--class", str(m), str(n)) == (0, line + "\n")
+    energies = {klass: float(SUMMARY.fullmatch(line).group(3)) for klass, line in zip(classes, lines)}
+    m, n = min(energies, key=energies.get)
+    assert least == f"least energy: class ({m}, {n}), bienergy {energies[m, n]:.12g}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--class", "1", "0"),
+        ("--outputs", "csv"),
+        ("--outputs", "json", "--outdir", "out"),
+    ],
+)
+def test_solve_classes_refuses_a_single_class_and_artifacts(capsys, tmp_path, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    code = main(["solve", "--grid", "16", "--u", "0.2*sin(2pi*x)", "--classes=0:1,0:1", *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --classes")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["1:0,0:0", "0:1", "0:1,0:x", "1,0", "0:1;0:1"])
+def test_solve_classes_wants_two_ascending_ranges(capsys, text):
+    assert main(["solve", "--grid", "16", "--u", "0", f"--classes={text}"]) == 2
+    assert capsys.readouterr().err.startswith("error: --classes wants")
+
+
 ### config files
 
 

@@ -225,16 +225,33 @@ def test_solve_makes_eight_transforms_per_iteration(monkeypatch):
     # bienergy 3 + 3)
     lattice = LatticeSpec((1.0, 0.0), (0.5, 1.5), 16, 12)
     cs = _structure(lattice, np.random.default_rng(0), 2, 0.3)
-    # the first solve also derives what the structure keeps (kg, J grad u)
+    # the first solve also derives what the structure keeps (kg, J grad u);
+    # basis class (1, 0) is not solved yet
     solve_homotopy_class(cs, HomotopyClass(0, 1))
     solved = []
     counts = _count_transforms(
-        monkeypatch, lambda: solved.append(solve_homotopy_class(cs, HomotopyClass(1, -1)))
+        monkeypatch, lambda: solved.append(solve_homotopy_class(cs, HomotopyClass(1, 0)))
     )
     iterations = solved[0][1].iterations
     assert iterations > 0
     assert counts == {"rfft2": 4 * iterations + 10, "irfft2": 4 * iterations + 9}
     assert sum(counts.values()) == 8 * iterations + 19
+
+
+@pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
+def test_class_from_a_cached_basis_runs_no_iteration(monkeypatch):
+    # (2, -1) is 2 alpha(1, 0) - alpha(0, 1), both solved: its source (2 + 1),
+    # the transform of b for its norm, and the report (criticality 4 + 4,
+    # bienergy 3 + 3)
+    lattice = LatticeSpec((1.0, 0.0), (0.5, 1.5), 16, 12)
+    cs = _structure(lattice, np.random.default_rng(0), 2, 0.3)
+    basis = [solve_homotopy_class(cs, HomotopyClass(*klass))[1] for klass in [(1, 0), (0, 1)]]
+    solved = []
+    counts = _count_transforms(
+        monkeypatch, lambda: solved.append(solve_homotopy_class(cs, HomotopyClass(2, -1)))
+    )
+    assert counts == {"rfft2": 10, "irfft2": 8}
+    assert solved[0][1].iterations == sum(report.iterations for report in basis) > 0
 
 
 @pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")

@@ -468,14 +468,23 @@ def test_classify_counts_its_work():
     assert sphere.converged == sphere.samples
 
 
-@pytest.mark.parametrize("dim", range(3, 11))
+@pytest.mark.parametrize("dim", range(3, 13))
 def test_resolution_bounds_the_samples_in_every_dimension(dim):
-    # the points per angle round the resolution's root, at least 2, so up to
-    # dimension 10 the grid holds at most twice the resolution; 64 seeded
-    # points ride along
-    resolution = 20000
-    samples = _sphere_samples(dim, resolution, np.random.default_rng(0))
-    assert len(samples) <= 2 * resolution + 64
+    # the points per angle are the largest count whose grid fits the
+    # resolution, at least 2, so the grid holds at most the resolution
+    # wherever 2 points per angle fit; 64 seeded points ride along
+    for resolution in (1000, 8000, 20000):
+        samples = _sphere_samples(dim, resolution, np.random.default_rng(0))
+        if 2 ** (dim - 1) <= resolution:
+            assert len(samples) <= resolution + 64
+        else:
+            assert len(samples) == 2 ** (dim - 1) + 64
+
+
+def test_an_exact_power_keeps_its_root():
+    # 8000 ** (1/3) is 19.999... in floating point
+    assert len(_sphere_samples(4, 8000, np.random.default_rng(0))) == 20**3 + 64
+    assert len(_sphere_samples(5, 14641, np.random.default_rng(0))) == 11**4 + 64
 
 
 @pytest.mark.parametrize("pole_first", [False, True])

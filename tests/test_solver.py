@@ -7,6 +7,10 @@ across its two assemblies of the same PDE.
 
 from __future__ import annotations
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ from torusfield import angles, energy
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
 from torusfield.conformal import ConformalStructure, ResolutionWarning
 from torusfield.energy import bienergy, directional_derivative_check, el_residual
-from torusfield.io import RunConfig, realize
+from torusfield.io import RunConfig, realize, report_document
 from torusfield.lattice import (
     LatticeSpec,
     ScalarField,
@@ -26,6 +30,8 @@ from torusfield.solver import (
     ConvergenceError,
     SolveOptions,
     SolveReport,
+    _BASES,
+    _BASIS,
     _STAGNATION_WINDOW,
     _Kernel,
     _iteration_budget,
@@ -358,10 +364,12 @@ def test_small_trivial_class_source_is_not_zeroed(grid, u):
 
 
 def test_solutions_are_affine_in_the_class_at_a_fine_grid():
-    # the source is affine in (m, n) and the operator does not depend on it
+    # the source is affine in (m, n) and the operator does not depend on it;
+    # direct solves of each class's own source, since the solver builds
+    # (1, 1) from the other three
     cs, _, opts = realize(RunConfig(grid="256", u="0.3*cos(2pi*x)+1e-05*sin(2pi*(x+y))"))
     alpha = {
-        (m, n): solve_homotopy_class(cs, HomotopyClass(m, n), opts)[0].periodic.values
+        (m, n): _direct_pcg(cs, HomotopyClass(m, n), opts.tolerance)
         for m, n in [(0, 0), (1, 0), (0, 1), (1, 1)]
     }
     gap = np.max(np.abs(alpha[1, 1] - alpha[1, 0] - alpha[0, 1] + alpha[0, 0]))
@@ -395,6 +403,100 @@ def test_weak_exponent_is_solved_not_taken_for_a_vanishing_source(amplitude):
 
     limit = scaled(amplitude / 1000.0)
     assert np.max(np.abs(scaled(amplitude) - limit)) <= 1000.0 * amplitude * np.max(np.abs(limit))
+
+
+### Every class from three basis solves
+
+STANDARD_U = "0.2*sin(2pi*x)+0.1*cos(2pi*y)"
+ALL_CLASSES = [(m, n) for m in range(-2, 3) for n in range(-2, 3)]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig(grid="64", u=STANDARD_U),
+        RunConfig(grid="64", lattice="1,0;0.5,1.5", u="0.4*sin(2pi*x)+0.2*cos(2pi*y)"),
+    ],
+    ids=["standard", "strong-oblique"],
+)
+def test_every_class_matches_its_direct_solve(config):
+    # the basis classes are their own PCG solve, bit for bit; every other
+    # class is a combination of them, within 1e-10 of the direct solve
+    cs, _, opts = realize(config)
+    for m, n in ALL_CLASSES:
+        cls = HomotopyClass(m, n)
+        theta, report = solve_homotopy_class(cs, cls, opts)
+        assert report.final_relative_residual <= opts.tolerance
+        direct = _direct_pcg(cs, cls, opts.tolerance)
+        if cls in _BASIS:
+            assert np.array_equal(theta.periodic.values, direct)
+        else:
+            assert np.max(np.abs(theta.periodic.values - direct)) <= 1e-10
+
+
+def test_basis_classes_report_their_own_solve():
+    cs, _, opts = realize(RunConfig(grid="32", u=STANDARD_U))
+    kernel = cs.kernel
+    for cls in _BASIS:
+        theta, report = solve_homotopy_class(cs, cls, opts)
+        source = right_hand_side(cs, cls, "flat_weighted").values
+        x, history = _pcg(
+            kernel, kernel.precondition_spectrum, source, opts.tolerance, _iteration_budget(cs.lattice)
+        )
+        assert np.array_equal(theta.periodic.values, _project(x))
+        assert report.residual_history == tuple(history)
+        assert report.final_relative_residual == history[-1]
+
+
+def test_results_do_not_depend_on_the_order_of_the_classes():
+    # two fresh copies of one structure, the classes in two orders: whatever
+    # is cached when a class is asked for, it gets the same field and report
+    config = RunConfig(grid="32", u=STANDARD_U)
+    orders = [ALL_CLASSES, [(0, 1), (1, 0)] + [k for k in ALL_CLASSES[::-1] if k not in [(0, 1), (1, 0)]]]
+    runs = []
+    for order in orders:
+        cs, _, opts = realize(config)
+        runs.append({klass: solve_homotopy_class(cs, HomotopyClass(*klass), opts) for klass in order})
+    for klass in ALL_CLASSES:
+        (theta_a, report_a), (theta_b, report_b) = runs[0][klass], runs[1][klass]
+        assert np.array_equal(theta_a.periodic.values, theta_b.periodic.values)
+        echo = replace(config, winding=klass)
+        assert report_document(echo, report_a) == report_document(echo, report_b)
+        assert report_a.residual_history == report_b.residual_history
+        assert len(report_a.residual_history) == report_a.iterations + 1
+
+
+def test_the_basis_dies_with_its_structure():
+    cs, cls, opts = realize(RunConfig(grid="16", u=STANDARD_U, winding=(1, 1)))
+    solve_homotopy_class(cs, cls, opts)
+    assert set(_BASES[cs][opts.tolerance]) == set(_BASIS)
+    gc.collect()  # other structures that are already garbage go first
+    cached = len(_BASES)
+    probe = weakref.ref(cs)
+    del cs
+    gc.collect()
+    assert probe() is None
+    assert len(_BASES) <= cached - 1
+
+
+def test_a_combination_that_misses_the_tolerance_is_polished():
+    # forced: basis solves made at 1e-6 are filed under 1e-10, so the
+    # combination's residual is far above the tolerance, and PCG continues
+    # from the combination to it
+    cs = random_structure(LatticeSpec.unit_square(64), 5)
+    loose = SolveOptions(tolerance=1e-6)
+    for cls in _BASIS:
+        solve_homotopy_class(cs, cls, loose)
+    _BASES[cs][1e-10] = dict(_BASES[cs][loose.tolerance])
+    basis_iterations = sum(len(solve.history) - 1 for solve in _BASES[cs][1e-10].values())
+    cls = HomotopyClass(2, 1)
+    theta, report = solve_homotopy_class(cs, cls, SolveOptions(tolerance=1e-10))
+    assert report.iterations > basis_iterations
+    assert report.final_relative_residual <= 1e-10
+    assert report.residual_history[-1] == report.final_relative_residual
+    assert len(report.residual_history) == report.iterations + 1
+    reference = _direct_pcg(cs, cls, 1e-10)
+    assert np.max(np.abs(theta.periodic.values - reference)) <= 1e-10
 
 
 ### Conditioning and in-memory diagnostics
