@@ -7,8 +7,6 @@ rigidity and stability properties of the critical fields; and classifies
 left-invariant critical unit fields on three model Lie groups.
 """
 
-import types
-
 from torusfield.angles import (
     AngleField,
     HomotopyClass,
@@ -80,10 +78,67 @@ from torusfield.stability import (
     hessian_vs_energy_check,
 )
 
-#: every name imported above, listed once
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, types.ModuleType)
-)
+__all__ = [
+    "AngleField",
+    "ComparisonReport",
+    "ConformalStructure",
+    "ConvergenceError",
+    "CriticalComponent",
+    "CriticalSet",
+    "DerivativePair",
+    "DescentResult",
+    "EnergyBreakdown",
+    "FrameConnection",
+    "HessianSample",
+    "HomotopyClass",
+    "LatticeSpec",
+    "LeftInvariantModel",
+    "LinearRepresentative",
+    "NotCriticalError",
+    "ResidualPair",
+    "ResolutionWarning",
+    "RigidityCertificate",
+    "RunConfig",
+    "ScalarField",
+    "SolveOptions",
+    "SolveReport",
+    "VectorFieldFlat",
+    "angle_to_unit_field",
+    "apply_operator_P",
+    "bandlimited_field",
+    "bienergy",
+    "classify",
+    "compare_known",
+    "critical_system_residual",
+    "descent_oracle",
+    "directional_derivative_check",
+    "dot",
+    "el_residual",
+    "flat_divergence",
+    "flat_gradient",
+    "flat_laplacian",
+    "frame_connection",
+    "gaussian_curvature",
+    "hessian_form",
+    "hessian_vs_energy_check",
+    "hyperbolic",
+    "integrate_inner",
+    "linear_representative",
+    "model_laplacian",
+    "parse_exponent",
+    "read_field_csv",
+    "realize",
+    "resolution_fraction",
+    "right_hand_side",
+    "rotate_J",
+    "section_residual_pair",
+    "section_rigidity_check",
+    "sol3",
+    "solve_homotopy_class",
+    "spectral_derivative",
+    "su2",
+    "winding_class",
+    "write_outputs",
+]
 
 __version__ = "0.1.0"

@@ -72,12 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list of artifacts to write: csv, pgm, json, quiver",
     )
     solve.add_argument("--outdir", help="output directory (default: TORUSFIELD_OUTDIR or .)")
-    solve.add_argument(
-        "--classes",
-        metavar="M0:M1,N0:N1",
-        help="instead of --class, solve every class in both ranges and name the least energy; "
-        "writes no artifacts",
-    )
+    solve.add_argument("--classes", metavar="M0:M1,N0:N1",
+                       help="instead of --class, solve every class in both ranges; writes nothing")
     solve.set_defaults(handler=_cmd_solve)
 
     energy = sub.add_parser("energy", help="recompute the energy of a saved field table")
@@ -177,45 +173,39 @@ def _resolve_outdir(args: argparse.Namespace) -> Path:
 ### Subcommands
 
 
-def _summary(report) -> str:
-    klass = report.homotopy_class
-    return (
-        f"class ({klass.m}, {klass.n}): {report.iterations} iterations, "
-        f"relative residual {report.final_relative_residual:.3e}, "
-        f"bienergy {report.energy.bienergy:.12g}"
-    )
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if args.classes is not None:
-        return _solve_classes(args, config)
+    classes = None if args.classes is None else _class_ranges(args, config)
     cs, homotopy, opts = runio.realize(config)
-    theta, report = solve_homotopy_class(cs, homotopy, opts)
-    print(_summary(report))
+    reports = []
+    for klass in classes or [homotopy]:
+        theta, report = solve_homotopy_class(cs, klass, opts)
+        reports.append(report)
+        print(
+            f"class ({klass.m}, {klass.n}): {report.iterations} iterations, "
+            f"relative residual {report.final_relative_residual:.3e}, "
+            f"bienergy {report.energy.bienergy:.12g}"
+        )
+    if classes:
+        least = min(reports, key=lambda report: report.energy.bienergy)
+        klass = least.homotopy_class
+        print(f"least energy: class ({klass.m}, {klass.n}), bienergy {least.energy.bienergy:.12g}")
     if config.outputs:
         for path in runio.write_outputs(_resolve_outdir(args), config, cs, theta, report):
             print(f"wrote {path}")
     return 0
 
 
-def _solve_classes(args: argparse.Namespace, config: runio.RunConfig) -> int:
+def _class_ranges(args: argparse.Namespace, config: runio.RunConfig) -> list[HomotopyClass]:
+    """The classes of ``--classes M0:M1,N0:N1``, which replaces ``--class`` and writes nothing."""
     if args.winding is not None or config.outputs:
         raise ValueError("--classes replaces --class and writes no artifacts; drop --class and --outputs")
     match = re.fullmatch(r"(-?\d+):(-?\d+),(-?\d+):(-?\d+)", args.classes.strip())
     bounds = [int(group) for group in match.groups()] if match else []
     if len(bounds) != 4 or bounds[0] > bounds[1] or bounds[2] > bounds[3]:
         raise ValueError(f"--classes wants M0:M1,N0:N1 with M0 <= M1 and N0 <= N1, got {args.classes!r}")
-    cs, _, opts = runio.realize(config)
-    reports = []
-    for m in range(bounds[0], bounds[1] + 1):
-        for n in range(bounds[2], bounds[3] + 1):
-            reports.append(solve_homotopy_class(cs, HomotopyClass(m, n), opts)[1])
-            print(_summary(reports[-1]))
-    least = min(reports, key=lambda report: report.energy.bienergy)
-    klass = least.homotopy_class
-    print(f"least energy: class ({klass.m}, {klass.n}), bienergy {least.energy.bienergy:.12g}")
-    return 0
+    m0, m1, n0, n1 = bounds
+    return [HomotopyClass(m, n) for m in range(m0, m1 + 1) for n in range(n0, n1 + 1)]
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:

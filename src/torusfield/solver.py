@@ -90,17 +90,16 @@ class SolveOptions:
 
 
 class SolveReport(NamedTuple):
-    """Outcome of one solve.  ``iterations`` counts the PCG iterations of
-    every solve the field rests on (see ``solve_homotopy_class``), and
-    ``final_relative_residual`` is PCG's recursive residual, the quantity
-    ``SolveOptions.tolerance`` bounds.  The returned field's true residual
-    ``|b - P alpha| / |b|`` has a roundoff floor that grows like n^4 on an
-    n x n grid (4.2e-9 at 256^2, 6.8e-8 at 512^2, whatever the tolerance).
-    ``el_residual_maxnorm`` is the max-norm of the flat critical-point
-    residual of the returned field, weighted as ``SolveOptions`` says.  Kept
-    in memory only: ``residual_history``, the PCG relative residuals
-    (``(0.0,)`` when no iteration ran), and ``el_residual_relative``, the
-    measured residual over the max-norm of the flat source weighted alike."""
+    """Outcome of one solve.  ``iterations`` counts the PCG iterations of every
+    solve the field rests on (see ``solve_homotopy_class``); in-memory
+    ``residual_history`` lays their relative residuals end to end behind one
+    leading entry (``(0.0,)`` when none ran), so it need not decrease, and ends
+    with ``final_relative_residual``: PCG's recursive residual, which
+    ``SolveOptions.tolerance`` bounds.  The true residual ``|b - P alpha| / |b|``
+    has a roundoff floor growing like n^4 on an n x n grid (4.2e-9 at 256^2,
+    6.8e-8 at 512^2).  ``el_residual_maxnorm`` is the max-norm of the returned
+    field's flat critical-point residual, weighted as ``SolveOptions`` says, and
+    in-memory ``el_residual_relative`` that over the flat source's, weighted alike."""
 
     iterations: int
     final_relative_residual: float
@@ -155,7 +154,7 @@ def _source_spectrum(kernel: _Kernel, b: NDArray) -> tuple[NDArray, float]:
     return r, np.sqrt(kernel.inner(r, r))
 
 
-def _conjugate_gradients(
+def _pcg(
     kernel: _Kernel, precondition: Callable, b: NDArray, tolerance: float,
     max_iterations: int, x0: NDArray | None = None,
 ) -> tuple[NDArray, list[float], NDArray]:
@@ -163,15 +162,15 @@ def _conjugate_gradients(
     subspace, in the flat product, on ``rfft2`` half spectra (the mean is entry
     ``[0, 0]``), from the half spectrum ``x0`` if given, else from zero.  ``b̂``,
     ``x0`` and each output of P and ``precondition`` are made Hermitian, so that
-    ``kernel.inner`` counts only what ``irfft2`` sees.  Returns the solution and
-    the final recursive residual as half spectra, and the relative-residual
-    history (one entry per iteration after the start's, which is 1.0 from zero;
-    ``[0.0]`` for a zero source).  Raises ConvergenceError when the budget runs
-    out or on stagnation.
+    ``kernel.inner`` counts only what ``irfft2`` sees.  Returns the solution, by
+    one ``irfft2``, the relative-residual history (one entry per iteration after
+    the start's, which is 1.0 from zero; ``[0.0]`` for a zero source), and the
+    final recursive residual as a half spectrum.  Raises ConvergenceError when
+    the budget runs out or on stagnation.
     """
     r, bnorm = _source_spectrum(kernel, b)
     if bnorm == 0.0:
-        return np.zeros_like(r), [0.0], r
+        return np.zeros_like(b), [0.0], r
     if x0 is None:
         x = np.zeros_like(r)
     else:
@@ -180,7 +179,7 @@ def _conjugate_gradients(
         r -= kernel.hermitian(kernel.apply_spectrum(x))
     history = [float(np.sqrt(kernel.inner(r, r)) / bnorm)]
     if history[0] <= tolerance:
-        return x, history, r
+        return np.fft.irfft2(x), history, r
 
     z = kernel.hermitian(precondition(r))
     d = z.copy()
@@ -201,7 +200,7 @@ def _conjugate_gradients(
         rel = float(np.sqrt(kernel.inner(r, r)) / bnorm)
         history.append(rel)
         if rel <= tolerance:
-            return x, history, r
+            return np.fft.irfft2(x), history, r
         if rel <= 0.5 * mark:
             mark, marked = rel, iteration
         elif mark <= _STAGNATION_FLOOR and iteration - marked >= _STAGNATION_WINDOW:
@@ -227,15 +226,6 @@ def _conjugate_gradients(
     )
 
 
-def _pcg(
-    kernel: _Kernel, precondition: Callable, b: NDArray, tolerance: float,
-    max_iterations: int, x0: NDArray | None = None,
-) -> tuple[NDArray, list[float]]:
-    """``_conjugate_gradients`` with the solution on the grid, by one ``irfft2``."""
-    x, history, _ = _conjugate_gradients(kernel, precondition, b, tolerance, max_iterations, x0)
-    return np.fft.irfft2(x), history
-
-
 def _iteration_budget(lattice: LatticeSpec) -> int:
     return 10 * lattice.n1 * lattice.n2
 
@@ -257,13 +247,12 @@ def _report(
     opts: SolveOptions,
     source: ScalarField,
     history: list[float],
-    final_residual: float,
     started: float,
 ) -> SolveReport:
     residual, scale = _criticality(cs, theta, source, opts.formulation)
     return SolveReport(
         iterations=len(history) - 1,
-        final_relative_residual=final_residual,
+        final_relative_residual=history[-1],
         energy=bienergy(cs, theta),
         el_residual_maxnorm=residual,
         wall_time=time.perf_counter() - started,
@@ -278,16 +267,8 @@ def _report(
 #: alpha(m, n) is the combination of these classes' with weights (1 - m - n, m, n)
 _BASIS = (HomotopyClass(0, 0), HomotopyClass(1, 0), HomotopyClass(0, 1))
 
-
-class _BasisSolve(NamedTuple):
-    """A basis class's periodic part, final recursive residual (a half spectrum) and history."""
-
-    alpha: NDArray
-    residual: NDArray
-    history: list[float]
-
-
-#: structure -> tolerance -> basis class -> its solve; dies with the structure
+#: structure -> tolerance -> basis class -> (periodic part, final recursive
+#: residual as a half spectrum, residual history); dies with the structure
 _BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -298,16 +279,11 @@ def solve_homotopy_class(
 
     The periodic part of class (m, n) is ``sum w_i alpha_i`` over the basis
     classes (0, 0), (1, 0), (0, 1), weights ``w = (1 - m - n, m, n)``.  A basis
-    class is one PCG solve at ``opts.tolerance``, made when a class first puts a
-    nonzero weight on it and kept while the structure lives, and returns that
-    solve.  Any other class reports PCG's recursive residual ``|sum w_i r_i|``
-    over its own source's norm, and PCG continues from the combination where
-    that misses the tolerance.  ``iterations`` counts the iterations of every
-    solve the field rests on, cached or not, and ``residual_history`` lays
-    their histories end to end, so no result depends on what was solved before.
-
-    Returns the angle field (winding class plus mean-zero periodic part) and
-    its report (``SolveReport``).
+    class is one PCG solve at ``opts.tolerance``, made when first needed and kept
+    while the structure lives.  Any other class reports PCG's recursive residual
+    ``|sum w_i r_i|`` over its own source's norm, and PCG continues from the
+    combination where that misses the tolerance.  No result depends on what was
+    solved before.  Returns the angle field and its ``SolveReport``.
     """
     opts = opts or SolveOptions()
     started = time.perf_counter()
@@ -315,36 +291,35 @@ def solve_homotopy_class(
     kernel = cs.kernel
     budget = _iteration_budget(cs.lattice)
     solves = _BASES.setdefault(cs, {}).setdefault(opts.tolerance, {})
-    terms = []
-    for w, klass in zip((1 - homotopy.m - homotopy.n, homotopy.m, homotopy.n), _BASIS):
-        if w and klass not in solves:
+    weights = (1 - homotopy.m - homotopy.n, homotopy.m, homotopy.n)
+    terms = [(w, klass) for w, klass in zip(weights, _BASIS) if w]
+    for _, klass in terms:
+        if klass not in solves:
             source = b if klass == homotopy else right_hand_side(cs, klass, "flat_weighted")
-            x, rels, r = _conjugate_gradients(
+            x, rels, r = _pcg(
                 kernel, kernel.precondition_spectrum, source.values, opts.tolerance, budget
             )
-            solves[klass] = _BasisSolve(_project(np.fft.irfft2(x)), r, rels)
-        if w:
-            terms.append((w, solves[klass]))
+            solves[klass] = (_project(x), r, rels)
     # one leading entry: 1.0, or 0.0 when every source it rests on is zero
-    history = [max(solve.history[0] for _, solve in terms)]
-    history += [rel for _, solve in terms for rel in solve.history[1:]]
+    history = [max(solves[klass][2][0] for _, klass in terms)]
+    history += [rel for _, klass in terms for rel in solves[klass][2][1:]]
     if len(terms) == 1:  # a basis class
-        alpha, final = terms[0][1].alpha, history[-1]
+        alpha = solves[homotopy][0]
     else:
-        alpha = sum(w * solve.alpha for w, solve in terms)
-        r = sum(w * solve.residual for w, solve in terms)
+        alpha = sum(w * solves[klass][0] for w, klass in terms)
+        r = sum(w * solves[klass][1] for w, klass in terms)
         _, bnorm = _source_spectrum(kernel, b.values)
-        # a source that assembles to zero goes to _pcg, which returns zero
-        final = float(np.sqrt(kernel.inner(r, r)) / bnorm) if bnorm else np.inf
-        if not final <= opts.tolerance:
-            x, polish = _pcg(
+        # the last entry is the field's own residual; a source that assembles
+        # to zero goes to _pcg, which returns zero
+        history[-1] = float(np.sqrt(kernel.inner(r, r)) / bnorm) if bnorm else np.inf
+        if not history[-1] <= opts.tolerance:
+            x, polish, _ = _pcg(
                 kernel, kernel.precondition_spectrum, b.values, opts.tolerance, budget,
                 x0=np.fft.rfft2(alpha),
             )
-            alpha, final = _project(x), polish[-1]
-            history += polish[1:]
+            alpha, history[-1:] = _project(x), polish
     theta = AngleField(homotopy, ScalarField(cs.lattice, alpha))
-    return theta, _report(cs, theta, opts, b, history, final, started)
+    return theta, _report(cs, theta, opts, b, history, started)
 
 
 def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCertificate:

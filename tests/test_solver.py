@@ -253,7 +253,7 @@ def test_unpreconditioned_solve_matches_preconditioned():
     cls = HomotopyClass(1, 0)
     fast, _ = solve_homotopy_class(cs, cls, SolveOptions(formulation="flat_weighted"))
     source = right_hand_side(cs, cls, "flat_weighted").values
-    slow, history = _pcg(
+    slow, history, _ = _pcg(
         _Kernel(cs), _zero_mean, source, SolveOptions().tolerance, _iteration_budget(lattice)
     )
     assert np.max(np.abs(fast.periodic.values - _project(slow))) <= 1e-8
@@ -300,7 +300,7 @@ def test_vanishing_source_returns_the_representative(grid, u):
 def _direct_pcg(cs: ConformalStructure, cls: HomotopyClass, tolerance: float) -> np.ndarray:
     source = right_hand_side(cs, cls, "flat_weighted").values
     kernel = cs.kernel
-    x, _ = _pcg(kernel, kernel.precondition_spectrum, source, tolerance, _iteration_budget(cs.lattice))
+    x, _, _ = _pcg(kernel, kernel.precondition_spectrum, source, tolerance, _iteration_budget(cs.lattice))
     return _project(x)
 
 
@@ -440,7 +440,7 @@ def test_basis_classes_report_their_own_solve():
     for cls in _BASIS:
         theta, report = solve_homotopy_class(cs, cls, opts)
         source = right_hand_side(cs, cls, "flat_weighted").values
-        x, history = _pcg(
+        x, history, _ = _pcg(
             kernel, kernel.precondition_spectrum, source, opts.tolerance, _iteration_budget(cs.lattice)
         )
         assert np.array_equal(theta.periodic.values, _project(x))
@@ -488,7 +488,7 @@ def test_a_combination_that_misses_the_tolerance_is_polished():
     for cls in _BASIS:
         solve_homotopy_class(cs, cls, loose)
     _BASES[cs][1e-10] = dict(_BASES[cs][loose.tolerance])
-    basis_iterations = sum(len(solve.history) - 1 for solve in _BASES[cs][1e-10].values())
+    basis_iterations = sum(len(history) - 1 for _, _, history in _BASES[cs][1e-10].values())
     cls = HomotopyClass(2, 1)
     theta, report = solve_homotopy_class(cs, cls, SolveOptions(tolerance=1e-10))
     assert report.iterations > basis_iterations

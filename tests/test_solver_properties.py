@@ -10,7 +10,8 @@ Checked over random oblique lattices, even grids of 8 to 24 points per
 side, band-limited exponents of amplitude at most 0.5 and classes in
 {-2..2}^2, against a bound derived from the solve tolerance.  Each class is
 a direct PCG solve of its own source: ``solve_homotopy_class`` builds every
-class but the three basis ones from this identity, so it cannot test it.
+class but the three basis ones from this identity, so it cannot test it; its
+field must instead lie within the same bound of the direct solve.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torusfield.angles import HomotopyClass, linear_representative
-from torusfield.conformal import ConformalStructure
+from torusfield.conformal import ConformalStructure, ResolutionWarning
 from torusfield.lattice import (
     LatticeSpec,
     _derivative_multiplier,
@@ -37,6 +38,7 @@ from torusfield.solver import (
     _pcg,
     _project,
     right_hand_side,
+    solve_homotopy_class,
 )
 
 EPS = np.finfo(float).eps
@@ -77,7 +79,7 @@ def _error_bound(cs: ConformalStructure, cls: HomotopyClass, tolerance: float) -
 def _direct_solve(cs: ConformalStructure, cls: HomotopyClass, tolerance: float) -> np.ndarray:
     kernel = cs.kernel
     source = right_hand_side(cs, cls, "flat_weighted").values
-    x, _ = _pcg(kernel, kernel.precondition_spectrum, source, tolerance, _iteration_budget(cs.lattice))
+    x, _, _ = _pcg(kernel, kernel.precondition_spectrum, source, tolerance, _iteration_budget(cs.lattice))
     return _project(x)
 
 
@@ -89,6 +91,10 @@ def test_every_class_is_the_affine_combination_of_three(cs, m, n):
     alphas = [_direct_solve(cs, cls, tolerance) for cls in classes]
     combination = weights[0] * alphas[0] + weights[1] * alphas[1] + weights[2] * alphas[2]
     gap = float(np.max(np.abs(alphas[3] - combination)))
+    with warnings.catch_warnings():
+        # the report's energy flags angles resolved only to ~1e-6 on coarse grids
+        warnings.simplefilter("ignore", ResolutionWarning)
+        solved = solve_homotopy_class(cs, classes[3])[0].periodic.values
 
     # P is symmetric positive definite on the mean-zero fields off the
     # Nyquist lines, where every solve lives, with smallest eigenvalue at
@@ -98,3 +104,4 @@ def test_every_class_is_the_affine_combination_of_three(cs, m, n):
     bound = sum(abs(w) * _error_bound(cs, cls, tolerance) for w, cls in zip(weights, classes)) / smallest
     bound += 10.0 * EPS * sum(abs(w) * float(np.max(np.abs(a))) for w, a in zip(weights, alphas))
     assert gap <= bound
+    assert float(np.max(np.abs(solved - alphas[3]))) <= bound
