@@ -38,6 +38,10 @@ from .stability import NotCriticalError, _require_critical, halving_check
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    at = argv.index("--classes") + 1 if "--classes" in argv else 0
+    if 0 < at < len(argv) and re.match(r"-\d", argv[at]):  # argparse reads "-2:2,..." as a flag
+        argv[at - 1 : at + 1] = [f"--classes={argv[at]}"]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -179,10 +179,10 @@ class _Kernel:
     ``lap``, ``d1`` and ``d2`` are the lattice's masked half-spectrum
     multipliers as they are; ``inv_lap`` is the Laplacian's pseudo-inverse,
     zero on the mean and on the Nyquist lines where the Laplacian vanishes.
-    ``bilaplacian_spectrum``, the leading-order term ``flat_lap e^{2u} flat_lap``,
-    costs one ``irfft2`` and one ``rfft2``; ``apply_spectrum`` adds the transport
-    term for two more of each (``grad h``, divergence), and ``precondition_spectrum``
-    costs one of each.  ``M`` is symmetric positive semidefinite in the flat product
+    ``apply_spectrum`` is ``finish`` (three ``rfft2``) of ``derivatives`` (three
+    ``irfft2``: ``lap h``, ``d1 h``, ``d2 h``, which the energy reads too);
+    ``bilaplacian_spectrum``, the leading-order term, and ``precondition_spectrum``
+    cost one of each.  ``M`` is symmetric positive semidefinite in the flat product
     and inverts the bilaplacian on mean-zero fields resolved off the Nyquist lines.
     ``inner`` is the flat product on half spectra (columns 0 and ``n2/2`` count once,
     the others twice); ``hermitian`` keeps of those two columns, in place, what
@@ -206,11 +206,17 @@ class _Kernel:
     def bilaplacian_spectrum(self, spectrum: NDArray) -> NDArray:
         return self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
 
-    def apply_spectrum(self, spectrum: NDArray) -> NDArray:
-        out = self.bilaplacian_spectrum(spectrum)
-        for d in (self.d1, self.d2):
-            out -= d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
+    def derivatives(self, spectrum: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+        return tuple(np.fft.irfft2(m * spectrum) for m in (self.lap, self.d1, self.d2))
+
+    def finish(self, lap_h: NDArray, d1_h: NDArray, d2_h: NDArray) -> NDArray:
+        out = self.lap * np.fft.rfft2(self.e2u * lap_h)
+        for d, d_h in ((self.d1, d1_h), (self.d2, d2_h)):
+            out -= d * np.fft.rfft2(self.kg_sq * d_h)
         return out
+
+    def apply_spectrum(self, spectrum: NDArray) -> NDArray:
+        return self.finish(*self.derivatives(spectrum))
 
     def precondition_spectrum(self, spectrum: NDArray) -> NDArray:
         s = np.fft.irfft2(self.inv_lap * spectrum)

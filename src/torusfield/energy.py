@@ -14,9 +14,10 @@ equivalent flat quadratures
     vertical   = ∫ e^{2u} (flat_lap alpha)^2 dxi,
     horizontal = ∫ k_g^2 |grad theta_total - J grad u|^2 dxi,
 
-which involve one spectral multiplier apiece instead of chained
-divergence/gradient compositions.  The geometric route survives in the test
-suite as an independent oracle.
+which take one ``rfft2`` of alpha and the three ``irfft2`` of the kernel's
+``derivatives`` (flat_lap alpha, grad alpha), fields a solve's report also
+finishes into ``P alpha``.  The geometric route survives in the test suite as
+an independent oracle.
 
 The source ``b`` of the critical-point equation ``P alpha = b``
 (``right_hand_side``) is assembled here, and the flat ``el_residual`` is
@@ -35,15 +36,14 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .angles import AngleField, HomotopyClass, _constant_gradient
 from .conformal import RESOLUTION_THRESHOLD, ConformalStructure, ResolutionWarning, frame_connection
 from .lattice import (
     ScalarField,
     VectorFieldFlat,
-    dot,
     flat_divergence,
-    flat_laplacian,
     integrate_inner,
     resolution_fraction,
 )
@@ -72,34 +72,37 @@ class DerivativePair(NamedTuple):
 
 
 def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
-    """Evaluate the second-order energy of the unit field with angle ``theta``.
-
-    Args:
-        cs: Conformal structure supplying the metric exponent and curvature.
-        theta: Angle field (winding class plus periodic part) on the same
-            lattice.
-
-    Returns:
-        EnergyBreakdown with the vertical/horizontal split, the first-order
-        bending energy, and the curved area.
-    """
+    """The second-order energy of the unit field with angle ``theta`` (winding
+    class plus periodic part alpha) on the lattice of ``cs``: its vertical and
+    horizontal parts, the first-order bending energy and the curved area."""
     cs._check(theta.lattice)
+    spectrum = np.fft.rfft2(theta.periodic.values)
+    return _breakdown(cs, theta, spectrum, cs.kernel.derivatives(spectrum), stacklevel=3)
+
+
+def _breakdown(
+    cs: ConformalStructure, theta: AngleField, spectrum: NDArray, fields, stacklevel: int
+) -> EnergyBreakdown:
+    """:func:`bienergy` from ``rfft2`` of alpha and the kernel's ``derivatives`` of
+    it; an under-resolved angle warns at ``stacklevel``, counted from here."""
+    lattice = cs.lattice
     alpha = theta.periodic.values
     # an angle within an FFT's roundoff of 1 rad is roundoff of (cos theta, sin theta)
     roundoff = np.sqrt(np.mean(alpha**2)) <= np.finfo(float).eps * np.log2(alpha.size)
-    if not roundoff and resolution_fraction(theta.periodic) > RESOLUTION_THRESHOLD:
+    if not roundoff and resolution_fraction(theta.periodic, spectrum) > RESOLUTION_THRESHOLD:
         warnings.warn(
             "angle field is spectrally under-resolved; energies are unreliable",
             ResolutionWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
 
-    lap_alpha = flat_laplacian(theta.periodic)
+    lap_alpha = ScalarField(lattice, fields[0])
     vertical = integrate_inner(lap_alpha, lap_alpha, weight=cs.e2u)
 
     # flat components of the first-order term: grad theta_total - J grad u
-    bend = theta.total_gradient() - cs.jgrad_u
-    density = dot(bend, bend)
+    y1, y2 = _constant_gradient(theta.homotopy, lattice)
+    b1, b2 = fields[1] + y1 - cs.jgrad_u.comp1.values, fields[2] + y2 - cs.jgrad_u.comp2.values
+    density = ScalarField(lattice, b1 * b1 + b2 * b2)
     horizontal = integrate_inner(density, cs.kg_sq)
     total_bending = 0.5 * integrate_inner(density)
 
@@ -142,24 +145,13 @@ def right_hand_side(
 def el_residual(
     cs: ConformalStructure, theta: AngleField, formulation: str = "curved"
 ) -> ScalarField:
-    """Residual of the fourth-order critical-point equation at ``theta``.
-
-    A zero of this residual (in either formulation) is a critical point of
-    :func:`bienergy` within the winding class of ``theta``.
-
-    Args:
-        cs: Conformal structure.
-        theta: Angle field on the same lattice.
-        formulation: ``"flat_weighted"``, what solve reports measure, is
-            ``P alpha - b``: the spectral kernel on the periodic part minus
-            the flat :func:`right_hand_side`; ``"curved"``, an oracle,
-            assembles the equation with the curved operators of ``cs`` and
-            is ``exp(2u)`` times the flat form.
-
-    Returns:
-        The residual as a scalar field.  Both formulations integrate to
-        zero against their respective volume measures.
-    """
+    """Residual of the fourth-order critical-point equation at ``theta``; its
+    zeros, in either formulation, are the critical points of :func:`bienergy`
+    in the winding class of ``theta``.  ``"flat_weighted"``, what solve reports
+    measure, is ``P alpha - b``: the spectral kernel on the periodic part minus
+    the flat :func:`right_hand_side`; ``"curved"``, an oracle, assembles the
+    equation with the curved operators of ``cs`` and is ``exp(2u)`` times the
+    flat form.  Both integrate to zero against their volume measures."""
     cs._check(theta.lattice)
     if formulation == "flat_weighted":
         source = right_hand_side(cs, theta.homotopy, "flat_weighted")

@@ -357,15 +357,16 @@ def integrate_inner(
     return float(scale * np.sum(prod))
 
 
-def resolution_fraction(f: ScalarField) -> float:
+def resolution_fraction(f: ScalarField, spectrum: NDArray | None = None) -> float:
     """Fraction of (non-mean) spectral energy in the top third of frequencies.
 
     A proxy for "is this field resolved on its grid": smooth well-sampled
-    fields put essentially no energy near the Nyquist modes.
+    fields put essentially no energy near the Nyquist modes.  ``spectrum`` is
+    ``rfft2(f.values)`` where the caller has it already.
     """
     n1, n2 = f.lattice.shape
     P, Q = (freq[:, : n2 // 2 + 1] for freq in f.lattice.frequencies)
-    energy = np.abs(np.fft.rfft2(f.values)) ** 2
+    energy = np.abs(np.fft.rfft2(f.values) if spectrum is None else spectrum) ** 2
     # each interior column also stands for its conjugate mirror in the full spectrum
     energy[:, 1 : n2 // 2] *= 2.0
     mean_energy = energy[0, 0]

@@ -97,6 +97,16 @@ def test_solve_classes_prints_each_class_and_the_least_energy(capsys, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_classes_takes_a_range_that_starts_negative_as_its_value(capsys):
+    geometry = ("--grid", "16", "--u", "0.2*sin(2pi*x)")
+    code, out = run(capsys, "solve", *geometry, "--classes", "-2:2,-2:2")
+    assert code == 0
+    assert (code, out) == run(capsys, "solve", *geometry, "--classes=-2:2,-2:2")
+    *lines, _ = out.splitlines()
+    classes = [(m, n) for m in range(-2, 3) for n in range(-2, 3)]
+    assert [tuple(map(int, SUMMARY.fullmatch(line).groups()[:2])) for line in lines] == classes
+
+
 @pytest.mark.parametrize(
     "extra",
     [

@@ -5,9 +5,11 @@ the full complex spectrum's derivative with the same alias and Nyquist
 rules, built here independently from ``lattice.frequencies`` and
 ``lattice.wavevector``.  Gauss-Bonnet and the winding round trip hold for
 every lattice, grid, exponent and class, and the kernel's Parseval product
-and Hermitian projection, on which PCG runs, for every lattice and grid.  All are checked over random
-oblique lattices and even grids of 8 to 32 points per side; bounds are
-roundoff scaled by the largest symbol involved, never fixed constants.
+and Hermitian projection, on which PCG runs, for every lattice and grid; a
+solve's report equals ``bienergy`` and the flat ``el_residual`` bit for bit.
+All are checked over random oblique lattices and even grids of 8 to 32 points
+per side; bounds are roundoff scaled by the largest symbol involved, never
+fixed constants.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from torusfield.angles import (
     linear_representative,
     winding_class,
 )
-from torusfield.conformal import ConformalStructure
+from torusfield.conformal import ConformalStructure, ResolutionWarning
 from torusfield.energy import bienergy, el_residual
 from torusfield.lattice import (
     LatticeSpec,
@@ -40,8 +42,10 @@ from torusfield.lattice import (
     spectral_derivative,
 )
 from torusfield.solver import (
+    SolveOptions,
     _Kernel,
     _criticality,
+    _report,
     right_hand_side,
     section_rigidity_check,
     solve_homotopy_class,
@@ -183,14 +187,18 @@ def _count_transforms(monkeypatch, call) -> dict[str, int]:
         ("el_residual", {"rfft2": 6, "irfft2": 5}),
         ("criticality", {"rfft2": 4, "irfft2": 4}),
         # with J grad u kept on the structure, the source is one divergence
-        # summed before one inverse transform, and the energy the resolution
-        # check, flat_lap alpha and grad alpha
+        # summed before one inverse transform, and the energy one rfft2 of
+        # alpha, read by the resolution check and by the kernel's derivatives
+        # (flat_lap alpha, grad alpha)
         ("right_hand_side", {"rfft2": 2, "irfft2": 1}),
-        ("bienergy", {"rfft2": 3, "irfft2": 3}),
+        ("bienergy", {"rfft2": 1, "irfft2": 3}),
         ("flat_gradient", {"rfft2": 1, "irfft2": 2}),
         ("resolution_fraction", {"rfft2": 1}),
         # P's leading-order term alone, as the rigidity check applies it
         ("kernel_bilaplacian", {"rfft2": 1, "irfft2": 1}),
+        # a solve's report: one derivative pass of alpha gives the energy and,
+        # finished, P alpha for the criticality residual
+        ("report", {"rfft2": 4, "irfft2": 4}),
     ],
 )
 @pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
@@ -211,6 +219,7 @@ def test_transform_counts_are_pinned(monkeypatch, layer, expected):
         "criticality": lambda: _criticality(cs, theta, source, "curved"),
         "right_hand_side": lambda: right_hand_side(cs, theta.homotopy, "flat_weighted"),
         "bienergy": lambda: bienergy(cs, theta),
+        "report": lambda: _report(cs, theta, SolveOptions(), source, [1.0], 0.0),
         "flat_gradient": lambda: flat_gradient(cs.u),
         "resolution_fraction": lambda: resolution_fraction(cs.u),
     }
@@ -221,8 +230,8 @@ def test_transform_counts_are_pinned(monkeypatch, layer, expected):
 def test_solve_makes_eight_transforms_per_iteration(monkeypatch):
     # P and M on the half spectrum (3 + 3 and 1 + 1) per iteration, less
     # the last M; around them the source (2 + 1), the transforms of b and
-    # of the solution, the first M, and the report (criticality 4 + 4,
-    # bienergy 3 + 3)
+    # of the solution, the first M, and the report (4 + 4: one derivative
+    # pass of alpha for the energy and P alpha)
     lattice = LatticeSpec((1.0, 0.0), (0.5, 1.5), 16, 12)
     cs = _structure(lattice, np.random.default_rng(0), 2, 0.3)
     # the first solve also derives what the structure keeps (kg, J grad u);
@@ -234,15 +243,14 @@ def test_solve_makes_eight_transforms_per_iteration(monkeypatch):
     )
     iterations = solved[0][1].iterations
     assert iterations > 0
-    assert counts == {"rfft2": 4 * iterations + 10, "irfft2": 4 * iterations + 9}
-    assert sum(counts.values()) == 8 * iterations + 19
+    assert counts == {"rfft2": 4 * iterations + 7, "irfft2": 4 * iterations + 6}
+    assert sum(counts.values()) == 8 * iterations + 13
 
 
 @pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
 def test_class_from_a_cached_basis_runs_no_iteration(monkeypatch):
     # (2, -1) is 2 alpha(1, 0) - alpha(0, 1), both solved: its source (2 + 1),
-    # the transform of b for its norm, and the report (criticality 4 + 4,
-    # bienergy 3 + 3)
+    # the transform of b for its norm, and the report (4 + 4)
     lattice = LatticeSpec((1.0, 0.0), (0.5, 1.5), 16, 12)
     cs = _structure(lattice, np.random.default_rng(0), 2, 0.3)
     basis = [solve_homotopy_class(cs, HomotopyClass(*klass))[1] for klass in [(1, 0), (0, 1)]]
@@ -250,7 +258,7 @@ def test_class_from_a_cached_basis_runs_no_iteration(monkeypatch):
     counts = _count_transforms(
         monkeypatch, lambda: solved.append(solve_homotopy_class(cs, HomotopyClass(2, -1)))
     )
-    assert counts == {"rfft2": 10, "irfft2": 8}
+    assert counts == {"rfft2": 7, "irfft2": 5}
     assert solved[0][1].iterations == sum(report.iterations for report in basis) > 0
 
 
@@ -354,3 +362,36 @@ def test_spectral_kernel_is_symmetric_in_the_parseval_product(lattice, band, amp
     lap_max = float(np.max(kernel.lap))
     symbol = float(np.max(cs.e2u.values)) * lap_max**2 + float(np.max(cs.kg_sq.values)) * lap_max
     assert gap <= 10.0 * EPS * symbol * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+@given(
+    lattices(),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.integers(1, 16),
+    st.floats(0.0, 2.0),
+    st.sampled_from(["curved", "flat_weighted"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_report_energy_and_residual_are_the_public_routines_bit_for_bit(
+    lattice, m, n, band, amplitude, formulation, seed
+):
+    # the report takes one derivative pass of alpha for both; wide bands
+    # under-resolve the angle, and the energy's warning still names its caller
+    rng = np.random.default_rng(seed)
+    cs = _structure(lattice, rng, 2, 0.3)
+    theta = AngleField(HomotopyClass(m, n), bandlimited_field(lattice, rng, band=band, amplitude=amplitude))
+    source = right_hand_side(cs, theta.homotopy, "flat_weighted")
+    with warnings.catch_warnings(record=True) as from_report:
+        warnings.simplefilter("always")
+        report = _report(cs, theta, SolveOptions(formulation=formulation), source, [1.0], 0.0)
+    with warnings.catch_warnings(record=True) as from_energy:
+        warnings.simplefilter("always")
+        energy = bienergy(cs, theta)
+    assert [w.category for w in from_report] == [w.category for w in from_energy]
+    assert all(w.category is ResolutionWarning and w.filename == __file__ for w in from_energy)
+    for name in energy._fields:
+        assert getattr(report.energy, name) == getattr(energy, name)
+    weight = cs.e2u.values if formulation == "curved" else 1.0
+    residual = weight * el_residual(cs, theta, "flat_weighted").values
+    assert report.el_residual_maxnorm == float(np.max(np.abs(residual)))

@@ -336,10 +336,11 @@ def test_resolved_vanishing_source_is_solved_to_roundoff(grid, u):
 def test_aliased_vanishing_source_takes_the_one_solve_path(grid, u):
     # the same vanishing source, lifted by aliasing to 1e-9..1e-6 of its
     # inputs: the solve is PCG on the assembled source like any other, and
-    # its under-resolved angle (up to 2e-8) warns
+    # its under-resolved angle (up to 2e-8) warns, at the solve's caller
     cs, cls, opts = realize(RunConfig(grid=grid, u=u, winding=(0, 0)))
-    with pytest.warns(ResolutionWarning):
+    with pytest.warns(ResolutionWarning) as warned:
         theta, report = solve_homotopy_class(cs, cls, opts)
+    assert {w.filename for w in warned} == {__file__}
     assert report.final_relative_residual <= opts.tolerance
     assert np.array_equal(theta.periodic.values, _direct_pcg(cs, cls, opts.tolerance))
 
