@@ -182,16 +182,9 @@ def directional_derivative_check(
     be exact to roundoff and carry no h^2 term for a convergence check to
     observe.  The sinusoidal path has the same velocity at t = 0 but a
     curved parameterization, so the difference of the two values shrinks
-    like h^2/6 times the first derivative, which halving h quarters.
-
-    Args:
-        cs: Conformal structure.
-        theta: Base angle field.
-        beta: Periodic variation direction (a plain scalar field).
-        h: Parameter step for the central difference.
-
-    Returns:
-        DerivativePair(analytic, numeric).
+    like h^2/6 times the first derivative, which halving h quarters.  Returns
+    ``DerivativePair(analytic, numeric)`` along the periodic direction ``beta``
+    at step ``h``.
     """
     cs._check(theta.lattice)
     cs._check(beta.lattice)

@@ -365,7 +365,6 @@ def resolution_fraction(f: ScalarField, spectrum: NDArray | None = None) -> floa
     ``rfft2(f.values)`` where the caller has it already.
     """
     n1, n2 = f.lattice.shape
-    P, Q = (freq[:, : n2 // 2 + 1] for freq in f.lattice.frequencies)
     energy = np.abs(np.fft.rfft2(f.values) if spectrum is None else spectrum) ** 2
     # each interior column also stands for its conjugate mirror in the full spectrum
     energy[:, 1 : n2 // 2] *= 2.0
@@ -376,8 +375,16 @@ def resolution_fraction(f: ScalarField, spectrum: NDArray | None = None) -> floa
     # a constant's non-mean energy sits at that level of its mean coefficient
     if total <= (np.finfo(float).eps * np.log2(n1 * n2)) ** 2 * mean_energy:
         return 0.0
-    top = (np.abs(P) >= n1 / 3.0) | (np.abs(Q) >= n2 / 3.0)
-    return float(np.sum(energy[top]) / total)
+    return float(np.sum(energy[_top_third(f.lattice)]) / total)
+
+
+@lru_cache(maxsize=128)
+def _top_third(lattice: LatticeSpec) -> NDArray:
+    """Mask of the half-spectrum modes in the top third of either frequency."""
+    P, Q = (freq[:, : lattice.n2 // 2 + 1] for freq in lattice.frequencies)
+    top = (np.abs(P) >= lattice.n1 / 3.0) | (np.abs(Q) >= lattice.n2 / 3.0)
+    top.flags.writeable = False
+    return top
 
 
 def bandlimited_field(

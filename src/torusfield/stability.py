@@ -3,8 +3,11 @@
 The Hessian of the energy in a fixed winding class is the solver's own ``P``:
 the second variation along ``beta`` is ``2<beta, P beta>``, by parts a sum of
 two squares, so critical fields can never be strict saddle points.  This
-module evaluates that form on the structure's kernel and verifies it against
-symmetric second differences of the energy along class-preserving variations.
+module evaluates that form on the structure's kernel and checks it against
+the energy: exactly, by the energy's quadratic identities at ``theta +- beta``
+(:func:`variation_check`, behind ``verify`` and ``stability``), and to second
+order in a step by symmetric second differences along class-preserving
+variations (:func:`hessian_vs_energy_check`).
 """
 
 from __future__ import annotations
@@ -67,34 +70,27 @@ def _require_critical(cs: ConformalStructure, theta_star: AngleField) -> None:
         )
 
 
-def _differences(
-    cs: ConformalStructure, theta_star: AngleField, base: float, beta: ScalarField, h: float
-) -> tuple[float, float]:
-    """First and second differences of the energy along ``t -> theta_star +
-    sin(t) * beta`` (``base`` is its value at ``t = 0``); the energy is
-    quadratic in ``sin(t)``, so the first is the first variation to roundoff."""
-    plus, minus = _sinusoidal_energies(cs, theta_star, beta, h)
-    return (plus - minus) / (2.0 * np.sin(h)), (plus - 2.0 * base + minus) / (h * h)
-
-
-def halving_check(
-    cs: ConformalStructure, theta: AngleField, base: float, beta: ScalarField
+def variation_check(
+    cs: ConformalStructure, theta: AngleField, base: float, beta: ScalarField, residual: ScalarField
 ) -> tuple[float, float, bool, str]:
     """:func:`hessian_form` along ``beta``, the energy's first variation at
-    ``theta`` (``base`` is the energy there), a verdict and its note: the form
-    is nonnegative and its gap to the energy's second difference shrinks like
-    ``h^2`` from ``h = 1e-2`` to ``5e-3`` (ratio in [3.5, 4.5]), as only the
-    Hessian's does.  The energy is quadratic in ``sin(t)``, so any base will
-    do; the ratio is ``4 (1 - h^2/10 + ...)``, and roundoff over gap falls
-    like ``h^-4``."""
+    ``theta`` (``base`` is the energy there, ``residual`` the flat ``P alpha -
+    b``), a verdict and its note.  The energy is exactly quadratic in alpha, so
+    with ``E+-`` the energies at ``theta +- beta`` two identities hold at any
+    base and with no step: ``E+ + E- - 2 base = 2<beta, P beta>`` ties the
+    kernel to the energy, and ``(E+ - E-)/2 = 2<beta, P alpha - b>`` the
+    source.  The form must be nonnegative and both gaps at most ``1e3 eps S``,
+    ``S = max(1, |base|, |E+|, |E-|)``."""
     quadratic = hessian_form(cs, beta)
-    first, second = _differences(cs, theta, base, beta, 1e-2)
-    wide = abs(quadratic - second)
-    # below the quadrature noise floor the ratio is meaningless, so small gaps pass
-    if wide <= 1e-9 * max(1.0, abs(quadratic)):
-        return quadratic, first, quadratic >= 0.0, "gap at noise floor"
-    ratio = wide / max(abs(quadratic - _differences(cs, theta, base, beta, 5e-3)[1]), 1e-300)
-    return quadratic, first, quadratic >= 0.0 and 3.5 <= ratio <= 4.5, f"halving ratio {ratio:.2f}"
+    plus, minus = (bienergy(cs, theta.shifted(beta * s)).bienergy for s in (1.0, -1.0))
+    first = 0.5 * (plus - minus)
+    scale = max(1.0, abs(base), abs(plus), abs(minus))
+    second_gap = abs(plus - 2.0 * base + minus - quadratic) / scale
+    first_gap = abs(first - 2.0 * integrate_inner(beta, residual)) / scale
+    tolerance = 1e3 * np.finfo(float).eps
+    ok = quadratic >= 0.0 and max(second_gap, first_gap) <= tolerance
+    note = f"relative gaps {second_gap:.1e} and {first_gap:.1e} (tolerance {tolerance:.1e})"
+    return quadratic, first, ok, note
 
 
 def hessian_vs_energy_check(
@@ -107,18 +103,15 @@ def hessian_vs_energy_check(
     (see :func:`torusfield.energy.directional_derivative_check` for why a
     straight line would make the convergence contract vacuous), giving
     ``gap = quadratic_value * h^2 / 3`` up to higher order: halving ``h``
-    quarters the gap, but only if ``P`` is the energy's Hessian.  The base
-    must be critical (see :class:`NotCriticalError`).
-
-    Raises:
-        NotCriticalError: when ``theta_star`` does not satisfy the
-            critical-point equation to within 1e-6 of the source scale
-            plus the assembly's roundoff.
+    quarters the gap, but only if ``P`` is the energy's Hessian.  A base that
+    is not critical to 1e-6 of the source scale plus the assembly's roundoff
+    raises :class:`NotCriticalError`.
     """
     cs._check(theta_star.lattice)
     cs._check(beta.lattice)
     _require_critical(cs, theta_star)
 
     quadratic = hessian_form(cs, beta)
-    _, second = _differences(cs, theta_star, bienergy(cs, theta_star).bienergy, beta, h)
+    plus, minus = _sinusoidal_energies(cs, theta_star, beta, h)
+    second = (plus - 2.0 * bienergy(cs, theta_star).bienergy + minus) / (h * h)
     return HessianSample(beta, quadratic, second, gap=abs(quadratic - second))

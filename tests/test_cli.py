@@ -248,12 +248,30 @@ def _weighted_by_eu(kernel, spectrum):
 @pytest.mark.parametrize("broken", [_transport_scaled, _weighted_by_eu])
 def test_verify_fails_a_kernel_that_is_not_the_energys_hessian(capsys, monkeypatch, broken):
     # both kernels stay symmetric, so only the comparison with the energy's
-    # second differences can see them
+    # variations can see them
     monkeypatch.setattr(conformal._Kernel, "apply_spectrum", broken)
     code, out = run(capsys, "verify", "--grid", "16", "--u", "0.2*sin(2pi*x)+0.1*cos(2pi*y)")
     assert code == 1
     assert "PASS operator-self-adjointness" in out
-    assert "FAIL second-variation-matches-energy" in out
+    assert "FAIL variations-match-energy" in out
+    assert out.splitlines()[-1] == "1 of 8 checks failed"
+
+
+def _source_skewed(cs, homotopy):
+    """``k_g^2 (1.01 Y0 - J grad u)``: the source of a class scaled off the energy's."""
+    y1, y2 = energy._constant_gradient(homotopy, cs.lattice)
+    return cs.kg_sq * VectorFieldFlat(1.01 * y1 - cs.jgrad_u.comp1, 1.01 * y2 - cs.jgrad_u.comp2)
+
+
+@pytest.mark.parametrize("grid", ["16", "64"])
+def test_verify_fails_a_source_that_is_not_the_energys_linear_term(capsys, monkeypatch, grid):
+    # the kernel is untouched, so only half the difference of the energies at
+    # theta +- beta, paired with P alpha - b, can see the source
+    monkeypatch.setattr(energy, "_source_flux", _source_skewed)
+    code, out = run(capsys, "verify", "--grid", grid, "--u", "0.2*sin(2pi*x)+0.1*cos(2pi*y)")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL variations-match-energy: ")
     assert out.splitlines()[-1] == "1 of 8 checks failed"
 
 
@@ -270,24 +288,24 @@ def test_stability_reports_nonnegative_directions(capsys):
 
 
 def test_stability_halving_ratio_is_clear_of_roundoff_on_a_strong_exponent(capsys):
-    # the second differences' roundoff scales with the base energy and the
-    # gap with h^2 |beta|^2: steps of 1e-3 and 5e-4 read 3.89 to 4.42 here
-    # (16^2 under-resolves this field, which warns)
+    # both identities are exact, so on a strong exponent a correct kernel and
+    # source still read gaps at roundoff of the energy scale (16^2
+    # under-resolves this field, which warns)
     with pytest.warns(conformal.ResolutionWarning):
         code, out = run(
             capsys, "stability", "--grid", "16", "--u", "1.0*sin(2pi*x)+0.5*cos(2pi*(x+y))",
             "--class", "1", "0", "--samples", "8",
         )
-    ratios = [float(ratio) for ratio in re.findall(r"halving ratio ([0-9.]+)", out)]
+    gaps = re.findall(r"relative gaps (\S+) and (\S+) \(", out)
     assert code == 0
-    assert len(ratios) == 8
-    assert all(3.99 <= ratio <= 4.01 for ratio in ratios)
+    assert len(gaps) == 8
+    assert all(float(gap) <= 1e3 * np.finfo(float).eps for pair in gaps for gap in pair)
 
 
 def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
     # every direction shares the solved field: one criticality gate per run,
-    # the base energy read from the solve's report, then two energies per
-    # step size and direction
+    # the base energy read from the solve's report, then the two energies at
+    # theta +- beta per direction
     counts = {"gate": 0, "energy": 0}
 
     def counting(key, call):
@@ -297,7 +315,7 @@ def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
         return counted
 
     monkeypatch.setattr(stability, "_criticality", counting("gate", stability._criticality))
-    # the second differences take their energies through energy's own bienergy
+    # the variations take their energies through each module's bienergy
     for module in (cli, energy, stability):
         monkeypatch.setattr(module, "bienergy", counting("energy", module.bienergy))
     code, out = run(
@@ -306,19 +324,15 @@ def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
     )
     assert code == 0
     assert out.count("PASS direction") == 3
-    assert counts == {"gate": 1, "energy": 2 * 2 * 3}
+    assert counts == {"gate": 1, "energy": 2 * 3}
 
 
 def test_stability_fails_a_solve_against_a_wrong_source(capsys, monkeypatch):
     # Y0 scaled by 1.01 in the source alone: the solve and the criticality
-    # gate both see the same wrong source and second differences cannot see
+    # gate both see the same wrong source and the second variation cannot see
     # it, but the energy's first variation along each direction no longer
     # vanishes
-    def skewed(cs, homotopy):
-        y1, y2 = energy._constant_gradient(homotopy, cs.lattice)
-        return cs.kg_sq * VectorFieldFlat(1.01 * y1 - cs.jgrad_u.comp1, 1.01 * y2 - cs.jgrad_u.comp2)
-
-    monkeypatch.setattr(energy, "_source_flux", skewed)
+    monkeypatch.setattr(energy, "_source_flux", _source_skewed)
     code, out = run(
         capsys, "stability", "--grid", "16", "--u", "0.2*sin(2pi*x)",
         "--class", "1", "0", "--samples", "2",

@@ -6,7 +6,9 @@ rules, built here independently from ``lattice.frequencies`` and
 ``lattice.wavevector``.  Gauss-Bonnet and the winding round trip hold for
 every lattice, grid, exponent and class, and the kernel's Parseval product
 and Hermitian projection, on which PCG runs, for every lattice and grid; a
-solve's report equals ``bienergy`` and the flat ``el_residual`` bit for bit.
+solve's report equals ``bienergy`` and the flat ``el_residual`` bit for bit;
+the energy's two quadratic identities along ``theta +- beta`` tie it to the
+kernel and the source at roundoff for every class, base and direction.
 All are checked over random oblique lattices and even grids of 8 to 32 points
 per side; bounds are roundoff scaled by the largest symbol involved, never
 fixed constants.
@@ -50,6 +52,7 @@ from torusfield.solver import (
     section_rigidity_check,
     solve_homotopy_class,
 )
+from torusfield.stability import variation_check
 
 EPS = np.finfo(float).eps
 TWO_PI = 2.0 * np.pi
@@ -395,3 +398,52 @@ def test_report_energy_and_residual_are_the_public_routines_bit_for_bit(
     weight = cs.e2u.values if formulation == "curved" else 1.0
     residual = weight * el_residual(cs, theta, "flat_weighted").values
     assert report.el_residual_maxnorm == float(np.max(np.abs(residual)))
+
+
+def _variations(lattice: LatticeSpec, rng: np.random.Generator, band: int, amplitude: float,
+                homotopy: HomotopyClass, size: float, step: float):
+    """:func:`variation_check` at a random base of ``homotopy`` and along a random direction."""
+    cs = _structure(lattice, rng, band, amplitude)
+    theta = AngleField(homotopy, bandlimited_field(lattice, rng, band=4, amplitude=size))
+    beta = bandlimited_field(lattice, rng, band=3, amplitude=step)
+    residual = el_residual(cs, theta, "flat_weighted")
+    return variation_check(cs, theta, bienergy(cs, theta).bienergy, beta, residual)
+
+
+@pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
+@given(
+    lattices(),
+    st.integers(1, 3),
+    st.floats(0.0, 0.5),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_energy_variations_match_the_kernel_and_the_source(lattice, band, amplitude, m, n, size, step, seed):
+    # the energy is quadratic in alpha, so both identities hold at any base
+    # and with no step: a correct kernel and source read a few eps
+    rng = np.random.default_rng(seed)
+    # ok: the quadratic is nonnegative and both gaps are within 1e3 eps S
+    _, _, ok, note = _variations(lattice, rng, band, amplitude, HomotopyClass(m, n), size, step)
+    assert ok, note
+
+
+@pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
+@pytest.mark.parametrize(
+    "lattice",
+    [LatticeSpec.unit_square(8), LatticeSpec((1.0, 0.0), (0.5, 1.5), 16, 12), LatticeSpec.unit_square(64)],
+)
+def test_energy_variations_fail_a_transport_term_one_percent_off(monkeypatch, lattice):
+    # the property above is not vacuous: a kernel whose transport term is
+    # scaled by 0.99 stays symmetric and positive but is not the Hessian
+    def transport_off(self, spectrum):
+        out = self.bilaplacian_spectrum(spectrum)
+        for d in (self.d1, self.d2):
+            out -= 0.99 * d * np.fft.rfft2(self.kg_sq * np.fft.irfft2(d * spectrum))
+        return out
+
+    monkeypatch.setattr(_Kernel, "apply_spectrum", transport_off)
+    _, _, ok, note = _variations(lattice, np.random.default_rng(3), 2, 0.3, HomotopyClass(1, -1), 1.0, 1.0)
+    assert not ok, note

@@ -1,4 +1,5 @@
-"""The README's `solve` and `energy` examples print what the commands print."""
+"""The README's `solve` and `energy` examples print what the commands print,
+and its `verify` and `stability` examples the same lines and verdicts."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
-from torusfield.cli import main
+from torusfield.cli import _VERIFY_CHECKS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +40,22 @@ def test_readme_solve_example_is_the_class_1_0_solve():
     argv, shown = readme_sessions("solve")[0]
     assert argv[argv.index("--class") + 1:argv.index("--class") + 3] == ["1", "0"]
     assert shown[0] == "class (1, 0): 10 iterations, relative residual 9.672e-11, bienergy 1376.90409514"
+
+
+def test_verify_prints_the_checks_the_readme_shows(capsys):
+    # the variation gaps sit at roundoff, so lines are compared by name and verdict
+    [(argv, shown)] = readme_sessions("verify")
+    assert main(argv) == 0
+    expected = [f"PASS {name}" for name, _ in _VERIFY_CHECKS] + [f"all {len(_VERIFY_CHECKS)} checks passed"]
+    for lines in (capsys.readouterr().out.splitlines(), shown):
+        assert [line.split(":")[0] for line in lines] == expected
+
+
+def test_stability_passes_every_direction_the_readme_shows(capsys):
+    [(argv, shown)] = readme_sessions("stability")
+    assert main(argv) == 0
+    samples = int(argv[argv.index("--samples") + 1])
+    expected = [f"PASS direction {index}" for index in range(samples)]
+    expected.append(f"second variation nonnegative and both variations matched on all {samples} directions")
+    for lines in (capsys.readouterr().out.splitlines(), shown):
+        assert [line.split(":")[0] for line in lines] == expected
