@@ -247,9 +247,9 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     config = _load_config(args)
     cs, homotopy, opts = runio.realize(config)
     theta, report = solve_homotopy_class(cs, homotopy, opts)
-    # every direction shares one base point: gate it once; the report holds its energy
-    _require_critical(cs, theta)
-    base, residual = report.energy.bienergy, el_residual(cs, theta, "flat_weighted")
+    # every direction shares one base point: gate it once, which hands back its
+    # flat residual; the report holds its energy
+    base, residual = report.energy.bienergy, _require_critical(cs, theta)
     rng = np.random.default_rng(args.seed)
     failures = 0
     for index in range(args.samples):

@@ -62,7 +62,8 @@ class RunConfig:
 
     The string fields keep the user's spelling (``"unit-square"``, the
     exponent expression) so a config can be echoed back verbatim;
-    :func:`realize` turns them into geometry and solver options.
+    :func:`realize` turns them into geometry and solver options.  The text
+    form is one ``key = value`` line per row of :data:`_CONFIG_KEYS`.
     """
 
     lattice: str = "unit-square"
@@ -84,20 +85,16 @@ class RunConfig:
 
     def to_text(self) -> str:
         """Serialize as ``key = value`` lines; inverse of :meth:`from_text`."""
-        lines = [
-            f"lattice = {self.lattice}",
-            f"grid = {self.grid}",
-            f"u = {self.u}",
-            f"class = {self.winding[0]} {self.winding[1]}",
-            f"tolerance = {_fmt(self.tolerance)}",
-            f"formulation = {self.formulation}",
-            f"outputs = {' '.join(self.outputs)}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"{key} = {write(getattr(self, name))}\n" for key, name, _, write in _CONFIG_KEYS
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        """Parse ``key = value`` lines; blanks and ``#`` comments are skipped."""
+        """Parse ``key = value`` lines with the keys of :data:`_CONFIG_KEYS`;
+        blanks and ``#`` comments are skipped, and a repeated key keeps its
+        last value."""
+        readers = {key: (name, read) for key, name, read, _ in _CONFIG_KEYS}
         settings: dict[str, object] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -107,30 +104,31 @@ class RunConfig:
             if not sep:
                 raise ValueError(f"config line {lineno} is not 'key = value': {raw!r}")
             key, value = key.strip(), value.strip()
-            if key in ("lattice", "grid", "u", "formulation"):
-                settings[key] = value
-            elif key == "class":
-                parts = value.split()
-                if len(parts) != 2:
-                    raise ValueError(f"config line {lineno}: class wants two integers")
-                try:
-                    settings["winding"] = (int(parts[0]), int(parts[1]))
-                except ValueError:
-                    raise ValueError(
-                        f"config line {lineno}: class wants two integers, got {value!r}"
-                    ) from None
-            elif key == "tolerance":
-                try:
-                    settings["tolerance"] = float(value)
-                except ValueError:
-                    raise ValueError(
-                        f"config line {lineno}: tolerance must be a number, got {value!r}"
-                    ) from None
-            elif key == "outputs":
-                settings["outputs"] = tuple(value.split())
-            else:
+            if key not in readers:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            name, read = readers[key]
+            try:
+                settings[name] = read(value)
+            except ValueError as err:
+                raise ValueError(f"config line {lineno}: bad {key} {value!r} ({err})") from None
         return cls(**settings)  # type: ignore[arg-type]
+
+
+def _two_ints(text: str) -> tuple[int, int]:
+    m, n = text.split()
+    return int(m), int(n)
+
+
+#: The config file's keys in file order: (key, ``RunConfig`` field, read, write).
+_CONFIG_KEYS = (
+    ("lattice", "lattice", str, format),
+    ("grid", "grid", str, format),
+    ("u", "u", str, format),
+    ("class", "winding", _two_ints, lambda w: "{} {}".format(*w)),
+    ("tolerance", "tolerance", float, _fmt),
+    ("formulation", "formulation", str, format),
+    ("outputs", "outputs", str.split, " ".join),
+)
 
 
 ### Grid and lattice descriptions
@@ -177,77 +175,53 @@ def build_lattice(lattice_text: str, grid_text: str) -> LatticeSpec:
 ### The conformal-exponent grammar
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_TRIG_TERM = re.compile(
-    rf"^(?:(?P<coeff>{_NUMBER})\*)?(?P<fn>sin|cos)"
-    r"\(2pi\*(?P<arg>x|y|\((?P<lin>[^()]+)\))\)$"
+#: A term of the exponent's sum: a trig term, else a constant for ``float()``.
+_TERM = re.compile(
+    rf"""(?:(?P<coeff>{_NUMBER})\*)? (?P<fn>sin|cos) \(2pi\*
+           (?: (?P<var>[xy]) | \((?P<lin>[^()]+)\) ) \)
+       | (?P<const> (?: [^-+()] | (?<=[eE])[-+] )+ )  # a sign only after e or E""",
+    re.VERBOSE,
 )
-_LIN_ATOM = re.compile(r"^(?:(?P<mult>\d+)\*)?(?P<var>[xy])$")
+#: A term of a linear argument ``p*x+q*y``.
+_ATOM = re.compile(r"(?:(?P<mult>\d+)\*)? (?P<var>[xy])", re.VERBOSE)
+_SIGNS = re.compile(r"[-+]*")
 
 _GRAMMAR_HINT = (
-    "expected a number, '@samplefile', or a sum of terms "
+    "expected '@samplefile' or a sum of numbers and terms "
     "c*sin(2pi*A) / c*cos(2pi*A) with A one of x, y, (p*x+q*y)"
 )
 
 
-def _signed_chunks(text: str, what: str) -> list[tuple[float, str]]:
-    """Split ``a+b-c`` into signed pieces at the top parenthesis level."""
-    chunks: list[tuple[float, str]] = []
-    sign, depth, prev = 1.0, 0, ""
-    buf: list[str] = []
-    for ch in text:
-        if ch in "+-" and depth == 0 and prev not in ("e", "E"):
-            if buf:
-                chunks.append((sign, "".join(buf)))
-                buf, sign = [], 1.0
-            if ch == "-":
-                sign = -sign
-        else:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ValueError(f"unbalanced parentheses in {what}")
-            buf.append(ch)
-        prev = ch
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {what}")
-    if not buf:
-        raise ValueError(f"empty term in {what}")
-    chunks.append((sign, "".join(buf)))
-    return chunks
-
-
-def _linear_arg(text: str) -> tuple[int, int]:
-    """Parse ``p*x+q*y`` (either order, integer multiples) into ``(p, q)``."""
-    p = q = 0
-    for sign, atom in _signed_chunks(text, f"argument {text!r}"):
-        matched = _LIN_ATOM.match(atom)
-        if not matched:
-            raise ValueError(f"cannot parse {atom!r} in argument {text!r}; {_GRAMMAR_HINT}")
-        mult = int(sign) * int(matched.group("mult") or 1)
-        if matched.group("var") == "x":
-            p += mult
-        else:
-            q += mult
-    return p, q
+def _terms(pattern: re.Pattern, text: str):
+    """``(sign, match)`` per term of ``text``: terms of ``pattern``, each after
+    the first led by a run of signs that multiplies out to ``sign``; the terms
+    must tile the whole text."""
+    pos = 0
+    while True:
+        signs = _SIGNS.match(text, pos)
+        term = pattern.match(text, signs.end())
+        if term is None or (pos and signs.end() == pos):
+            raise ValueError(f"cannot parse {text[pos:]!r} of {text!r}; {_GRAMMAR_HINT}")
+        yield (-1) ** signs.group().count("-"), term
+        pos = term.end()
+        if pos == len(text):
+            return
 
 
 def parse_exponent(text: str, lattice: LatticeSpec) -> ScalarField:
     """Evaluate a conformal-exponent description on the grid.
 
-    Three forms are accepted:
-
-    * ``@path`` — whitespace-separated samples loaded from ``path``, shaped
-      like the grid or flat in row-major ``(s, t)`` order;
-    * a single number, for a constant exponent (``0`` is the flat torus);
-    * a sum of terms ``c*sin(2pi*A)`` / ``c*cos(2pi*A)`` with ``A`` one of
-      ``x``, ``y``, ``(p*x+q*y)`` for integers ``p, q``; here ``x, y`` are
-      the lattice-fractional coordinates, so every expressible term is
-      automatically periodic on the torus, whatever the generators.
-
-    The grammar is deliberately closed; anything it cannot say should come
-    in as a sample file.
+    ``@path`` loads whitespace-separated samples, grid-shaped or flat in
+    row-major ``(s, t)`` order.  Anything else is, once all whitespace is
+    dropped, a sum of terms taken in order, each after the first led by a run
+    of ``+``/``-`` that multiplies out (the first may carry one too).  A term
+    is a constant, any text without ``+-()`` (save a sign right after ``e`` or
+    ``E``) that ``float()`` reads, or ``c*sin(2pi*A)`` / ``c*cos(2pi*A)`` with
+    the decimal ``c*`` optional and ``A`` one of ``x``, ``y`` or a bracketed
+    sum of atoms ``x``, ``y``, ``k*x``, ``k*y`` (integers ``k >= 0``) joined
+    the same way, in any order, repeats added.  ``x, y`` are lattice-fractional,
+    so every term is periodic on the torus whatever the generators.  The
+    grammar is deliberately closed; what it cannot say comes as a sample file.
     """
     raw = text.strip()
     if raw.startswith("@"):
@@ -262,27 +236,21 @@ def parse_exponent(text: str, lattice: LatticeSpec) -> ScalarField:
             samples = samples.reshape(lattice.shape)
         return ScalarField(lattice, samples)
 
-    compact = "".join(raw.split())
-    if not compact:
-        raise ValueError(f"empty exponent; {_GRAMMAR_HINT}")
     lam1, lam2 = lattice.fractional_coords
     values = np.zeros(lattice.shape)
-    for sign, chunk in _signed_chunks(compact, f"exponent {text!r}"):
-        try:
-            values = values + sign * float(chunk)
+    for sign, term in _terms(_TERM, "".join(raw.split())):
+        if term["const"] is not None:
+            try:
+                values = values + sign * float(term["const"])
+            except ValueError:
+                raise ValueError(f"cannot parse term {term['const']!r}; {_GRAMMAR_HINT}") from None
             continue
-        except ValueError:
-            pass
-        matched = _TRIG_TERM.match(chunk)
-        if not matched:
-            raise ValueError(f"cannot parse exponent term {chunk!r}; {_GRAMMAR_HINT}")
-        coeff = sign * float(matched.group("coeff") or 1.0)
-        if matched.group("lin") is not None:
-            p, q = _linear_arg(matched.group("lin"))
-        else:
-            p, q = (1, 0) if matched.group("arg") == "x" else (0, 1)
-        fn = np.sin if matched.group("fn") == "sin" else np.cos
-        values = values + coeff * fn(TWO_PI * (p * lam1 + q * lam2))
+        p = q = 0
+        for factor, atom in _terms(_ATOM, term["var"] or term["lin"]):
+            mult = factor * int(atom["mult"] or 1)
+            p, q = (p + mult, q) if atom["var"] == "x" else (p, q + mult)
+        fn = np.sin if term["fn"] == "sin" else np.cos
+        values = values + sign * float(term["coeff"] or 1.0) * fn(TWO_PI * (p * lam1 + q * lam2))
     return ScalarField(lattice, values)
 
 

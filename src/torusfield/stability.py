@@ -52,13 +52,15 @@ def hessian_form(cs: ConformalStructure, beta: ScalarField) -> float:
     return 2.0 * integrate_inner(beta, apply_operator_P(cs, beta, "flat_weighted"))
 
 
-def _require_critical(cs: ConformalStructure, theta_star: AngleField) -> None:
+def _require_critical(cs: ConformalStructure, theta_star: AngleField) -> ScalarField:
     """Refuse ``theta_star`` unless it is critical to within 1e-6 of the source
     scale plus ten times the roundoff floor of the e^{2u}-weighted flat assembly,
     ``eps (max(lap)^2 max e^{2u} + max(lap) max k_g^2) max|alpha| max e^{2u}``,
-    which grows like n^4 and overtakes 1e-6 of the scale near 768^2."""
+    which grows like n^4 and overtakes 1e-6 of the scale near 768^2.  Returns the
+    flat ``P alpha - b``, the ``"flat_weighted"`` :func:`torusfield.energy.el_residual`."""
     source = right_hand_side(cs, theta_star.homotopy, "flat_weighted")
-    residual, scale = _criticality(cs, theta_star, source, "curved")
+    applied = cs.kernel.apply(theta_star.periodic.values)
+    residual, scale = _criticality(cs, theta_star, source, "curved", applied)
     scale = max(1.0, scale)
     lap, e2u = float(np.max(cs.kernel.lap)), float(np.max(cs.e2u.values))
     roundoff = lap * (lap * e2u + float(np.max(cs.kg_sq.values))) * e2u
@@ -68,6 +70,7 @@ def _require_critical(cs: ConformalStructure, theta_star: AngleField) -> None:
             "base field does not satisfy the critical-point equation "
             f"(residual {residual:.3e} against scale {scale:.3e})"
         )
+    return ScalarField(cs.lattice, applied - source.values)
 
 
 def variation_check(

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from torusfield import cli, conformal, energy, stability
+from torusfield import cli, conformal, energy, solver, stability
 from torusfield.cli import main
 from torusfield.io import read_field_csv
 from torusfield.lattice import VectorFieldFlat
@@ -304,9 +304,10 @@ def test_stability_halving_ratio_is_clear_of_roundoff_on_a_strong_exponent(capsy
 
 def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
     # every direction shares the solved field: one criticality gate per run,
-    # the base energy read from the solve's report, then the two energies at
-    # theta +- beta per direction
-    counts = {"gate": 0, "energy": 0}
+    # which also hands back the flat residual, the base energy read from the
+    # solve's report, then the two energies at theta +- beta per direction;
+    # the source is assembled once by the solve and once by the gate
+    counts = {"gate": 0, "energy": 0, "source": 0}
 
     def counting(key, call):
         def counted(*args, **kwargs):
@@ -318,13 +319,15 @@ def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
     # the variations take their energies through each module's bienergy
     for module in (cli, energy, stability):
         monkeypatch.setattr(module, "bienergy", counting("energy", module.bienergy))
+    for module in (energy, solver, stability):
+        monkeypatch.setattr(module, "right_hand_side", counting("source", module.right_hand_side))
     code, out = run(
         capsys, "stability", "--grid", "16", "--u", "0.2*sin(2pi*x)",
         "--class", "1", "0", "--samples", "3",
     )
     assert code == 0
     assert out.count("PASS direction") == 3
-    assert counts == {"gate": 1, "energy": 2 * 3}
+    assert counts == {"gate": 1, "energy": 2 * 3, "source": 2}
 
 
 def test_stability_fails_a_solve_against_a_wrong_source(capsys, monkeypatch):

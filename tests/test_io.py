@@ -69,6 +69,28 @@ def test_default_config_roundtrips():
     assert RunConfig.from_text(RunConfig().to_text()) == RunConfig()
 
 
+def test_config_text_bytes_are_pinned():
+    # the key table fixes the order and the spelling of every line
+    assert RunConfig().to_text() == (
+        "lattice = unit-square\ngrid = 64\nu = 0\nclass = 1 0\n"
+        "tolerance = 1e-10\nformulation = curved\noutputs = \n"
+    )
+    config = RunConfig(
+        lattice="1,0;0.5,2",
+        grid="32x16",
+        u="--0.1+0.2*sin(2pi*(3*y+-x))",
+        winding=(3, -2),
+        tolerance=0.1,
+        formulation="flat_weighted",
+        outputs=("json", "csv"),
+    )
+    assert config.to_text() == (
+        "lattice = 1,0;0.5,2\ngrid = 32x16\nu = --0.1+0.2*sin(2pi*(3*y+-x))\n"
+        "class = 3 -2\ntolerance = 0.10000000000000001\n"
+        "formulation = flat_weighted\noutputs = json csv\n"
+    )
+
+
 def test_config_skips_blanks_and_comments():
     text = "# a comment\n\ngrid = 8\n  # indented comment\nu = 0.5\n"
     config = RunConfig.from_text(text)
@@ -198,6 +220,16 @@ def test_grammar_ignores_whitespace(square):
         "u+1",
         "0.2*sin(2pi*x))",
         "sin(2pi*1.5*x)",
+        "1+",
+        "+",
+        "x",
+        "2*x",
+        "e",
+        "0.2*sin(2pi*(x+))",
+        "0.2*sin(2pi*((x)))",
+        "0.2*sin(2pi*x)3",
+        "sin(2pi*x)cos(2pi*y)",
+        "0.2**sin(2pi*x)",
     ],
 )
 def test_grammar_rejects(square, text):

@@ -1,4 +1,5 @@
-"""Property tests of the text tables: their bytes, the round trip, the cache.
+"""Property tests of the text tables: their bytes, the round trip, the cache;
+and of the text inputs: the exponent grammar and the config file.
 
 ``write_field_csv`` formats the four columns a structure fixes once and
 fills in the three per-class ones on every write; ``write_quiver`` fills
@@ -23,7 +24,15 @@ from hypothesis import strategies as st
 from torusfield import io as runio
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field
 from torusfield.conformal import ConformalStructure
-from torusfield.io import CSV_HEADER, read_field_csv, write_field_csv, write_quiver
+from torusfield.io import (
+    CSV_HEADER,
+    OUTPUT_KINDS,
+    RunConfig,
+    parse_exponent,
+    read_field_csv,
+    write_field_csv,
+    write_quiver,
+)
 from torusfield.lattice import LatticeSpec, bandlimited_field
 
 
@@ -182,3 +191,82 @@ def test_percent_format_matches_format_and_savetxt_at_the_edges(tmp_path):
     savetxt = path.read_text(encoding="utf-8").splitlines()
     for value, line in zip(EDGE_VALUES, savetxt):
         assert "%.17g" % value == format(value, ".17g") == line
+
+
+### The exponent grammar and the config text
+
+OBLIQUE = LatticeSpec((1.0, 0.1), (0.35, 0.9), 8, 6)
+numbers = st.integers(0, 99).map(str) | st.floats(0.0, 10.0, allow_subnormal=False).map(repr)
+
+
+@st.composite
+def exponents(draw) -> tuple[str, list[tuple[int, str, str | None, int, int]]]:
+    """A valid exponent, spaced between tokens, and its terms in order:
+    ``(sign, number, fn, p, q)`` with ``fn`` None for a constant ``number``
+    and the coefficient of a trig term otherwise (``"1"`` when omitted)."""
+    def gap() -> str:
+        return draw(st.sampled_from(["", " ", "\t ", "  "]))
+
+    def signs(least: int) -> str:
+        return "".join(draw(st.lists(st.sampled_from("+-"), min_size=least, max_size=3)))
+
+    text, terms = "", []
+    for index in range(draw(st.integers(1, 4))):
+        run = signs(1 if index else 0)
+        text += run + gap()
+        sign = (-1) ** run.count("-")
+        if draw(st.booleans()):
+            number = draw(numbers)
+            text += number
+            terms.append((sign, number, None, 0, 0))
+            continue
+        coeff = draw(st.none() | numbers)
+        fn = draw(st.sampled_from(["sin", "cos"]))
+        atoms, p, q = [], 0, 0
+        for k in range(draw(st.integers(1, 4))):
+            atom_run = signs(1 if k else 0)
+            mult, var = draw(st.none() | st.integers(0, 4)), draw(st.sampled_from("xy"))
+            times = "" if mult is None else f"{mult}{gap()}*{gap()}"
+            atoms.append(atom_run + gap() + times + var)
+            step = (-1) ** atom_run.count("-") * (1 if mult is None else mult)
+            p, q = (p + step, q) if var == "x" else (p, q + step)
+        bare = len(atoms) == 1 and atoms[0] in ("x", "y") and draw(st.booleans())
+        arg = atoms[0] if bare else "(" + gap() + gap().join(atoms) + gap() + ")"
+        text += "" if coeff is None else f"{coeff}{gap()}*{gap()}"
+        text += f"{fn}{gap()}({gap()}2pi{gap()}*{gap()}{arg}{gap()})"
+        terms.append((sign, coeff or "1", fn, p, q))
+    return gap() + text + gap(), terms
+
+
+@given(exponents())
+def test_exponent_is_the_direct_sum_of_its_terms_in_order(exponent):
+    # sign runs multiply out, linear-argument atoms add up in any order and
+    # with repeats, and the terms sum left to right onto zeros
+    text, terms = exponent
+    lam1, lam2 = OBLIQUE.fractional_coords
+    expected = np.zeros(OBLIQUE.shape)
+    for sign, number, fn, p, q in terms:
+        if fn is None:
+            expected = expected + sign * float(number)
+        else:
+            wave = getattr(np, fn)(2.0 * np.pi * (p * lam1 + q * lam2))
+            expected = expected + sign * float(number) * wave
+    assert np.array_equal(parse_exponent(text, OBLIQUE).values, expected)
+
+
+# text fields with no newline and no edge whitespace survive a line of the file
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines cuts
+words = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=LINE_BREAKS), max_size=12
+).map(str.strip)
+
+
+@given(
+    words, words, words, st.tuples(st.integers(-99, 99), st.integers(-99, 99)),
+    st.floats(allow_nan=False), words, st.lists(st.sampled_from(OUTPUT_KINDS), max_size=5),
+)
+def test_config_roundtrips_through_its_text(
+    lattice, grid, u, winding, tolerance, formulation, kinds
+):
+    config = RunConfig(lattice, grid, u, winding, tolerance, formulation, tuple(kinds))
+    assert RunConfig.from_text(config.to_text()) == config

@@ -1,5 +1,6 @@
 """The README's `solve` and `energy` examples print what the commands print,
-and its `verify` and `stability` examples the same lines and verdicts."""
+its `verify` and `stability` examples the same lines and verdicts, and its
+exponent examples and config keys are the ones the parsers read."""
 
 from __future__ import annotations
 
@@ -7,7 +8,12 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from torusfield.cli import _VERIFY_CHECKS, main
+from torusfield.io import _CONFIG_KEYS, parse_exponent
+from torusfield.lattice import LatticeSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -59,3 +65,34 @@ def test_stability_passes_every_direction_the_readme_shows(capsys):
     expected.append(f"second variation nonnegative and both variations matched on all {samples} directions")
     for lines in (capsys.readouterr().out.splitlines(), shown):
         assert [line.split(":")[0] for line in lines] == expected
+
+
+def _backticked(text: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", text)
+
+
+def test_readme_exponent_examples_read_as_the_grammar_section_says():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## The exponent grammar"):text.index("## Output formats")]
+    paragraph = lambda opening: section[section.index(opening):].split("\n\n")[0]
+    lattice = LatticeSpec((1.0, 0.1), (0.35, 0.9), 8, 6)
+    examples = _backticked(paragraph("Examples:"))
+    assert len(examples) == 5
+    for example in examples:
+        parse_exponent(example, lattice)
+    for rejected in _backticked(paragraph("Anything else is rejected")):
+        with pytest.raises(ValueError):
+            parse_exponent(rejected, lattice)
+    # "`A` is `B`": equal fields; a bracketed A is a trig argument
+    pairs = re.findall(r"`([^`]+)`\s+(?:is|reads as)\s+`([^`]+)`", section)
+    assert len(pairs) == 5
+    for pair in pairs:
+        left, right = (f"sin(2pi*{t})" if t.startswith("(") else t for t in pair)
+        values = [parse_exponent(side, lattice).values for side in (left, right)]
+        assert np.array_equal(*values)
+
+
+def test_readme_config_keys_are_the_key_table_in_order():
+    readme = README.read_text(encoding="utf-8")
+    listed = re.search(r"Keys are the same words as the flags \(([^)]*)\)", readme)
+    assert _backticked(listed.group(1)) == [key for key, *_ in _CONFIG_KEYS]
