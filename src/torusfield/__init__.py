@@ -21,16 +21,9 @@ from torusfield.conformal import (
     ResidualPair,
     ResolutionWarning,
     frame_connection,
-    gaussian_curvature,
     section_residual_pair,
 )
-from torusfield.energy import (
-    DerivativePair,
-    EnergyBreakdown,
-    bienergy,
-    directional_derivative_check,
-    el_residual,
-)
+from torusfield.energy import EnergyBreakdown, bienergy, el_residual
 from torusfield.io import RunConfig, parse_exponent, read_field_csv, realize, write_outputs
 from torusfield.lattice import (
     LatticeSpec,
@@ -55,18 +48,15 @@ from torusfield.liegroups import (
     compare_known,
     critical_system_residual,
     hyperbolic,
-    model_laplacian,
     sol3,
     su2,
 )
 from torusfield.solver import (
     ConvergenceError,
-    DescentResult,
     RigidityCertificate,
     SolveOptions,
     SolveReport,
     apply_operator_P,
-    descent_oracle,
     right_hand_side,
     section_rigidity_check,
     solve_homotopy_class,
@@ -85,8 +75,6 @@ __all__ = [
     "ConvergenceError",
     "CriticalComponent",
     "CriticalSet",
-    "DerivativePair",
-    "DescentResult",
     "EnergyBreakdown",
     "FrameConnection",
     "HessianSample",
@@ -110,21 +98,17 @@ __all__ = [
     "classify",
     "compare_known",
     "critical_system_residual",
-    "descent_oracle",
-    "directional_derivative_check",
     "dot",
     "el_residual",
     "flat_divergence",
     "flat_gradient",
     "flat_laplacian",
     "frame_connection",
-    "gaussian_curvature",
     "hessian_form",
     "hessian_vs_energy_check",
     "hyperbolic",
     "integrate_inner",
     "linear_representative",
-    "model_laplacian",
     "parse_exponent",
     "read_field_csv",
     "realize",

@@ -78,16 +78,6 @@ def _warn_if_unresolved(u: ScalarField, label: str) -> None:
         )
 
 
-def gaussian_curvature(u: ScalarField) -> ScalarField:
-    """Gaussian curvature of ``g = exp(-2u) * flat``.
-
-    ``k_g = exp(2u)(d1^2 + d2^2)u``; sign and factor pinned by the
-    finite-difference metric-curvature oracle and Gauss–Bonnet.
-    """
-    _warn_if_unresolved(u, "conformal exponent")
-    return ConformalStructure(u).kg
-
-
 @dataclass(frozen=True, eq=False)
 class ConformalStructure:
     """A torus metric ``exp(-2u) * flat`` with its derived curved calculus.

@@ -66,11 +66,6 @@ class EnergyBreakdown(NamedTuple):
     area: float
 
 
-class DerivativePair(NamedTuple):
-    analytic: float
-    numeric: float
-
-
 def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
     """The second-order energy of the unit field with angle ``theta`` (winding
     class plus periodic part alpha) on the lattice of ``cs``: its vertical and
@@ -166,39 +161,3 @@ def el_residual(
         frame_transport = cs.divergence(cs.kg_sq * Z)
         return fourth - transport - frame_fourth - frame_transport
     raise ValueError(f"unknown formulation: {formulation!r}")
-
-
-def directional_derivative_check(
-    cs: ConformalStructure, theta: AngleField, beta: ScalarField, h: float = 1e-4
-) -> DerivativePair:
-    """Compare the analytic first variation of the energy with a finite
-    difference along a class-preserving variation.
-
-    The analytic value pairs ``beta`` with the curved residual against the
-    curved volume measure.  The numeric value is a central difference of
-    :func:`bienergy` along the path ``t -> theta + sin(t) * beta``.  A
-    straight-line path is useless here: the discretized functional is
-    exactly quadratic along straight lines, so the central difference would
-    be exact to roundoff and carry no h^2 term for a convergence check to
-    observe.  The sinusoidal path has the same velocity at t = 0 but a
-    curved parameterization, so the difference of the two values shrinks
-    like h^2/6 times the first derivative, which halving h quarters.  Returns
-    ``DerivativePair(analytic, numeric)`` along the periodic direction ``beta``
-    at step ``h``.
-    """
-    cs._check(theta.lattice)
-    cs._check(beta.lattice)
-    residual = el_residual(cs, theta, formulation="curved")
-    analytic = 2.0 * cs.integrate(beta, residual)
-
-    plus, minus = _sinusoidal_energies(cs, theta, beta, h)
-    numeric = (plus - minus) / (2.0 * h)
-    return DerivativePair(analytic=analytic, numeric=numeric)
-
-
-def _sinusoidal_energies(
-    cs: ConformalStructure, theta: AngleField, beta: ScalarField, h: float
-) -> tuple[float, float]:
-    """Energies at ``t = h`` and ``t = -h`` on the path ``t -> theta + sin(t) * beta``."""
-    step = float(np.sin(h))
-    return tuple(bienergy(cs, theta.shifted(beta * s)).bienergy for s in (step, -step))

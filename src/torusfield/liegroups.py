@@ -277,42 +277,13 @@ def _require_unit(V: NDArray, dim: int) -> NDArray:
     return V
 
 
-class LaplacianData(NamedTuple):
-    DeltaV: NDArray
-    A: float
-    DeltaDeltaV: NDArray
-    SV: NDArray
-
-
-def model_laplacian(model: LeftInvariantModel, V: NDArray) -> LaplacianData:
-    """Rough Laplacian data of the left-invariant unit field with
-    coefficients V: (lapl V, <lapl V, V>, lapl lapl V, S(V))."""
-    V = _require_unit(V, model.dim)
-    DeltaV = _rough_laplacian(model, V)
-    return LaplacianData(
-        DeltaV=DeltaV,
-        A=float(DeltaV @ V),
-        DeltaDeltaV=_rough_laplacian(model, DeltaV),
-        SV=_shape_term(model, V),
-    )
-
-
-def critical_system_residual(
-    model: LeftInvariantModel, V: NDArray, problem: str, lam: float | None = None
-) -> NDArray:
-    """Residual of the critical-point system for the given problem at V.
-
-    With ``lam`` omitted the collinearity constant is eliminated by
-    projecting orthogonally to V; passing ``lam`` returns the full residual
-    ``expression - lam * V`` instead.
-    """
+def critical_system_residual(model: LeftInvariantModel, V: NDArray, problem: str) -> NDArray:
+    """Residual of the critical-point system for the given problem at V, with
+    the collinearity constant eliminated by projecting orthogonally to V."""
     V = _require_unit(V, model.dim)
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem: {problem!r}")
-    expression = _cubic_map(model, problem).expression(V)
-    if lam is None:
-        return _tangent_part(expression, V)
-    return expression - lam * V
+    return _tangent_part(_cubic_map(model, problem).expression(V), V)
 
 
 ### Classification of the solution set on the unit sphere

@@ -9,7 +9,7 @@ is symmetric positive semidefinite in the flat L2 product, with kernel
 exactly the constants, so every solve runs preconditioned conjugate
 gradients on the mean-zero subspace against this flat-weighted form.  One
 spectral kernel per structure (``ConformalStructure.kernel``: the solve, its
-report, the flat residual, the stability gate and both verification hooks
+report, the flat residual, the stability gate and the rigidity check
 share it) applies P with the lattice's own multipliers on the ``rfft2`` half
 spectrum, where every iterate stays: a PCG iteration costs three ``rfft2``
 and three ``irfft2`` for P and one of each for the preconditioner, the
@@ -28,12 +28,11 @@ curved equation is asked for; energy and P alpha share one derivative pass
 curved assembly (the pointwise multiple e^{2u} P, symmetric against the
 curved area element) survives only as an independent oracle.
 
-Two independent verification hooks live here as well, on the same half
-spectra: an inverse-iteration estimate of the smallest Rayleigh quotient of
-the weighted bilaplacian (the operator whose kernel rigidity forces purely
-"vertical" critical fields to be constant), and a gradient-descent oracle
-that minimizes the energy directly and must land on the same field the
-linear solve produces.
+The rigidity check runs here as well, on the same half spectra: an
+inverse-iteration estimate of the smallest Rayleigh quotient of the weighted
+bilaplacian, the operator whose kernel rigidity forces purely "vertical"
+critical fields to be constant.  The gradient-descent oracle, which must land
+on the field the linear solve produces, lives in the test suite.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from numpy.typing import NDArray
 
 from .angles import AngleField, HomotopyClass
 from .conformal import ConformalStructure, _Kernel
-from .energy import EnergyBreakdown, _breakdown, bienergy, right_hand_side
+from .energy import EnergyBreakdown, _breakdown, right_hand_side
 from .lattice import LatticeSpec, ScalarField
 
 _FORMULATIONS = ("curved", "flat_weighted")
@@ -61,9 +60,6 @@ _STAGNATION_WINDOW = 16
 
 #: applications of M in the rigidity check, the one forming its start included
 _RIGIDITY_ITERATIONS = 31
-
-#: relative gradient reduction at which the descent oracle declares victory
-_DESCENT_GRADIENT_REDUCTION = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -116,12 +112,6 @@ class SolveReport(NamedTuple):
 class RigidityCertificate(NamedTuple):
     smallest_rayleigh: float
     verdict: bool
-
-
-class DescentResult(NamedTuple):
-    angle: AngleField
-    energy_trace: list[float]
-    stalled: bool
 
 
 def apply_operator_P(
@@ -359,66 +349,3 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
 
     flat_reference = float(np.min(kernel.lap[kernel.lap != 0.0])) ** 2
     return RigidityCertificate(rayleigh, verdict=rayleigh >= 1e-6 * flat_reference)
-
-
-def descent_oracle(
-    cs: ConformalStructure, homotopy: HomotopyClass, steps: int = 500
-) -> DescentResult:
-    """Minimize the energy over the periodic part by line-searched descent.
-
-    An independent check on the linear solver: no operator equation is
-    solved; each step moves along ``-M g``, the structure's preconditioner
-    (the inverse of the leading-order term ``flat_lap e^{2u} flat_lap``,
-    which makes convergence grid-independent) applied to the energy
-    gradient ``g = 2 (P alpha - b)``, taken on the structure's kernel and
-    the flat source assembled once.  The step exactly minimizes along the
-    direction, guarded by halving if roundoff ever breaks monotonicity.  The
-    gradient starts at ``-2 b`` and follows each step by ``2 step P d``,
-    reusing the curvature's ``P d``: one apply per step.  Gradient and
-    direction stay half spectra; the line search reads the direction through
-    one ``irfft2``, and ``bienergy`` judges every candidate.
-
-    Returns the final angle field, the energy trace (nonincreasing), and a
-    flag set when the line search stalls before the gradient target.
-    """
-    lattice = cs.lattice
-    kernel = cs.kernel
-    source = np.fft.rfft2(right_hand_side(cs, homotopy, "flat_weighted").values)
-
-    alpha = np.zeros(lattice.shape)
-    energy = bienergy(cs, AngleField(homotopy, ScalarField(lattice, alpha))).bienergy
-    trace = [energy]
-    stalled = False
-    reference_slope: float | None = None
-    gradient = -2.0 * source
-
-    for _ in range(steps):
-        direction = -kernel.hermitian(kernel.precondition_spectrum(gradient))
-        slope = kernel.inner(gradient, direction)  # negative along a descent direction
-        if reference_slope is None:
-            reference_slope = abs(slope)
-            if reference_slope == 0.0:
-                break
-        if abs(slope) <= _DESCENT_GRADIENT_REDUCTION**2 * reference_slope:
-            break
-
-        applied = kernel.apply_spectrum(direction)
-        curvature = kernel.inner(applied, direction)
-        step = -slope / (2.0 * curvature) if curvature > 0.0 else 1.0
-        moved = np.fft.irfft2(direction)
-        for _halving in range(40):
-            candidate = alpha + step * moved
-            candidate_theta = AngleField(homotopy, ScalarField(lattice, candidate))
-            candidate_energy = bienergy(cs, candidate_theta).bienergy
-            if candidate_energy <= energy:
-                break
-            step *= 0.5
-        else:
-            stalled = True
-            break
-        alpha, energy = candidate, candidate_energy
-        gradient = gradient + 2.0 * step * applied
-        trace.append(energy)
-
-    final = AngleField(homotopy, ScalarField(lattice, alpha - np.mean(alpha)))
-    return DescentResult(angle=final, energy_trace=trace, stalled=stalled)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .angles import AngleField
 from .conformal import ConformalStructure
-from .energy import _sinusoidal_energies, bienergy, right_hand_side
+from .energy import bienergy, right_hand_side
 from .lattice import ScalarField, integrate_inner
 from .solver import _criticality, apply_operator_P
 
@@ -102,9 +102,9 @@ def hessian_vs_energy_check(
     """Compare :func:`hessian_form` against a symmetric second difference of
     the energy at a critical field.
 
-    The difference runs along the path ``t -> theta_star + sin(t) * beta``
-    (see :func:`torusfield.energy.directional_derivative_check` for why a
-    straight line would make the convergence contract vacuous), giving
+    The difference runs along the path ``t -> theta_star + sin(t) * beta``: the
+    energy is exactly quadratic along a straight line, whose difference would be
+    exact to roundoff with no h^2 term to watch.  The curved path gives
     ``gap = quadratic_value * h^2 / 3`` up to higher order: halving ``h``
     quarters the gap, but only if ``P`` is the energy's Hessian.  A base that
     is not critical to 1e-6 of the source scale plus the assembly's roundoff
@@ -118,3 +118,11 @@ def hessian_vs_energy_check(
     plus, minus = _sinusoidal_energies(cs, theta_star, beta, h)
     second = (plus - 2.0 * bienergy(cs, theta_star).bienergy + minus) / (h * h)
     return HessianSample(beta, quadratic, second, gap=abs(quadratic - second))
+
+
+def _sinusoidal_energies(
+    cs: ConformalStructure, theta: AngleField, beta: ScalarField, h: float
+) -> tuple[float, float]:
+    """Energies at ``t = h`` and ``t = -h`` on the path ``t -> theta + sin(t) * beta``."""
+    step = float(np.sin(h))
+    return tuple(bienergy(cs, theta.shifted(beta * s)).bienergy for s in (step, -step))

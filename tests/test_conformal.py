@@ -18,7 +18,6 @@ from torusfield.conformal import (
     ConformalStructure,
     ResolutionWarning,
     frame_connection,
-    gaussian_curvature,
     section_residual_pair,
 )
 from torusfield.lattice import (
@@ -57,13 +56,13 @@ def random_angle(lattice: LatticeSpec, seed: int, m: int = 1, n: int = 0) -> Ang
 
 def test_flat_metric_has_zero_curvature():
     lattice = LatticeSpec.unit_square(32)
-    kg = gaussian_curvature(ScalarField.from_constant(lattice, 0.0))
+    kg = ConformalStructure.from_exponent(ScalarField.from_constant(lattice, 0.0)).kg
     assert kg.max_abs() == 0.0
 
 
 def test_constant_exponent_has_zero_curvature():
     lattice = LatticeSpec.unit_square(32)
-    kg = gaussian_curvature(ScalarField.from_constant(lattice, 0.8))
+    kg = ConformalStructure.from_exponent(ScalarField.from_constant(lattice, 0.8)).kg
     assert kg.max_abs() == 0.0
 
 
@@ -127,7 +126,7 @@ def test_curvature_matches_metric_determinant_oracle():
     lattice = LatticeSpec.unit_square(256)
     u_fn = lambda x, y: 0.3 * np.sin(TWO_PI * x) * np.cos(TWO_PI * y)
     u = ScalarField.from_function(lattice, u_fn)
-    kg = gaussian_curvature(u)
+    kg = ConformalStructure.from_exponent(u).kg
 
     conformal = np.exp(-2.0 * u.values)  # metric components E = G, F = 0
     zeros = np.zeros_like(conformal)
@@ -366,7 +365,7 @@ def test_unresolved_exponent_warns():
     with pytest.warns(ResolutionWarning):
         ConformalStructure.from_exponent(rough)
     with pytest.warns(ResolutionWarning):
-        gaussian_curvature(rough)
+        ConformalStructure.from_exponent(rough).kg
 
 
 def test_smooth_exponent_does_not_warn():
@@ -375,14 +374,14 @@ def test_smooth_exponent_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ConformalStructure.from_exponent(smooth)
-        gaussian_curvature(smooth)
+        ConformalStructure.from_exponent(smooth).kg
 
 
 def test_free_function_and_structure_curvature_agree():
     lattice = LatticeSpec.unit_square(64)
     u = ScalarField.from_function(lattice, lambda x, y: 0.2 * np.cos(TWO_PI * y))
     cs = ConformalStructure.from_exponent(u)
-    np.testing.assert_array_equal(cs.kg.values, gaussian_curvature(u).values)
+    np.testing.assert_array_equal(cs.kg.values, ConformalStructure(u).kg.values)
 
 
 def test_curved_area_weighting():

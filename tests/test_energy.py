@@ -16,13 +16,7 @@ from torusfield.conformal import (
     ResolutionWarning,
     section_residual_pair,
 )
-from torusfield.energy import (
-    DerivativePair,
-    EnergyBreakdown,
-    bienergy,
-    directional_derivative_check,
-    el_residual,
-)
+from torusfield.energy import bienergy, el_residual
 from torusfield.lattice import (
     LatticeSpec,
     ScalarField,
@@ -34,6 +28,8 @@ from torusfield.lattice import (
     integrate_inner,
     spectral_derivative,
 )
+
+from oracles import directional_derivative_check
 
 TWO_PI = 2.0 * np.pi
 FOURTH_POWER_OF_2PI = 1558.5454565440389  # (2*pi)**4

@@ -1,6 +1,7 @@
 """The README's `solve` and `energy` examples print what the commands print,
-its `verify` and `stability` examples the same lines and verdicts, and its
-exponent examples and config keys are the ones the parsers read."""
+its `verify` and `stability` examples the same lines and verdicts, its
+exponent examples and config keys are the ones the parsers read, and its
+library examples run against the package's façade."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import torusfield
 from torusfield.cli import _VERIFY_CHECKS, main
 from torusfield.io import _CONFIG_KEYS, parse_exponent
 from torusfield.lattice import LatticeSpec
@@ -96,3 +98,20 @@ def test_readme_config_keys_are_the_key_table_in_order():
     readme = README.read_text(encoding="utf-8")
     listed = re.search(r"Keys are the same words as the flags \(([^)]*)\)", readme)
     assert _backticked(listed.group(1)) == [key for key, *_ in _CONFIG_KEYS]
+
+
+def test_library_examples_run_on_the_facade(capsys):
+    # the second block reuses the first block's ``tf``, as a reader's session would
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library"):text.index("## Conventions")]
+    blocks = re.findall(r"^```python\n(.*?)^```", section, re.M | re.S)
+    assert len(blocks) == 2
+    used = set(re.findall(r"\btf\.(\w+)", "".join(blocks)))
+    assert used <= set(torusfield.__all__)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    residual, energy = map(float, capsys.readouterr().out.split())
+    assert 0.0 < residual <= 1e-10 and energy > 0.0
+    assert namespace["report"].final_relative_residual <= 1e-10
+    assert namespace["theta"].homotopy == namespace["tf"].HomotopyClass(1, 0)

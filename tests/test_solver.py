@@ -2,7 +2,8 @@
 
 The linear solve is cross-checked against closed-form flat cases, against
 an energy-descent minimizer that never forms the operator equation, and
-across its two assemblies of the same PDE.
+across its two assemblies of the same PDE.  The minimizer and the
+first-variation check are the reference routes of ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from torusfield import angles, energy
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
 from torusfield.conformal import ConformalStructure, ResolutionWarning
-from torusfield.energy import bienergy, directional_derivative_check, el_residual
+from torusfield.energy import bienergy, el_residual
 from torusfield.io import RunConfig, realize, report_document
 from torusfield.lattice import (
     LatticeSpec,
@@ -38,12 +39,13 @@ from torusfield.solver import (
     _pcg,
     _project,
     apply_operator_P,
-    descent_oracle,
     right_hand_side,
     section_rigidity_check,
     solve_homotopy_class,
 )
 from torusfield.stability import hessian_vs_energy_check
+
+from oracles import descent_oracle, directional_derivative_check
 
 TWO_PI = 2.0 * np.pi
 FOURTH_POWER_OF_2PI = 1558.5454565440389  # (2*pi)**4
