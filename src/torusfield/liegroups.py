@@ -11,10 +11,8 @@ only once per model and problem, to build ``M`` and the symmetric ``K`` by
 polarization; it stays in the module as the oracle the tests check the
 tensors against.  Classification (refined dense sampling with the exact
 Jacobian ``M^T + 3 K(V, V, .)``) and the checks against the known
-closed-form sets run on the tensors.  A Gauss-Newton sweep solves its steps
-in one batched Householder QR (``pinv`` only above ``_LEAST_SQUARES_COND``):
-the eight comparisons of acceptance criterion 7 take 0.92 s, not 1.73 s
-with ``pinv`` throughout (2-core Xeon, NumPy 2.4, one BLAS thread).  The
+closed-form sets run on the tensors.  A Gauss-Newton sweep solves every
+step as one damped least-squares problem in one batched Householder QR.  The
 cell-hash clusters are merged in the same pass that classifies them, each
 fragment joining the component of its signature as it is found, and a
 latitude family is sampled once, by its first fragment.
@@ -39,9 +37,8 @@ _PROBLEMS = ("harmonic_section", "biharmonic_section", "biharmonic_vector_field"
 #: refinement iterations and acceptance threshold for classify()
 _NEWTON_ITERATIONS = 40
 _CONVERGED_REL = 1e-11
-#: above this condition estimate (about 1/sqrt(eps)) a Gauss-Newton step from
-#: the QR kernel may differ from pinv's, which then solves it instead
-_LEAST_SQUARES_COND = 1e8
+#: Levenberg-Marquardt damping of a Gauss-Newton step, relative to |[J; V^T]|_F
+_DAMPING = 1e-8
 #: spatial granularity for clustering solutions on the sphere
 _CLUSTER_RADIUS = 0.05
 #: two families whose constant coordinate differs by less than this are one
@@ -332,8 +329,7 @@ def _signed(x: float) -> str:
 class CriticalSet:
     """The classified solution set, with the in-memory counts of how it was
     found: sphere samples, refined points that converged, clusters of those,
-    Gauss-Newton sweeps run, and Gauss-Newton steps (one per point and sweep)
-    that fell back from the QR kernel to ``pinv``."""
+    and Gauss-Newton sweeps run."""
 
     kind: str
     components: tuple[CriticalComponent, ...]
@@ -342,7 +338,6 @@ class CriticalSet:
     converged: int = 0
     clusters: int = 0
     sweeps: int = 0
-    fallback: int = 0
 
     @property
     def witnesses(self) -> NDArray:
@@ -386,15 +381,11 @@ def _sphere_samples(dim: int, resolution: int, rng: np.random.Generator) -> NDAr
     return samples[keep] / norms[keep]
 
 
-def _least_squares(A: NDArray, b: NDArray) -> tuple[NDArray, NDArray]:
-    """Least-squares solutions of the stacked systems ``A x = b`` (A of shape
-    (n, m, k), m >= k) and the condition estimates ``|R|_F |R^-1|_F``.
-
-    Householder QR (Golub & Van Loan, *Matrix Computations*, 5.3) with the
-    loop over the k columns and the arithmetic over the n systems, then an
-    explicit ``R^-1``.  A singular R gives an estimate of inf or nan.
-    """
-    A, b = A.copy(), b.copy()
+def _least_squares(A: NDArray, b: NDArray) -> NDArray:
+    """Least-squares solutions of the stacked systems ``A x = b``, A of shape
+    (n, m, k), m >= k, and of full column rank: Householder QR (Golub & Van
+    Loan, *Matrix Computations*, 5.3) in place (R over A, Q^T b over b), the
+    loop over the k columns and the arithmetic over the n systems; then back substitution."""
     n, _, k = A.shape
     for j in range(k):
         v = A[:, j:, j].copy()
@@ -404,25 +395,26 @@ def _least_squares(A: NDArray, b: NDArray) -> tuple[NDArray, NDArray]:
         projections = np.einsum("ni,nil->nl", v, A[:, j:, j:])
         A[:, j:, j:] -= (beta[:, None] * v)[:, :, None] * projections[:, None, :]
         b[:, j:] -= (beta * np.einsum("ni,ni->n", v, b[:, j:]))[:, None] * v
-    R = np.triu(A[:, :k, :])
-    inverse = np.zeros((n, k, k))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(k - 1, -1, -1):
-            row = -np.einsum("nj,njl->nl", R[:, i, i + 1:], inverse[:, i + 1:, :])
-            row[:, i] += 1.0
-            inverse[:, i, :] = row / R[:, i, i, None]
-        cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
-        return np.einsum("nij,nj->ni", inverse, b[:, :k]), cond
+    x = np.zeros((n, k))
+    for i in range(k - 1, -1, -1):
+        x[:, i] = (b[:, i] - np.einsum("nj,nj->n", A[:, i, i + 1:], x[:, i + 1:])) / A[:, i, i]
+    return x
 
 
-def _refine(cubic: _CubicMap, points: NDArray, threshold: float) -> tuple[NDArray, int, int]:
+def _refine(cubic: _CubicMap, points: NDArray, threshold: float) -> tuple[NDArray, int]:
     """Batched Gauss-Newton on the projected residual, constrained to the
     sphere; points that reach the threshold are frozen.  Returns the refined
-    points (callers filter by residual), the number of sweeps run and the
-    number of steps that fell back to ``pinv``."""
+    points (callers filter by residual) and the number of sweeps run.
+
+    Each step solves ``[J; V^T; mu I] s = [-F; 0; 0]``, ``mu = _DAMPING
+    |[J; V^T]|_F`` (Levenberg-Marquardt): full column rank everywhere, and
+    no component in J's null space (a family's tangent), as ``J^T F`` is
+    orthogonal to it.  The ``V^T`` row holds the step off V, where ``J V``
+    vanishes only to roundoff.
+    """
     V = points.copy()
     active = np.arange(len(V))
-    sweeps = fallback = 0
+    dim, sweeps = V.shape[1], 0
     while sweeps < _NEWTON_ITERATIONS:
         F, jacobian = cubic.linearize(V[active])
         moving = np.linalg.norm(F, axis=-1) > 0.5 * threshold
@@ -431,18 +423,18 @@ def _refine(cubic: _CubicMap, points: NDArray, threshold: float) -> tuple[NDArra
         # a frozen point never moves again, so it leaves the batch for good
         active, F, jacobian = active[moving], F[moving], jacobian[moving]
         Va = V[active]
-        stacked = np.concatenate([jacobian, Va[:, None, :]], axis=-2)
-        target = np.concatenate([-F, np.zeros((len(Va), 1))], axis=-1)
-        step, cond = _least_squares(stacked, target)
-        unsure = ~(cond <= _LEAST_SQUARES_COND)
-        step[unsure] = np.einsum("...ij,...j->...i", np.linalg.pinv(stacked[unsure]), target[unsure])
-        fallback += int(np.count_nonzero(unsure))
+        # |[J; V^T]|_F, as V is a unit vector; the system is not held into the next sweep
+        mu = _DAMPING * np.hypot(np.linalg.norm(jacobian, axis=(1, 2)), 1.0)
+        step = _least_squares(
+            np.concatenate([jacobian, Va[:, None, :], mu[:, None, None] * np.eye(dim)], axis=1),
+            np.concatenate([-F, np.zeros((len(Va), dim + 1))], axis=1),
+        )
         length = np.linalg.norm(step, axis=-1, keepdims=True)
         step = np.where(length > 0.3, step * (0.3 / np.maximum(length, 1e-300)), step)
         moved = Va + step
         V[active] = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
         sweeps += 1
-    return V, sweeps, fallback
+    return V, sweeps
 
 
 def _cluster_indices(points: NDArray) -> list[NDArray]:
@@ -566,10 +558,10 @@ def classify(
         return CriticalSet(kind="full_sphere", components=(sphere,), ambiguous=False, clusters=1,
                            samples=len(samples), converged=int(np.sum(initial <= 1e-9 * scale)))
 
-    refined, sweeps, fallback = _refine(cubic, samples, threshold)
+    refined, sweeps = _refine(cubic, samples, threshold)
     residual = np.linalg.norm(cubic.residual(refined), axis=-1)
     solutions = refined[residual <= threshold]
-    counts = dict(samples=len(samples), converged=len(solutions), sweeps=sweeps, fallback=fallback)
+    counts = dict(samples=len(samples), converged=len(solutions), sweeps=sweeps)
     if len(solutions) == 0:
         return CriticalSet(kind="empty", components=(), ambiguous=False, **counts)
 

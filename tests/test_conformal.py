@@ -29,7 +29,6 @@ from torusfield.lattice import (
     flat_divergence,
     flat_gradient,
     flat_laplacian,
-    integrate_inner,
     spectral_derivative,
 )
 

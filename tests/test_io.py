@@ -7,8 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from torusfield import io as runio
-from torusfield.angles import AngleField, HomotopyClass
+from torusfield.angles import HomotopyClass
 from torusfield.conformal import ConformalStructure
 from torusfield.energy import bienergy
 from torusfield.io import (

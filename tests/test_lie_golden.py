@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 from pathlib import Path
+
+import pytest
 
 from torusfield import liegroups
 from torusfield.cli import main
@@ -35,18 +38,18 @@ CASES = [
 ]
 
 
+def case_argv(model, params, problem, resolution, compare: bool) -> list[str]:
+    argv = ["lie", "--model", model, "--problem", problem, "--resolution", str(resolution)]
+    if params:
+        argv += ["--params", params]
+    if compare:
+        argv.append("--compare")
+    return argv
+
+
 def render() -> str:
     """Every case as ``$ argv -> exit code`` followed by what it printed."""
-    lines = []
-    for model, params, problem, resolution in CASES:
-        for compare in (False, True):
-            argv = ["lie", "--model", model, "--problem", problem, "--resolution", str(resolution)]
-            if params:
-                argv += ["--params", params]
-            if compare:
-                argv.append("--compare")
-            lines.append(capture(argv))
-    return "".join(lines)
+    return "".join(capture(case_argv(*case, compare)) for case in CASES for compare in (False, True))
 
 
 def capture(argv: list[str]) -> str:
@@ -59,6 +62,20 @@ def capture(argv: list[str]) -> str:
 
 def test_lie_output_matches_golden_text():
     assert render() == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("damping", [1e-7, 1e-10])
+def test_lie_text_does_not_sit_on_a_knife_edge_of_the_damping(monkeypatch, damping):
+    # criterion 7's comparisons (the first eight cases) and sol3's full
+    # bienergy, which has no reference set, print their golden blocks with
+    # the Gauss-Newton damping a decade above and two decades below its value
+    argvs = [case_argv(*case, compare=True) for case in CASES[:8]]
+    argvs.append(case_argv("sol3", None, "biharmonic-vector-field", 4000, compare=False))
+    blocks = re.split(r"(?m)^(?=\$ )", GOLDEN.read_text(encoding="utf-8"))
+    golden = {block.split(" -> ")[0]: block for block in blocks if block}
+    monkeypatch.setattr(liegroups, "_DAMPING", damping)
+    for argv in argvs:
+        assert capture(argv) == golden["$ " + " ".join(argv)]
 
 
 def test_split_clusters_print_what_whole_clusters_print(monkeypatch):

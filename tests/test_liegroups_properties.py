@@ -8,11 +8,13 @@ calculus.  Over random ``su2`` scales, half-spaces of dimension 2 to 5,
 einsum oracle, its exact Jacobian must match the oracle's central
 difference, and it must be odd.  Bounds scale with the size of the tensors.
 
-The Gauss-Newton steps are solved by a batched Householder kernel that
-hands ill-conditioned systems to ``pinv``.  Over dimensions 2 to 5 with
-graded column scales, a step the kernel keeps must be ``pinv``'s to within
-a fixed multiple of ``cond * eps``, and a system with exactly dependent
-columns must never be kept.
+Every Gauss-Newton step is a least-squares problem damped by ``_DAMPING``
+times its Frobenius norm, solved by a batched Householder kernel.  Over
+dimensions 2 to 5 with graded column scales, the kernel's solution of a
+full-rank system must be ``pinv``'s to within a fixed multiple of
+``cond * eps``; on a system with exactly dependent columns the damped step
+must be ``pinv``'s to within the damping's own bias, ``(mu / sigma_r)^2``
+relative, plus the same roundoff bound for the damped system.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torusfield.liegroups import (
-    _LEAST_SQUARES_COND,
+    _DAMPING,
     _PROBLEMS,
     _cubic_map,
     _defining_expression,
@@ -92,7 +94,7 @@ def test_polynomial_map_is_odd(case):
 @st.composite
 def graded_systems(draw):
     """Stacked (count, dim + 1, dim) systems whose column scales span up to
-    nine decades, so that some condition estimates pass the fallback limit."""
+    nine decades, so that condition numbers reach about 1e9."""
     dim = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     count = draw(st.integers(1, 16))
@@ -100,27 +102,40 @@ def graded_systems(draw):
     return rng.standard_normal((count, dim + 1, dim)) * scales, rng
 
 
+def consistent(A, rng):
+    """Right-hand sides in the range of A, so that a step's roundoff is first
+    order in cond: |dx| <= C cond eps |x| (Golub & Van Loan, 5.3)."""
+    count, _, dim = A.shape
+    return np.einsum("nij,nj->ni", A, rng.standard_normal((count, dim)))
+
+
 @given(graded_systems())
 def test_least_squares_kernel_keeps_only_steps_that_match_pinv(system):
     A, rng = system
-    # consistent right-hand sides, so that the step's error is first order
-    # in cond: |dx| <= C cond eps |x| (Golub & Van Loan, 5.3)
-    count, _, dim = A.shape
-    b = np.einsum("nij,nj->ni", A, rng.standard_normal((count, dim)))
-    step, cond = _least_squares(A, b)
+    b = consistent(A, rng)
+    step = _least_squares(A.copy(), b.copy())
     reference = np.einsum("nij,nj->ni", np.linalg.pinv(A), b)
-    kept = cond <= _LEAST_SQUARES_COND
     gap = np.linalg.norm(step - reference, axis=1)
-    bound = 64.0 * cond * np.finfo(float).eps * np.linalg.norm(reference, axis=1)
-    assert np.all(gap[kept] <= bound[kept])
+    bound = 64.0 * np.linalg.cond(A) * np.finfo(float).eps * np.linalg.norm(reference, axis=1)
+    assert np.all(gap <= bound)
 
 
 @given(graded_systems(), st.integers(-3, 3), st.booleans())
-def test_least_squares_kernel_sends_dependent_columns_to_the_fallback(system, power, zero):
+def test_damped_step_on_dependent_columns_is_the_min_norm_step(system, power, zero):
     A, rng = system
-    dim = A.shape[2]
+    count, _, dim = A.shape
     source, copy = rng.choice(dim, size=2, replace=False)
     # a power-of-two multiple (or zero) is exactly dependent in floating point
     A[:, :, copy] = 0.0 if zero else 2.0**power * A[:, :, source]
-    _, cond = _least_squares(A, rng.standard_normal(A.shape[:2]))
-    assert not np.any(cond <= _LEAST_SQUARES_COND)
+    b = consistent(A, rng)
+    mu = _DAMPING * np.linalg.norm(A, axis=(1, 2))
+    damped = np.concatenate([A, mu[:, None, None] * np.eye(dim)], axis=1)
+    step = _least_squares(damped.copy(), np.concatenate([b, np.zeros((count, dim))], axis=1))
+    reference = np.einsum("nij,nj->ni", np.linalg.pinv(A), b)
+    # rank dim - 1: sigma_r is the smallest nonzero singular value.  The bias
+    # is below (mu / sigma_r)^2 relative; the roundoff is the damped system's,
+    # whose smallest singular value is mu, so its condition is about 1 / _DAMPING
+    sigma_r = np.linalg.svd(A, compute_uv=False)[:, -2]
+    gap = np.linalg.norm(step - reference, axis=1)
+    bound = 2.0 * (mu / sigma_r) ** 2 + 64.0 * np.linalg.cond(damped) * np.finfo(float).eps
+    assert np.all(gap <= bound * np.linalg.norm(reference, axis=1))

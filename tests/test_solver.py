@@ -30,7 +30,6 @@ from torusfield.lattice import (
 from torusfield.solver import (
     ConvergenceError,
     SolveOptions,
-    SolveReport,
     _BASES,
     _BASIS,
     _STAGNATION_WINDOW,
