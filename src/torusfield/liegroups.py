@@ -12,10 +12,11 @@ polarization; it stays in the module as the oracle the tests check the
 tensors against.  Classification (refined dense sampling with the exact
 Jacobian ``M^T + 3 K(V, V, .)``) and the checks against the known
 closed-form sets run on the tensors.  A Gauss-Newton sweep solves every
-step as one damped least-squares problem in one batched Householder QR.  The
-cell-hash clusters are merged in the same pass that classifies them, each
-fragment joining the component of its signature as it is found, and a
-latitude family is sampled once, by its first fragment.
+step as one damped least-squares problem in one batched Householder QR,
+batch axis last: points (dim, n), Jacobians (dim, dim, n).  The cell-hash
+clusters are merged in the same pass that classifies them, each fragment
+joining the component of its signature as it is found, and a latitude
+family is sampled once, by its first fragment.
 
 Supported models: ``su2`` (compact, three bracket scales), ``sol3``
 (solvable), ``hyperbolic`` (half-space of curvature ``-c^2`` in any
@@ -203,22 +204,25 @@ def _tangent_part(E: NDArray, V: NDArray) -> NDArray:
 @dataclass(frozen=True, eq=False)
 class _CubicMap:
     """A defining expression as the odd cubic ``E(V) = V @ linear + K(V, V, V)``,
-    with ``K = cubic`` symmetric in its first three indices (to roundoff)."""
+    with ``K = cubic`` symmetric in its first three indices (to roundoff).
+    The sweep's points are columns (dim, n), each per-point array batch last;
+    ``expression`` and the residuals take rows (..., dim) and transpose."""
 
     linear: NDArray
     cubic: NDArray
 
     def _expression_and_quadratic(self, V: NDArray) -> tuple[NDArray, NDArray]:
-        """``E(V)`` and ``Q[n, k, l] = K(V, V, e_k)_l`` at the points V (n, dim),
-        through the (n, dim^2) pairs only, never the (n, dim^3) triples."""
-        n, dim = V.shape
-        pairs = (V[:, :, None] * V[:, None, :]).reshape(n, dim * dim)
-        Q = (pairs @ self.cubic.reshape(dim * dim, dim * dim)).reshape(n, dim, dim)
-        return V @ self.linear + np.einsum("nk,nkl->nl", V, Q), Q
+        """``E (dim, n)`` and ``Q[k, l, n] = K(V, V, e_k)_l`` at the points V
+        (dim, n), through the (dim^2, n) pairs only, never the (dim^3, n) triples."""
+        dim, n = V.shape
+        pairs = (V[:, None, :] * V[None, :, :]).reshape(dim * dim, n)
+        Q = (self.cubic.reshape(dim * dim, dim * dim).T @ pairs).reshape(dim, dim, n)
+        return self.linear.T @ V + np.einsum("kn,kln->ln", V, Q), Q
 
     def expression(self, V: NDArray) -> NDArray:
-        E, _ = self._expression_and_quadratic(V.reshape(-1, self.linear.shape[0]))
-        return E.reshape(V.shape)
+        rows = V.reshape(-1, self.linear.shape[0])
+        E, _ = self._expression_and_quadratic(np.ascontiguousarray(rows.T))
+        return E.T.reshape(V.shape)
 
     def residual(self, V: NDArray) -> NDArray:
         return _tangent_part(self.expression(V), V)
@@ -229,17 +233,21 @@ class _CubicMap:
         scale = 1.0 + float(np.max(np.linalg.norm(E, axis=-1)))
         return np.linalg.norm(_tangent_part(E, V), axis=-1), scale
 
-    def linearize(self, V: NDArray) -> tuple[NDArray, NDArray]:
-        """Projected residual F and its exact Jacobian along the sphere at
-        the unit points V (n, dim): ``J[n] = DF(V) (I - V V^T)``, the
-        derivative of ``F(V / |V|)``, from ``dE = M^T + 3 K(V, V, .)``."""
-        dim = V.shape[1]
+    def linearize(self, V: NDArray, out: NDArray) -> NDArray:
+        """Projected residual F (dim, n) at the unit points V (dim, n); the
+        exact Jacobian along the sphere, ``J = DF(V) (I - V V^T)``, the
+        derivative of ``F(V / |V|)``, goes to ``out[:dim]`` as (dim, dim, n).
+        From ``dE = M^T + 3 K(V, V, .)``: ``DF = dE - V (V^T dE + E^T) - c I``,
+        ``c = E . V``, and ``J = DF - (DF V) V^T``, as broadcasts."""
+        dim = V.shape[0]
         E, Q = self._expression_and_quadratic(V)
-        c = np.einsum("nl,nl->n", E, V)
-        tangent = np.eye(dim) - V[:, :, None] * V[:, None, :]
-        dE = (self.linear + 3.0 * Q).transpose(0, 2, 1)
-        DF = tangent @ dE - V[:, :, None] * E[:, None, :] - c[:, None, None] * np.eye(dim)
-        return E - c[:, None] * V, DF @ tangent
+        c = np.einsum("ln,ln->n", E, V)
+        DF = np.multiply(Q.transpose(1, 0, 2), 3.0, out=out[:dim])
+        DF += self.linear.T[:, :, None]
+        DF -= V[:, None, :] * (np.einsum("ln,lkn->kn", V, DF) + E)
+        DF[range(dim), range(dim)] -= c
+        DF -= np.einsum("ikn,kn->in", DF, V)[:, None, :] * V
+        return E - c * V
 
 
 def _cubic_map(model: LeftInvariantModel, problem: str) -> _CubicMap:
@@ -329,7 +337,7 @@ def _signed(x: float) -> str:
 class CriticalSet:
     """The classified solution set, with the in-memory counts of how it was
     found: sphere samples, refined points that converged, clusters of those,
-    and Gauss-Newton sweeps run."""
+    Gauss-Newton sweeps run and damped steps solved in them."""
 
     kind: str
     components: tuple[CriticalComponent, ...]
@@ -338,6 +346,7 @@ class CriticalSet:
     converged: int = 0
     clusters: int = 0
     sweeps: int = 0
+    steps: int = 0
 
     @property
     def witnesses(self) -> NDArray:
@@ -382,59 +391,68 @@ def _sphere_samples(dim: int, resolution: int, rng: np.random.Generator) -> NDAr
 
 
 def _least_squares(A: NDArray, b: NDArray) -> NDArray:
-    """Least-squares solutions of the stacked systems ``A x = b``, A of shape
-    (n, m, k), m >= k, and of full column rank: Householder QR (Golub & Van
-    Loan, *Matrix Computations*, 5.3) in place (R over A, Q^T b over b), the
-    loop over the k columns and the arithmetic over the n systems; then back substitution."""
-    n, _, k = A.shape
+    """Least-squares solutions (k, n) of the stacked systems ``A x = b``, A of
+    shape (m, k, n), m >= k, and of full column rank, b of shape (m, n):
+    Householder QR (Golub & Van Loan, *Matrix Computations*, 5.3) in place
+    (R over A, Q^T b over b), the loop over the k columns and the arithmetic
+    over the n systems on the contiguous last axis; then back substitution."""
+    _, k, n = A.shape
     for j in range(k):
-        v = A[:, j:, j].copy()
-        v[:, 0] += np.copysign(np.linalg.norm(v, axis=1), v[:, 0])
-        vv = np.einsum("ni,ni->n", v, v)
+        v = A[j:, j].copy()
+        v[0] += np.copysign(np.linalg.norm(v, axis=0), v[0])
+        vv = np.einsum("in,in->n", v, v)
         beta = np.divide(2.0, vv, out=np.zeros(n), where=vv > 0.0)
-        projections = np.einsum("ni,nil->nl", v, A[:, j:, j:])
-        A[:, j:, j:] -= (beta[:, None] * v)[:, :, None] * projections[:, None, :]
-        b[:, j:] -= (beta * np.einsum("ni,ni->n", v, b[:, j:]))[:, None] * v
-    x = np.zeros((n, k))
+        projections = np.einsum("in,ijn->jn", v, A[j:, j:])
+        A[j:, j:] -= (beta * v)[:, None, :] * projections
+        b[j:] -= beta * np.einsum("in,in->n", v, b[j:]) * v
+    x = np.zeros((k, n))
     for i in range(k - 1, -1, -1):
-        x[:, i] = (b[:, i] - np.einsum("nj,nj->n", A[:, i, i + 1:], x[:, i + 1:])) / A[:, i, i]
+        x[i] = (b[i] - np.einsum("jn,jn->n", A[i, i + 1:], x[i + 1:])) / A[i, i]
     return x
 
 
-def _refine(cubic: _CubicMap, points: NDArray, threshold: float) -> tuple[NDArray, int]:
+def _refine(cubic: _CubicMap, points: NDArray, threshold: float) -> tuple[NDArray, int, int]:
     """Batched Gauss-Newton on the projected residual, constrained to the
     sphere; points that reach the threshold are frozen.  Returns the refined
-    points (callers filter by residual) and the number of sweeps run.
+    points (n, dim) (callers filter by residual), the number of sweeps run
+    and the number of damped steps solved over all of them.
 
     Each step solves ``[J; V^T; mu I] s = [-F; 0; 0]``, ``mu = _DAMPING
     |[J; V^T]|_F`` (Levenberg-Marquardt): full column rank everywhere, and
     no component in J's null space (a family's tangent), as ``J^T F`` is
     orthogonal to it.  The ``V^T`` row holds the step off V, where ``J V``
-    vanishes only to roundoff.
+    vanishes only to roundoff.  The system (2 dim + 1, dim, n) and its right
+    side (2 dim + 1, n) are filled in place, batch last, once per sweep.
     """
-    V = points.copy()
-    active = np.arange(len(V))
-    dim, sweeps = V.shape[1], 0
+    V = points.T.copy()
+    dim, active = V.shape[0], np.arange(len(points))
+    sweeps = steps = 0
     while sweeps < _NEWTON_ITERATIONS:
-        F, jacobian = cubic.linearize(V[active])
-        moving = np.linalg.norm(F, axis=-1) > 0.5 * threshold
+        Va, system = V.take(active, axis=1), np.zeros((2 * dim + 1, dim, len(active)))
+        F = cubic.linearize(Va, system)
+        moving = np.linalg.norm(F, axis=0) > 0.5 * threshold
         if not np.any(moving):
             break
-        # a frozen point never moves again, so it leaves the batch for good
-        active, F, jacobian = active[moving], F[moving], jacobian[moving]
-        Va = V[active]
-        # |[J; V^T]|_F, as V is a unit vector; the system is not held into the next sweep
-        mu = _DAMPING * np.hypot(np.linalg.norm(jacobian, axis=(1, 2)), 1.0)
-        step = _least_squares(
-            np.concatenate([jacobian, Va[:, None, :], mu[:, None, None] * np.eye(dim)], axis=1),
-            np.concatenate([-F, np.zeros((len(Va), dim + 1))], axis=1),
-        )
-        length = np.linalg.norm(step, axis=-1, keepdims=True)
+        if not np.all(moving):
+            # a frozen point never moves again, so it leaves the batch for good;
+            # compress keeps the batch axis last and contiguous, a mask index would not
+            active, Va, F, system = (x.compress(moving, axis=-1) for x in (active, Va, F, system))
+        system[dim] = Va
+        # |[J; V^T]|_F
+        mu = _DAMPING * np.sqrt(np.einsum("ikn,ikn->n", system[:dim + 1], system[:dim + 1]))
+        system[range(dim + 1, 2 * dim + 1), range(dim)] = mu
+        rhs = np.zeros((2 * dim + 1, len(active)))
+        np.negative(F, out=rhs[:dim])
+        step = _least_squares(system, rhs)
+        # released before the step update, which keeps the sweep's peak allocation down
+        del system, rhs, F
+        length = np.linalg.norm(step, axis=0)
         step = np.where(length > 0.3, step * (0.3 / np.maximum(length, 1e-300)), step)
         moved = Va + step
-        V[active] = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
+        V[:, active] = moved / np.linalg.norm(moved, axis=0)
         sweeps += 1
-    return V, sweeps
+        steps += len(active)
+    return V.T, sweeps, steps
 
 
 def _cluster_indices(points: NDArray) -> list[NDArray]:
@@ -476,11 +494,12 @@ def _local_structure(cubic: _CubicMap, V: NDArray) -> tuple[NDArray, NDArray]:
     tangent space, and ambient bases (n, dim, dim - 1) of those null spaces
     (the solution manifold's tangent directions), zero in the other columns."""
     n, dim = V.shape
-    jacobian = cubic.linearize(V)[1]
+    jacobian = np.empty((dim, dim, n))
+    cubic.linearize(V.T, jacobian)
     # orthonormal tangent bases at V
     frames = np.concatenate([V[:, :, None], np.broadcast_to(np.eye(dim), (n, dim, dim))], axis=2)
     bases = np.linalg.qr(frames)[0][:, :, 1:dim]
-    _, singular, rows = np.linalg.svd(jacobian @ bases)
+    _, singular, rows = np.linalg.svd(jacobian.transpose(2, 0, 1) @ bases)
     # where the linearization vanishes, every tangent direction is null
     vanishing = singular[:, 0] <= 1e-9
     rows[vanishing] = np.eye(dim - 1)
@@ -558,10 +577,10 @@ def classify(
         return CriticalSet(kind="full_sphere", components=(sphere,), ambiguous=False, clusters=1,
                            samples=len(samples), converged=int(np.sum(initial <= 1e-9 * scale)))
 
-    refined, sweeps = _refine(cubic, samples, threshold)
+    refined, sweeps, steps = _refine(cubic, samples, threshold)
     residual = np.linalg.norm(cubic.residual(refined), axis=-1)
     solutions = refined[residual <= threshold]
-    counts = dict(samples=len(samples), converged=len(solutions), sweeps=sweeps)
+    counts = dict(samples=len(samples), converged=len(solutions), sweeps=sweeps, steps=steps)
     if len(solutions) == 0:
         return CriticalSet(kind="empty", components=(), ambiguous=False, **counts)
 

@@ -3,6 +3,8 @@ three model geometries."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -463,6 +465,41 @@ def test_classify_counts_its_work():
     sphere = classify(su2(1.0, 1.0, 1.0), "biharmonic_section", resolution=2000)
     assert (sphere.clusters, sphere.sweeps) == (1, 0)
     assert sphere.converged == sphere.samples
+
+
+@pytest.mark.parametrize(
+    "build, problem, resolution, counts",
+    [
+        (lambda: su2(1.0, 1.0, 1.0), "biharmonic_section", 3000, (3064, 3064, 1, 0, 0)),
+        (lambda: su2(2.0, 2.0, 1.0), "biharmonic_section", 4000, (4064, 4064, 5, 6, 13421)),
+        (lambda: su2(2.0, 1.0, 1.0), "biharmonic_section", 4000, (4064, 4064, 5, 6, 13197)),
+        (lambda: su2(2.0, 1.5, 1.0), "biharmonic_section", 4000, (4064, 4064, 18, 9, 19216)),
+        (sol3, "biharmonic_section", 4000, (4064, 4064, 5, 6, 13221)),
+        (lambda: hyperbolic(3, 1.0), "biharmonic_vector_field", 8000, (8064, 8064, 3, 24, 92378)),
+        (lambda: hyperbolic(4, 1.0), "biharmonic_vector_field", 8000, (8064, 8064, 503, 6, 29849)),
+        (lambda: hyperbolic(3, 2.0), "biharmonic_vector_field", 4000, (4064, 4064, 3, 10, 15357)),
+    ],
+    ids=["su2(1,1,1)", "su2(2,2,1)", "su2(2,1,1)", "su2(2,1.5,1)", "sol3",
+         "hyperbolic(3,1)", "hyperbolic(4,1)", "hyperbolic(3,2)"],
+)
+def test_criterion_7_cases_count_their_work(build, problem, resolution, counts):
+    # the eight comparisons of acceptance criterion 7; steps is the batch size
+    # summed over the sweeps.  The counts do not depend on the machine, so a
+    # change to the sweep's arithmetic that moves one has moved its path
+    result = classify(build(), problem, resolution=resolution)
+    assert (result.samples, result.converged, result.clusters, result.sweeps, result.steps) == counts
+
+
+def test_classification_peak_allocation_stays_below_eight_mib():
+    # the step system is filled in place and released before the step update,
+    # which holds the traced peak of the sweep below the bound
+    tracemalloc.start()
+    try:
+        classify(hyperbolic(4, 1.0), "biharmonic_vector_field", resolution=8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 @pytest.mark.parametrize("dim", range(3, 13))

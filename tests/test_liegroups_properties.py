@@ -77,18 +77,26 @@ def test_exact_jacobian_is_the_oracle_central_difference(case):
         points = points / np.linalg.norm(points, axis=-1, keepdims=True)
         return _tangent_part(_defining_expression(model, points, problem), points)
 
-    residual, jacobian = cubic.linearize(V)
+    # batch last: points are columns, J[i, k, n] goes to the system's first rows
+    system = np.empty((model.dim, model.dim, len(V)))
+    residual = cubic.linearize(V.T.copy(), system).T
     assert np.max(np.abs(residual - oracle(V))) <= 1e-13 * scale
     eps = 1e-5
     for k, bump in enumerate(eps * np.eye(model.dim)):
         central = (oracle(V + bump) - oracle(V - bump)) / (2.0 * eps)
-        assert np.max(np.abs(jacobian[:, :, k] - central)) <= 1e-8 * scale
+        assert np.max(np.abs(system[:, k].T - central)) <= 1e-8 * scale
 
 
 @given(cases())
 def test_polynomial_map_is_odd(case):
     _, _, cubic, V, _ = case
     assert np.array_equal(cubic.expression(-V), -cubic.expression(V))
+
+
+def solve(A, b):
+    """The kernel on the stacked systems A (count, m, dim), b (count, m),
+    passed batch last as it runs in the sweep: (m, dim, count), (m, count)."""
+    return _least_squares(np.moveaxis(A, 0, -1).copy(), b.T.copy()).T
 
 
 @st.composite
@@ -113,7 +121,7 @@ def consistent(A, rng):
 def test_least_squares_kernel_keeps_only_steps_that_match_pinv(system):
     A, rng = system
     b = consistent(A, rng)
-    step = _least_squares(A.copy(), b.copy())
+    step = solve(A, b)
     reference = np.einsum("nij,nj->ni", np.linalg.pinv(A), b)
     gap = np.linalg.norm(step - reference, axis=1)
     bound = 64.0 * np.linalg.cond(A) * np.finfo(float).eps * np.linalg.norm(reference, axis=1)
@@ -130,7 +138,7 @@ def test_damped_step_on_dependent_columns_is_the_min_norm_step(system, power, ze
     b = consistent(A, rng)
     mu = _DAMPING * np.linalg.norm(A, axis=(1, 2))
     damped = np.concatenate([A, mu[:, None, None] * np.eye(dim)], axis=1)
-    step = _least_squares(damped.copy(), np.concatenate([b, np.zeros((count, dim))], axis=1))
+    step = solve(damped, np.concatenate([b, np.zeros((count, dim))], axis=1))
     reference = np.einsum("nij,nj->ni", np.linalg.pinv(A), b)
     # rank dim - 1: sigma_r is the smallest nonzero singular value.  The bias
     # is below (mu / sigma_r)^2 relative; the roundoff is the damped system's,
