@@ -37,7 +37,6 @@ from torusfield.lattice import (
     integrate_inner,
     resolution_fraction,
     rotate_J,
-    spectral_derivative,
 )
 from torusfield.liegroups import (
     ComparisonReport,
@@ -119,7 +118,6 @@ __all__ = [
     "section_rigidity_check",
     "sol3",
     "solve_homotopy_class",
-    "spectral_derivative",
     "su2",
     "winding_class",
     "write_outputs",

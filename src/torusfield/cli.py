@@ -75,6 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one winding class and write artifacts")
     _add_geometry_flags(solve)
     _add_solver_flags(solve)
+    solve.add_argument("--formulation", choices=("curved", "flat_weighted"),
+                       help="weight of the reported residual: e^(2u) (curved) or 1")
     solve.add_argument(
         "--outputs",
         help="comma list of artifacts to write: csv, pgm, json, quiver",
@@ -153,8 +155,6 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
         help="winding numbers along the two generators",
     )
     sub.add_argument("--tolerance", type=float, help="relative residual target")
-    sub.add_argument("--formulation", choices=("curved", "flat_weighted"),
-                     help="weight of the reported residual: e^(2u) (curved) or 1")
 
 
 def _load_config(args: argparse.Namespace) -> runio.RunConfig:

@@ -182,8 +182,8 @@ class _Kernel:
     def __init__(self, cs: ConformalStructure) -> None:
         lattice = cs.lattice
         self.lap = _laplacian_multiplier(lattice)
-        self.d1 = _derivative_multiplier(lattice, 1, 1)
-        self.d2 = _derivative_multiplier(lattice, 2, 1)
+        self.d1 = _derivative_multiplier(lattice, 1)
+        self.d2 = _derivative_multiplier(lattice, 2)
         self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap != 0.0)
         self.e2u = cs.e2u.values
         self.em2u = cs.em2u.values

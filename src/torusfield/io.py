@@ -29,6 +29,9 @@ CSV_HEADER = "lambda1,lambda2,theta,vx,vy,kg,u"
 #: Artifact kinds a run may request, in the order they are written.
 OUTPUT_KINDS = ("csv", "pgm", "json", "quiver")
 
+#: ``quiver.txt`` keeps every ``QUIVER_STRIDE``-th grid sample in each direction.
+QUIVER_STRIDE = 4
+
 #: Top-level keys of a solve-report document.
 REPORT_KEYS = frozenset(
     {
@@ -361,17 +364,14 @@ def write_heatmap_pgm(path: str | Path, field: ScalarField) -> None:
     )
 
 
-def write_quiver(path: str | Path, theta: AngleField, stride: int = 4) -> None:
+def write_quiver(path: str | Path, theta: AngleField) -> None:
     """Decimated arrow table, one ``x y vx vy`` line per kept grid point.
 
-    Positions are Cartesian; every ``stride``-th sample in each direction
-    survives.
+    Positions are Cartesian; one sample in ``QUIVER_STRIDE`` survives in each direction.
     """
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
     x, y = theta.lattice.cartesian_coords
     V = angle_to_unit_field(theta)
-    kept = [a[::stride, ::stride].ravel() for a in (x, y, V.comp1.values, V.comp2.values)]
+    kept = [a[::QUIVER_STRIDE, ::QUIVER_STRIDE].ravel() for a in (x, y, V.comp1.values, V.comp2.values)]
     row = "%.17g %.17g %.17g %.17g\n"
     text = "".join(row * (len(values) // 4) % values for values in _blocks(np.stack(kept, axis=1)))
     Path(path).write_text(text, encoding="utf-8")

@@ -25,17 +25,15 @@ Sign conventions used throughout the package:
 * The complex structure ``rotate_J`` acts by ``(x, y) |-> (-y, x)``.
 
 Nyquist handling: the modes ``p = -n1/2`` and ``q = -n2/2`` carry ambiguous
-sign information on an even grid.  Odd-order derivative multipliers are set
-to zero on the Nyquist lines (keeping real fields real and making first
-derivatives exactly skew-adjoint); even orders use the alias-symmetrized
-value (the mean of ``(i*k)^order`` over the aliased representatives), which
-is real and keeps second derivatives symmetric.  The Laplacian is built by
-composing the two masked first-derivative multipliers, so divergence-form
-and Laplacian-form operators agree to round-off by construction.
+sign information on an even grid.  There is one rule: the first-derivative
+multiplier ``i*k`` is set to zero on the Nyquist lines (keeping real fields
+real and making first derivatives exactly skew-adjoint), and every higher
+derivative, the Laplacian included, composes it, so divergence-form and
+Laplacian-form operators agree to round-off by construction.
 
 Spectral layout: every flat derivative runs on the ``rfft2`` half spectrum,
 the columns ``0 <= q <= n2/2``, and its multiplier is cached per lattice
-already cut to that half.  This is exact: with the Nyquist rules above every
+already cut to that half.  This is exact: with the Nyquist rule above every
 multiplier is Hermitian (``m(-k) = conj(m(k))``), so ``irfft2(m * rfft2(f))``
 reproduces the full-spectrum ``ifft2(m * fft2(f)).real`` to round-off, with
 half the transform work.  The solver's kernel takes the same multipliers as
@@ -140,28 +138,14 @@ class LatticeSpec:
 
 
 @lru_cache(maxsize=128)
-def _derivative_multiplier(lattice: LatticeSpec, direction: int, order: int) -> NDArray:
-    """Fourier multiplier of ``(d/d x_direction)^order`` on the ``rfft2``
-    half spectrum of the lattice grid.
-
-    Even orders average ``(i*k)^order`` over the Nyquist alias
-    representatives; odd orders zero the Nyquist lines outright.
+def _derivative_multiplier(lattice: LatticeSpec, direction: int) -> NDArray:
+    """Fourier multiplier ``i*k`` of ``d/d x_direction`` on the ``rfft2`` half
+    spectrum of the lattice grid, zero on the Nyquist lines.
     """
     P, Q = (freq[:, : lattice.n2 // 2 + 1] for freq in lattice.frequencies)
-
-    def symbol(p, q):
-        return (1j * lattice.wavevector(p, q)[..., direction - 1]) ** order
-
-    if order % 2 == 0:
-        variants = []
-        for p in (P, np.where(P == -lattice.n1 // 2, P + lattice.n1, P)):
-            for q in (Q, np.where(Q == -lattice.n2 // 2, Q + lattice.n2, Q)):
-                variants.append(symbol(p, q))
-        mult = np.mean(variants, axis=0)
-    else:
-        mult = symbol(P, Q)
-        mult[P == -lattice.n1 // 2] = 0.0
-        mult[Q == -lattice.n2 // 2] = 0.0
+    mult = 1j * lattice.wavevector(P, Q)[..., direction - 1]
+    mult[P == -lattice.n1 // 2] = 0.0
+    mult[Q == -lattice.n2 // 2] = 0.0
     mult.flags.writeable = False
     return mult
 
@@ -175,8 +159,8 @@ def _laplacian_multiplier(lattice: LatticeSpec) -> NDArray:
     ``flat_laplacian(f) == -flat_divergence(flat_gradient(f))`` holds to
     round-off, not merely analytically.
     """
-    m1 = _derivative_multiplier(lattice, 1, 1)
-    m2 = _derivative_multiplier(lattice, 2, 1)
+    m1 = _derivative_multiplier(lattice, 1)
+    m2 = _derivative_multiplier(lattice, 2)
     mult = -(m1 * m1 + m2 * m2).real
     mult.flags.writeable = False
     return mult
@@ -285,35 +269,16 @@ class VectorFieldFlat:
     __rmul__ = __mul__
 
 
-def spectral_derivative(f: ScalarField, direction: int, order: int = 1) -> ScalarField:
-    """Exact derivative of the trigonometric interpolant of ``f``.
-
-    Args:
-        f: field to differentiate.
-        direction: 1 or 2, the flat coordinate direction.
-        order: derivative order (positive integer).
-
-    Returns:
-        The sampled derivative, on the same lattice.
-    """
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    mult = _derivative_multiplier(f.lattice, direction, int(order))
-    return ScalarField(f.lattice, np.fft.irfft2(mult * np.fft.rfft2(f.values)))
-
-
 def flat_gradient(f: ScalarField) -> VectorFieldFlat:
     """Flat gradient ``(d1 f, d2 f)``, both from one forward transform."""
     spectrum = np.fft.rfft2(f.values)
-    d1, d2 = (np.fft.irfft2(_derivative_multiplier(f.lattice, d, 1) * spectrum) for d in (1, 2))
+    d1, d2 = (np.fft.irfft2(_derivative_multiplier(f.lattice, d) * spectrum) for d in (1, 2))
     return VectorFieldFlat.from_arrays(f.lattice, d1, d2)
 
 
 def flat_divergence(X: VectorFieldFlat) -> ScalarField:
     """Flat divergence ``d1 X1 + d2 X2``, summed before one inverse transform."""
-    m1, m2 = (_derivative_multiplier(X.lattice, d, 1) for d in (1, 2))
+    m1, m2 = (_derivative_multiplier(X.lattice, d) for d in (1, 2))
     spectrum = m1 * np.fft.rfft2(X.comp1.values) + m2 * np.fft.rfft2(X.comp2.values)
     return ScalarField(X.lattice, np.fft.irfft2(spectrum))
 

@@ -356,6 +356,26 @@ def test_stability_rejects_a_nonpositive_sample_count(capsys, samples):
     assert "directions" not in captured.out
 
 
+def test_stability_has_no_formulation_flag(capsys):
+    # the formulation weighs only the solve report's residual, which
+    # stability never prints
+    code = main([
+        "stability", "--grid", "16", "--u", "0.2*sin(2pi*x)",
+        "--class", "1", "0", "--samples", "2", "--formulation", "curved",
+    ])
+    assert code == 2
+    assert "--formulation" in capsys.readouterr().err
+
+
+def test_stability_ignores_a_config_files_formulation(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("formulation = flat_weighted\n", encoding="utf-8")
+    argv = ["--grid", "16", "--u", "0.2*sin(2pi*x)", "--class", "1", "0", "--samples", "2"]
+    code, out = run(capsys, "stability", "--config", str(config), *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, "stability", *argv)
+
+
 ### lie
 
 

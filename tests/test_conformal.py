@@ -29,7 +29,6 @@ from torusfield.lattice import (
     flat_divergence,
     flat_gradient,
     flat_laplacian,
-    spectral_derivative,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -200,7 +199,7 @@ def covariant_derivative(cs, Y, X):
     du = flat_gradient(cs.u)
 
     def directional(W, f_field):
-        return W.comp1 * spectral_derivative(f_field, 1) + W.comp2 * spectral_derivative(f_field, 2)
+        return dot(W, flat_gradient(f_field))
 
     flat_dYX = VectorFieldFlat(directional(Y, X.comp1), directional(Y, X.comp2))
     Y_u = dot(Y, du)
@@ -251,7 +250,7 @@ def test_frame_divergence_identity():
     cs = random_structure(LatticeSpec.unit_square(64), 16)
     conn = frame_connection(cs)
     lhs = cs.divergence(conn.Z)
-    rhs = cs.eu * (spectral_derivative(conn.a, 1) + spectral_derivative(conn.b, 2))
+    rhs = cs.eu * (flat_gradient(conn.a).comp1 + flat_gradient(conn.b).comp2)
     assert (lhs - rhs).max_abs() <= 1e-10
     assert lhs.max_abs() <= 1e-9
 
@@ -331,7 +330,7 @@ def test_curved_residual_tangential_identity():
 
     conn = frame_connection(cs)
     lap_g_theta = -cs.divergence(cs.e2u * theta.total_gradient())
-    frame_div = cs.eu * (spectral_derivative(conn.a, 1) + spectral_derivative(conn.b, 2))
+    frame_div = cs.eu * (flat_gradient(conn.a).comp1 + flat_gradient(conn.b).comp2)
     rhs = (lap_g_theta - frame_div).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
@@ -349,7 +348,7 @@ def test_flat_pairing_equals_divergence_difference():
     JV = VectorFieldFlat.from_arrays(lattice, -np.sin(total), np.cos(total))
 
     def directional(W, f):
-        return W.comp1 * spectral_derivative(f, 1) + W.comp2 * spectral_derivative(f, 2)
+        return dot(W, flat_gradient(f))
 
     rhs = directional(V, flat_divergence(JV)) - directional(JV, flat_divergence(V))
     lhs = dot(pair.flat, JV)

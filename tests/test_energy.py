@@ -26,7 +26,6 @@ from torusfield.lattice import (
     flat_gradient,
     flat_laplacian,
     integrate_inner,
-    spectral_derivative,
 )
 
 from oracles import directional_derivative_check
@@ -106,7 +105,7 @@ def curved_covariant_derivative(cs, Y, X):
     du = flat_gradient(cs.u)
 
     def directional(W, f):
-        return W.comp1 * spectral_derivative(f, 1) + W.comp2 * spectral_derivative(f, 2)
+        return dot(W, flat_gradient(f))
 
     flat_dYX = VectorFieldFlat(directional(Y, X.comp1), directional(Y, X.comp2))
     gYX = cs.em2u * dot(Y, X)

@@ -414,7 +414,7 @@ def test_report_file_ends_with_newline(solved, tmp_path):
 def test_quiver_decimates_and_embeds_positions(solved, tmp_path):
     cs, theta, _ = solved
     path = tmp_path / "quiver.txt"
-    write_quiver(path, theta, stride=4)
+    write_quiver(path, theta)
     rows = np.loadtxt(path)
     assert rows.shape == ((16 // 4) * (16 // 4), 4)
 
@@ -423,12 +423,6 @@ def test_quiver_decimates_and_embeds_positions(solved, tmp_path):
     np.testing.assert_array_equal(rows[1, :2], [x[0, 4], y[0, 4]])
     lengths = np.hypot(rows[:, 2], rows[:, 3])
     np.testing.assert_allclose(lengths, 1.0, atol=1e-15)
-
-
-def test_quiver_rejects_bad_stride(solved, tmp_path):
-    _, theta, _ = solved
-    with pytest.raises(ValueError, match="stride"):
-        write_quiver(tmp_path / "q.txt", theta, stride=0)
 
 
 ### Bundled writer and byte determinism

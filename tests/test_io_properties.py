@@ -168,12 +168,12 @@ def test_template_cache_does_not_keep_the_structure_alive(workdir, table, cls):
     assert len(runio._CSV_TEMPLATES) == before
 
 
-@given(tables(), classes, st.integers(1, 5))
-def test_quiver_bytes_equal_per_value_format(workdir, table, cls, stride):
+@given(tables(), classes)
+def test_quiver_bytes_equal_per_value_format(workdir, table, cls):
     _, lattice, seed = table
     theta = _angle(lattice, np.random.default_rng(seed), cls)
-    write_quiver(workdir / "blocks.txt", theta, stride=stride)
-    _formatted_quiver(workdir / "formatted.txt", theta, stride)
+    write_quiver(workdir / "blocks.txt", theta)
+    _formatted_quiver(workdir / "formatted.txt", theta, runio.QUIVER_STRIDE)
     assert (workdir / "blocks.txt").read_bytes() == (workdir / "formatted.txt").read_bytes()
 
 

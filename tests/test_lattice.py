@@ -26,7 +26,6 @@ from torusfield.lattice import (
     integrate_inner,
     resolution_fraction,
     rotate_J,
-    spectral_derivative,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -97,16 +96,15 @@ def test_scalar_field_samples_are_immutable(square64):
 
 def test_derivative_of_constant_is_zero(square64):
     f = ScalarField.from_constant(square64, 3.7)
-    for direction in (1, 2):
-        for order in (1, 2, 3):
-            df = spectral_derivative(f, direction, order)
-            assert df.max_abs() == 0.0
+    grad = flat_gradient(f)
+    for df in (grad.comp1, grad.comp2, flat_laplacian(f)):
+        assert df.max_abs() == 0.0
 
 
 def test_derivative_of_resolved_mode_is_analytic(square64):
     f = ScalarField.from_function(square64, lambda x, y: np.sin(TWO_PI * x))
     exact = ScalarField.from_function(square64, lambda x, y: TWO_PI * np.cos(TWO_PI * x))
-    df = spectral_derivative(f, 1)
+    df = flat_gradient(f).comp1
     assert (df - exact).max_abs() <= 1e-12
 
 
@@ -116,9 +114,9 @@ def test_derivative_on_oblique_lattice_follows_dual_basis(oblique):
     f = ScalarField(oblique, np.sin(TWO_PI * lam1))
     cos_part = np.cos(TWO_PI * lam1)
     delta1 = oblique.dual_basis[0]
-    for direction in (1, 2):
-        df = spectral_derivative(f, direction)
-        exact = TWO_PI * cos_part * delta1[direction - 1]
+    grad = flat_gradient(f)
+    for df, component in ((grad.comp1, delta1[0]), (grad.comp2, delta1[1])):
+        exact = TWO_PI * cos_part * component
         assert np.max(np.abs(df.values - exact)) <= 1e-12
 
 
@@ -131,7 +129,7 @@ def test_derivative_matches_high_order_finite_differences():
         f = ScalarField.from_function(
             lattice, lambda x, y: np.exp(np.sin(TWO_PI * x) * np.cos(TWO_PI * y))
         )
-        spectral = spectral_derivative(f, 1).values
+        spectral = flat_gradient(f).comp1.values
         stencil = fd8_axis0(f.values, h=1.0 / n)
         errors[n] = np.max(np.abs(spectral - stencil))
     assert errors[32] < 1e-3
@@ -147,30 +145,14 @@ def test_derivative_error_decays_spectrally():
         exact = ScalarField.from_function(
             lattice, lambda x, y: TWO_PI * np.cos(TWO_PI * x) * np.exp(np.sin(TWO_PI * x))
         )
-        errs.append(max((spectral_derivative(f, 1) - exact).max_abs(), 1e-14))
+        errs.append(max((flat_gradient(f).comp1 - exact).max_abs(), 1e-14))
     assert errs[1] < errs[0] / 2.0**10
 
 
 def test_odd_derivative_kills_nyquist_mode():
     lattice = LatticeSpec.unit_square(8)
     f = ScalarField.from_function(lattice, lambda x, y: np.cos(TWO_PI * 4 * x))
-    assert spectral_derivative(f, 1).max_abs() <= 1e-12
-
-
-def test_even_derivative_keeps_symmetrized_nyquist_value():
-    lattice = LatticeSpec.unit_square(8)
-    f = ScalarField.from_function(lattice, lambda x, y: np.cos(TWO_PI * 4 * x))
-    d2 = spectral_derivative(f, 1, order=2)
-    expected = -((TWO_PI * 4) ** 2) * f.values
-    assert np.max(np.abs(d2.values - expected)) <= 1e-9
-
-
-def test_derivative_argument_validation(square64):
-    f = ScalarField.from_constant(square64, 0.0)
-    with pytest.raises(ValueError):
-        spectral_derivative(f, 3)
-    with pytest.raises(ValueError):
-        spectral_derivative(f, 1, order=0)
+    assert flat_gradient(f).comp1.max_abs() <= 1e-12
 
 
 ### Quadrature
@@ -242,8 +224,9 @@ def test_derivative_is_skew_adjoint(lattice_name, direction, request):
     rng = np.random.default_rng(11)
     f = bandlimited_field(lattice, rng)
     g = bandlimited_field(lattice, rng)
-    lhs = integrate_inner(spectral_derivative(f, direction), g)
-    rhs = -integrate_inner(f, spectral_derivative(g, direction))
+    component = f"comp{direction}"
+    lhs = integrate_inner(getattr(flat_gradient(f), component), g)
+    rhs = -integrate_inner(f, getattr(flat_gradient(g), component))
     scale = max(abs(lhs), abs(rhs), 1e-30)
     assert abs(lhs - rhs) / scale <= 1e-10
 
@@ -273,6 +256,15 @@ def test_laplacian_equals_divergence_of_gradient(square64):
     composed = -flat_divergence(flat_gradient(f)).values
     direct = flat_laplacian(f).values
     assert np.max(np.abs(composed - direct)) <= 1e-11 * max(1.0, np.max(np.abs(direct)))
+
+
+def test_laplacian_and_divergence_of_gradient_kill_nyquist_mode():
+    # one rule: the Laplacian composes the first derivatives, which vanish on
+    # the Nyquist lines, so neither form keeps -k^2 there
+    lattice = LatticeSpec.unit_square(8)
+    f = ScalarField.from_function(lattice, lambda x, y: np.cos(TWO_PI * 4 * x))
+    assert flat_laplacian(f).max_abs() == 0.0
+    assert flat_divergence(flat_gradient(f)).max_abs() == 0.0
 
 
 def test_laplacian_sign_is_geometer(square64):

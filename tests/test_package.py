@@ -1,14 +1,18 @@
 """The package façade: ``torusfield.__all__`` is kept by hand, so it is held
-to the names ``__init__.py`` actually imports from the package's modules.
-And no module of the package or of its tests imports a name it never reads,
-so a removal in ``src/`` cannot leave a stale import behind."""
+to the names ``__init__.py`` actually imports from the package's modules,
+and each of those names to a use outside the façade.  And no module of the
+package or of its tests imports a name it never reads, so a removal in
+``src/`` cannot leave a stale import behind."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import torusfield
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def facade_imports() -> set[str]:
@@ -33,6 +37,39 @@ def test_all_is_sorted_unique_and_resolves():
 
 def test_all_is_exactly_what_the_facade_imports():
     assert set(torusfield.__all__) == facade_imports()
+
+
+def referenced_names(path: Path) -> set[str]:
+    """The names the module at ``path`` reads, reaches as an attribute or
+    imports; the names of its own ``def`` and ``class`` statements are none
+    of these."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[-1])
+    return names
+
+
+def test_every_public_name_is_reached():
+    # a public name is used by the package itself, or by the benchmark, a
+    # README example or a CI step; anything else is a capability nobody runs
+    package = Path(torusfield.__file__).parent
+    used = set().union(*(
+        referenced_names(path) for path in package.glob("*.py") if path.name != "__init__.py"
+    ))
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    texts = [path.read_text(encoding="utf-8") for path in sorted((REPO / "perfbench").glob("*.py"))]
+    texts += re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    texts.append((REPO / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    unreached = [
+        name for name in torusfield.__all__
+        if name not in used and not any(re.search(rf"\b{name}\b", text) for text in texts)
+    ]
+    assert unreached == []
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -72,7 +72,7 @@ def _error_bound(cs: ConformalStructure, cls: HomotopyClass, tolerance: float) -
     Y0 = linear_representative(cls, lattice).gradient
     v = -rotate_J(flat_gradient(cs.u))
     flux = np.hypot(cs.kg_sq.values * (Y0[0] + v.comp1.values), cs.kg_sq.values * (Y0[1] + v.comp2.values))
-    kmax = max(float(np.max(np.abs(_derivative_multiplier(lattice, d, 1)))) for d in (1, 2))
+    kmax = max(float(np.max(np.abs(_derivative_multiplier(lattice, d)))) for d in (1, 2))
     return tolerance * np.linalg.norm(b - np.mean(b)) + 100.0 * EPS * kmax * np.linalg.norm(flux)
 
 
