@@ -326,7 +326,7 @@ def _build_model(family: str, params_text: str | None) -> LeftInvariantModel:
 ### Identity checks behind `verify`
 
 _Check = Callable[
-    [ConformalStructure, HomotopyClass, np.random.Generator], tuple[bool, str]
+    [ConformalStructure, HomotopyClass, "np.random.Generator"], tuple[bool, str]
 ]
 
 

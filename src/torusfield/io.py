@@ -315,11 +315,19 @@ def read_field_csv(
     The table stores lattice-fractional coordinates, not the generators, so
     pass the same lattice description the writing run used.  Grid counts
     come from the coordinate columns and the winding class is recovered
-    from the angle samples themselves.
+    from the angle samples themselves.  Only lambda1, lambda2, theta and u
+    are parsed: the unit field and k_g are recomputed, so text in vx, vy and
+    kg is never read, but every row must still hold exactly seven fields.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
-    if data.shape[1] != len(CSV_HEADER.split(",")):
-        raise ValueError(f"field table needs columns {CSV_HEADER}, got {data.shape[1]}")
+    text = Path(path).read_bytes()
+    if b"\n" not in text.rstrip():
+        raise ValueError(f"field table has no rows: {path}")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1, 2, 6))
+    except ValueError as exc:
+        raise ValueError(f"field table needs columns {CSV_HEADER}: {exc}") from exc
+    if text.count(b",", text.index(b"\n")) != 6 * data.shape[0]:
+        raise ValueError(f"field table needs columns {CSV_HEADER} on every row")
     n1 = int(np.unique(data[:, 0]).size)
     n2 = int(np.unique(data[:, 1]).size)
     if n1 * n2 != data.shape[0]:
@@ -333,7 +341,7 @@ def read_field_csv(
     ):
         raise ValueError("field table rows are not in row-major grid order")
 
-    u = ScalarField(lattice, data[:, 6].reshape(n1, n2))
+    u = ScalarField(lattice, data[:, 3].reshape(n1, n2))
     total = data[:, 2].reshape(n1, n2)
     V = VectorFieldFlat.from_arrays(lattice, np.cos(total), np.sin(total))
     theta = AngleField.from_total(lattice, total, winding_class(V))

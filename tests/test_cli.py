@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,18 @@ def test_energy_on_oblique_lattice_needs_generators(capsys, tmp_path):
     assert float(printed["bienergy"]) == pytest.approx(
         doc["energy"]["bienergy"], rel=1e-12
     )
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    probe = "import sys, torusfield.cli; print('numpy.random' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_energy_rejects_garbage_table(capsys, tmp_path):

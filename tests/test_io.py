@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,45 @@ def test_csv_survives_oblique_lattices(tmp_path):
 def test_csv_rejects_wrong_column_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="columns"):
+        read_field_csv(path)
+
+
+def test_csv_rejects_a_header_only_table_without_a_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(CSV_HEADER + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no rows"):
+            read_field_csv(path)
+
+
+def _widen_every_row(lines: list[str]) -> list[str]:
+    return [lines[0] + ",extra"] + [line + ",0" for line in lines[1:]]
+
+
+def _widen_one_row(lines: list[str]) -> list[str]:
+    return lines[:5] + [lines[5] + ",0"] + lines[6:]
+
+
+def _narrow_one_row(lines: list[str]) -> list[str]:
+    return lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:]
+
+
+def _narrow_header_widen_one_row(lines: list[str]) -> list[str]:
+    # the header is not parsed, so it must not make up for a row's extra field
+    return _widen_one_row([lines[0].rsplit(",", 1)[0]] + lines[1:])
+
+
+@pytest.mark.parametrize(
+    "edit", [_widen_every_row, _widen_one_row, _narrow_one_row, _narrow_header_widen_one_row]
+)
+def test_csv_rejects_rows_that_are_not_seven_fields_wide(solved, tmp_path, edit):
+    cs, theta, _ = solved
+    path = tmp_path / "field.csv"
+    write_field_csv(path, cs, theta)
+    lines = edit(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="columns"):
         read_field_csv(path)
 

@@ -136,6 +136,42 @@ def test_field_table_reads_back_bit_for_bit(workdir, table, cls):
     np.testing.assert_array_equal(theta_back.total_samples(), theta.total_samples())
 
 
+@given(tables(), classes, st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+def test_the_reader_ignores_the_values_of_vx_vy_and_kg(workdir, table, cls, filler):
+    text, lattice, seed = table
+    rng = np.random.default_rng(seed)
+    cs = _structure(lattice, rng)
+    theta = _angle(lattice, rng, cls)
+    write_field_csv(workdir / "field.csv", cs, theta)
+    header, *rows = (workdir / "field.csv").read_text(encoding="utf-8").splitlines()
+    fill = [format(value, ".17g") for value in filler]
+    rows = [",".join(row.split(",")[:3] + fill + row.split(",")[6:]) for row in rows]
+    (workdir / "filled.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cs_back, theta_back = read_field_csv(workdir / "filled.csv", text)
+
+    assert cs_back.lattice == lattice
+    assert theta_back.homotopy == cls
+    np.testing.assert_array_equal(cs_back.u.values, cs.u.values)
+    np.testing.assert_array_equal(theta_back.total_samples(), theta.total_samples())
+
+
+def test_the_four_parsed_columns_equal_those_of_a_full_parse(tmp_path):
+    lattice = LatticeSpec.unit_square(64)
+    rng = np.random.default_rng(0)
+    cs = _structure(lattice, rng)
+    theta = _angle(lattice, rng, HomotopyClass(1, -2))
+    write_field_csv(tmp_path / "field.csv", cs, theta)
+    full = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)
+    parsed = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1, usecols=(0, 1, 2, 6))
+    np.testing.assert_array_equal(parsed, full[:, [0, 1, 2, 6]])
+
+    cs_back, theta_back = read_field_csv(tmp_path / "field.csv")
+    np.testing.assert_array_equal(cs_back.u.values, full[:, 6].reshape(64, 64))
+    np.testing.assert_array_equal(theta_back.total_samples(), full[:, 2].reshape(64, 64))
+
+
 @given(tables(), classes, classes)
 def test_an_earlier_class_leaves_no_trace_in_the_next_table(workdir, table, first, second):
     _, lattice, seed = table
