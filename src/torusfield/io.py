@@ -320,13 +320,16 @@ def read_field_csv(
     kg is never read, but every row must still hold exactly seven fields.
     """
     text = Path(path).read_bytes()
-    if b"\n" not in text.rstrip():
+    if (header_end := text.find(b"\n")) < 0 or not re.compile(rb"\S").search(text, header_end):
         raise ValueError(f"field table has no rows: {path}")
+    # the bytes go before loadtxt reads the file itself; only the count stays
+    commas = text.count(b",", header_end)
+    del text
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1, 2, 6))
     except ValueError as exc:
         raise ValueError(f"field table needs columns {CSV_HEADER}: {exc}") from exc
-    if text.count(b",", text.index(b"\n")) != 6 * data.shape[0]:
+    if commas != 6 * data.shape[0]:
         raise ValueError(f"field table needs columns {CSV_HEADER} on every row")
     n1 = int(np.unique(data[:, 0]).size)
     n2 = int(np.unique(data[:, 1]).size)

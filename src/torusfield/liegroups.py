@@ -13,10 +13,10 @@ tensors against.  Classification (refined dense sampling with the exact
 Jacobian ``M^T + 3 K(V, V, .)``) and the checks against the known
 closed-form sets run on the tensors.  A Gauss-Newton sweep solves every
 step as one damped least-squares problem in one batched Householder QR,
-batch axis last: points (dim, n), Jacobians (dim, dim, n).  The cell-hash
-clusters are merged in the same pass that classifies them, each fragment
-joining the component of its signature as it is found, and a latitude
-family is sampled once, by its first fragment.
+batch axis last: points (dim, n), Jacobians (dim, dim, n), and scales a
+step by m where steps shrink as at a root of multiplicity m.  The cell-hash
+clusters are measured in one batch and merged in one pass, each fragment
+joining the component of its signature; a latitude family is sampled once.
 
 Supported models: ``su2`` (compact, three bracket scales), ``sol3``
 (solvable), ``hyperbolic`` (half-space of curvature ``-c^2`` in any
@@ -423,9 +423,15 @@ def _refine(cubic: _CubicMap, points: NDArray, threshold: float) -> tuple[NDArra
     orthogonal to it.  The ``V^T`` row holds the step off V, where ``J V``
     vanishes only to roundoff.  The system (2 dim + 1, dim, n) and its right
     side (2 dim + 1, n) are filled in place, batch last, once per sweep.
+
+    At a root of multiplicity m steps shrink by (m - 1) / m per sweep; where
+    the last two did (within 0.02) and J has collapsed, ``|J|_F <= |s|`` (the
+    ``V^T`` row adds 1 to the norm formed for mu), Schroeder's step m s is
+    taken, capped at length 0.3 like every step.
     """
     V = points.T.copy()
     dim, active = V.shape[0], np.arange(len(points))
+    previous = np.full(len(points), np.inf)
     sweeps = steps = 0
     while sweeps < _NEWTON_ITERATIONS:
         Va, system = V.take(active, axis=1), np.zeros((2 * dim + 1, dim, len(active)))
@@ -438,16 +444,20 @@ def _refine(cubic: _CubicMap, points: NDArray, threshold: float) -> tuple[NDArra
             # compress keeps the batch axis last and contiguous, a mask index would not
             active, Va, F, system = (x.compress(moving, axis=-1) for x in (active, Va, F, system))
         system[dim] = Va
-        # |[J; V^T]|_F
-        mu = _DAMPING * np.sqrt(np.einsum("ikn,ikn->n", system[:dim + 1], system[:dim + 1]))
-        system[range(dim + 1, 2 * dim + 1), range(dim)] = mu
+        # |[J; V^T]|_F^2
+        frobenius_sq = np.einsum("ikn,ikn->n", system[:dim + 1], system[:dim + 1])
+        system[range(dim + 1, 2 * dim + 1), range(dim)] = _DAMPING * np.sqrt(frobenius_sq)
         rhs = np.zeros((2 * dim + 1, len(active)))
         np.negative(F, out=rhs[:dim])
         step = _least_squares(system, rhs)
         # released before the step update, which keeps the sweep's peak allocation down
         del system, rhs, F
         length = np.linalg.norm(step, axis=0)
-        step = np.where(length > 0.3, step * (0.3 / np.maximum(length, 1e-300)), step)
+        ratio, previous[active] = length / np.maximum(previous[active], 1e-300), length
+        m = np.rint(1.0 / np.maximum(1.0 - ratio, 0.1))
+        scale = np.where((m >= 2) & (np.abs(ratio - (m - 1) / m) <= 0.02)
+                         & (frobenius_sq - 1.0 <= length * length), m, 1.0)
+        step *= np.minimum(scale, 0.3 / np.maximum(length, 1e-300))
         moved = Va + step
         V[:, active] = moved / np.linalg.norm(moved, axis=0)
         sweeps += 1
@@ -520,13 +530,16 @@ def _latitude_family(
     tangent-orthogonal at once, so candidates are ranked by row norm plus
     member spread and the first whose whole latitude (not just the cluster
     that suggested it) solves the system wins; an axis along which the
-    family collapses to a pole is skipped for the next one.  A candidate with the
-    signature of a family ``found`` so far holds unsampled: it was sampled then.
+    family collapses to a pole is skipped for the next tangent-orthogonal
+    one.  A candidate with the signature of a family ``found`` so far holds
+    unsampled: it was sampled then.
     """
     row_norms = np.linalg.norm(null_basis, axis=1)
     spreads = members.max(axis=0) - members.min(axis=0)
     top = None
     for axis in map(int, np.argsort(row_norms + spreads)):
+        if top and row_norms[axis] > 1e-3:
+            break  # this and the remaining axes are not tangent-orthogonal at all
         value = float(members[:, axis].mean())
         radius = float(np.sqrt(max(0.0, 1.0 - value * value)))
         top = top or (axis, value, radius, False)
@@ -538,16 +551,15 @@ def _latitude_family(
             points /= np.linalg.norm(points, axis=-1, keepdims=True)
             if np.all(np.linalg.norm(cubic.residual(points), axis=-1) <= 10.0 * threshold):
                 return axis, value, radius, True
-        if row_norms[axis] > 1e-3:
-            break  # remaining axes are not tangent-orthogonal at all
     return top
 
 
-def _subsample(members: NDArray, count: int = 12) -> NDArray:
-    if len(members) <= count:
-        return members.copy()
-    idx = np.linspace(0, len(members) - 1, count).astype(int)
-    return members[idx].copy()
+def _subsample(size: int, count: int = 12) -> list[int]:
+    """The positions of ``np.linspace(0, size - 1, count).astype(int)``, or all."""
+    if size <= count:
+        return list(range(size))
+    step = (size - 1) / (count - 1)
+    return [int(i * step) for i in range(count - 1)] + [size - 1]
 
 
 def classify(
@@ -557,10 +569,11 @@ def classify(
 
     Dense deterministic sampling, batched Gauss-Newton refinement,
     clustering of converged solutions into points and latitude-type
-    families, and a local-dimension measurement per component.  In one pass
-    over the clusters, each joins the component with its signature as it is
-    found (see :func:`_merge_fragment`); near-collisions are flagged as
-    ambiguous rather than silently merged.
+    families, and a local-dimension measurement per component.  Clusters are
+    measured in one batch, then joined in one pass, each to the component with
+    its signature as it is found (see :func:`_merge_fragment`; a family's later
+    fragments unsampled); near-collisions are flagged as ambiguous rather
+    than silently merged.
     """
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem: {problem!r}")
@@ -573,7 +586,7 @@ def classify(
     initial, scale = cubic.scaled_residual(samples)
     threshold = _CONVERGED_REL * scale
     if np.mean(initial <= 1e-9 * scale) > 0.999:
-        sphere = CriticalComponent("full_sphere", _subsample(samples), None, None, None, model.dim - 1)
+        sphere = CriticalComponent("full_sphere", samples[_subsample(len(samples))], None, None, None, model.dim - 1)
         return CriticalSet(kind="full_sphere", components=(sphere,), ambiguous=False, clusters=1,
                            samples=len(samples), converged=int(np.sum(initial <= 1e-9 * scale)))
 
@@ -584,65 +597,79 @@ def classify(
     if len(solutions) == 0:
         return CriticalSet(kind="empty", components=(), ambiguous=False, **counts)
 
+    clusters = _cluster_indices(solutions)
+    sizes = np.array([len(indices) for indices in clusters])
+    starts = np.cumsum(sizes) - sizes
+    # members sorted by cluster: the centroids, nearest members (the first of equals, as
+    # argmin takes it), spreads and leading latitude candidates come in one batch each
+    members = solutions[np.concatenate(clusters)]
+    means = np.add.reduceat(members, starts) / sizes[:, None]
+    centroids = means / np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-300)
+    distances = np.linalg.norm(members - np.repeat(centroids, sizes, axis=0), axis=1)
+    nearest = np.lexsort((distances, np.repeat(np.arange(len(sizes)), sizes)))[starts]
+    nullities, null_bases = _local_structure(cubic, members[nearest])
+    spreads = np.maximum.reduceat(members, starts) - np.minimum.reduceat(members, starts)
+    leading = np.argsort(np.linalg.norm(null_bases, axis=2) + spreads, axis=1)[:, 0]
     components: list[CriticalComponent] = []
     ambiguous = False
-    clusters = [solutions[indices] for indices in _cluster_indices(solutions)]
-    representatives = np.empty((len(clusters), model.dim))
-    for index, members in enumerate(clusters):
-        centroid = members.mean(axis=0)
-        centroid /= max(np.linalg.norm(centroid), 1e-300)
-        representatives[index] = members[np.argmin(np.linalg.norm(members - centroid, axis=-1))]
-    nullities, null_bases = _local_structure(cubic, representatives)
-    for members, representative, local_dim, null_basis in zip(
-        clusters, representatives, nullities.tolist(), null_bases
-    ):
+    for index, (start, size, local_dim, axis, representative) in enumerate(zip(
+        starts.tolist(), sizes.tolist(), nullities.tolist(), leading.tolist(), nearest.tolist()
+    )):
+        value = float(means[index, axis])
+        radius = max(0.0, 1.0 - value * value) ** 0.5
+        kind = "circle" if local_dim == 1 else "hypersphere"
         # the solution manifold is extended where local_dim > 0; a latitude of radius
         # ~ 0 is a degenerate pole, an isolated point whose linearization vanishes
-        axis, value, radius, holds = (
-            _latitude_family(cubic, members, null_basis, threshold, rng, components)
-            if local_dim > 0 else (None, None, 0.0, False)
-        )
+        if local_dim == 0:
+            radius, holds = 0.0, False
+        elif radius > 1e-3 and any(c.kind == kind and c.axis == axis
+                                   and abs(c.value - value) <= _SIGNATURE_TOL for c in components):
+            holds = True  # another fragment of a family found: it joins unsampled
+        else:
+            axis, value, radius, holds = _latitude_family(
+                cubic, members[start:start + size], null_bases[index], threshold, rng, components)
+        rows = [start + position for position in _subsample(size)]
         if holds:
-            kind = "circle" if local_dim == 1 else "hypersphere"
-            fragment = CriticalComponent(kind, _subsample(members), axis, value, radius, local_dim)
+            fragment = CriticalComponent(kind, rows, axis, value, radius, local_dim)
         elif radius > 1e-3:
             # extended but not of the latitude type: report the raw cluster
             # and flag the classification as unresolved
             ambiguous = True
-            fragment = CriticalComponent("cluster", _subsample(members), None, None, None, local_dim)
+            fragment = CriticalComponent("cluster", rows, None, None, None, local_dim)
         else:
-            witness = representative.copy()
+            witness = members[representative]
             # degenerate roots converge slowly, leaving the witness a little
             # off; when a signed coordinate axis sits nearby and itself solves
-            # the system exactly, adopt it (verified, not assumed)
+            # the system exactly, adopt it (verified, not assumed) in its row
             nearest_axis = int(np.argmax(np.abs(witness)))
             candidate = np.zeros(model.dim)
             candidate[nearest_axis] = np.sign(witness[nearest_axis])
             near = np.linalg.norm(witness - candidate) <= 1e-3
             if near and np.linalg.norm(cubic.residual(candidate)) <= threshold:
-                witness = candidate
-            fragment = CriticalComponent("point", witness[None, :], None, None, None, local_dim)
-        ambiguous |= _merge_fragment(components, fragment)
+                witness[:] = candidate
+            fragment = CriticalComponent("point", [representative], None, None, None, local_dim)
+        ambiguous |= _merge_fragment(components, fragment, members)
 
     kinds = {c.kind for c in components}
     aggregate = _AGGREGATES.get(kinds.pop(), "mixed") if len(kinds) == 1 else "mixed"
     return CriticalSet(
-        kind=aggregate, components=tuple(components), ambiguous=ambiguous,
-        clusters=len(clusters), **counts,
+        kind=aggregate, components=tuple(replace(c, witnesses=members[c.witnesses]) for c in components),
+        ambiguous=ambiguous, clusters=len(clusters), **counts,
     )
 
 
-def _merge_fragment(components: list[CriticalComponent], fragment: CriticalComponent) -> bool:
+def _merge_fragment(components: list[CriticalComponent], fragment: CriticalComponent, rows: NDArray) -> bool:
     """Join the fragment to the component of its signature, which moves to the
     end of ``components``, or append it; True when it also falls in another's
     near-collision band.  Signatures: points within ``_SIGNATURE_TOL`` (band
     ``2 * _CLUSTER_RADIUS``), families on one axis with values within
-    ``_SIGNATURE_TOL`` (band ``10 * _SIGNATURE_TOL``); clusters never join."""
+    ``_SIGNATURE_TOL`` (band ``10 * _SIGNATURE_TOL``); clusters never join.
+    Witnesses are lists of indices into ``rows``, which a join extends."""
     target, ambiguous = None, False
     alike = [c for c in components if c.kind == fragment.kind and c.axis == fragment.axis]
     for existing in alike if fragment.kind != "cluster" else ():
         if fragment.kind == "point":
-            gap = float(np.linalg.norm(existing.witnesses[0] - fragment.witnesses[0]))
+            gap = float(np.linalg.norm(rows[existing.witnesses[0]] - rows[fragment.witnesses[0]]))
             band = 2.0 * _CLUSTER_RADIUS
         else:
             gap, band = abs(existing.value - fragment.value), 10.0 * _SIGNATURE_TOL
@@ -652,8 +679,8 @@ def _merge_fragment(components: list[CriticalComponent], fragment: CriticalCompo
             ambiguous = True
     if target is not None:
         components.remove(target)
-        witnesses = np.concatenate([target.witnesses, fragment.witnesses])
-        fragment = replace(target, witnesses=witnesses, dim=max(target.dim, fragment.dim))
+        target.witnesses.extend(fragment.witnesses)
+        fragment = target if target.dim >= fragment.dim else replace(target, dim=fragment.dim)
     components.append(fragment)
     return ambiguous
 

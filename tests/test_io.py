@@ -321,11 +321,13 @@ def test_csv_rejects_wrong_column_count(tmp_path):
 
 def test_csv_rejects_a_header_only_table_without_a_warning(tmp_path):
     path = tmp_path / "empty.csv"
-    path.write_text(CSV_HEADER + "\n", encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="no rows"):
-            read_field_csv(path)
+    # only whitespace after the header is no row either, with or without a newline
+    for tail in ("\n", "", "\r\n \t\n\n"):
+        path.write_text(CSV_HEADER + tail, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no rows"):
+                read_field_csv(path)
 
 
 def _widen_every_row(lines: list[str]) -> list[str]:

@@ -4,6 +4,7 @@ three model geometries."""
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from torusfield.liegroups import (
     _latitude_family,
     _local_structure,
     _merge_fragment,
+    _refine,
     _rough_laplacian,
     _shape_term,
     _sphere_samples,
+    _subsample,
     classify,
     compare_known,
     critical_system_residual,
@@ -475,7 +478,7 @@ def test_classify_counts_its_work():
         (lambda: su2(2.0, 1.0, 1.0), "biharmonic_section", 4000, (4064, 4064, 5, 6, 13197)),
         (lambda: su2(2.0, 1.5, 1.0), "biharmonic_section", 4000, (4064, 4064, 18, 9, 19216)),
         (sol3, "biharmonic_section", 4000, (4064, 4064, 5, 6, 13221)),
-        (lambda: hyperbolic(3, 1.0), "biharmonic_vector_field", 8000, (8064, 8064, 3, 24, 92378)),
+        (lambda: hyperbolic(3, 1.0), "biharmonic_vector_field", 8000, (8064, 8064, 3, 12, 42452)),
         (lambda: hyperbolic(4, 1.0), "biharmonic_vector_field", 8000, (8064, 8064, 503, 6, 29849)),
         (lambda: hyperbolic(3, 2.0), "biharmonic_vector_field", 4000, (4064, 4064, 3, 10, 15357)),
     ],
@@ -488,6 +491,22 @@ def test_criterion_7_cases_count_their_work(build, problem, resolution, counts):
     # change to the sweep's arithmetic that moves one has moved its path
     result = classify(build(), problem, resolution=resolution)
     assert (result.samples, result.converged, result.clusters, result.sweeps, result.steps) == counts
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0])
+def test_refine_lands_on_a_triple_root_in_two_sweeps(pole):
+    # the poles +-e_0 of hyperbolic 3-space are triple roots of the vector-field
+    # system, where a Gauss-Newton step shrinks by 2/3 per sweep (ten sweeps
+    # from 1e-2 away); the second step, scaled by the multiplicity 3, lands
+    cubic = _cubic_map(hyperbolic(3, 1.0), "biharmonic_vector_field")
+    threshold = _CONVERGED_REL * cubic.scaled_residual(_sphere_samples(3, 8000, np.random.default_rng(0)))[1]
+    offsets = np.random.default_rng(0).standard_normal((16, 3))
+    offsets[:, 0] = 0.0
+    points = pole * np.eye(3)[0] + 1e-2 * offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
+    refined, sweeps, steps = _refine(cubic, points / np.linalg.norm(points, axis=1, keepdims=True), threshold)
+    assert (sweeps, steps) == (2, 32)
+    assert np.all(np.linalg.norm(cubic.residual(refined), axis=1) <= threshold)
+    np.testing.assert_allclose(refined, np.tile(pole * np.eye(3)[0], (16, 1)), atol=1e-6)
 
 
 def test_classification_peak_allocation_stays_below_eight_mib():
@@ -540,6 +559,35 @@ def test_pole_collapsed_axis_yields_to_the_next_tangent_orthogonal_one(pole_firs
     threshold = _CONVERGED_REL * (1.0 + np.max(np.linalg.norm(cubic.expression(samples), axis=1)))
     axis, value, radius, holds = _latitude_family(cubic, member[None, :], null_basis, threshold, rng)
     assert (axis, value, radius, holds) == (0, 0.0, 1.0, True)
+
+
+def test_subsample_picks_the_positions_of_linspace():
+    for size in range(1, 3000):
+        expected = np.linspace(0, size - 1, 12).astype(int) if size > 12 else np.arange(size)
+        assert _subsample(size) == expected.tolist()
+
+
+def test_point_witnesses_are_the_members_nearest_their_cluster_centroids():
+    # the reference loop: each cluster's normalized mean, then its nearest member;
+    # the batched pass sums in another order, so equals may differ at roundoff
+    model, problem = su2(2.0, 1.5, 1.0), "biharmonic_section"
+    cubic = _cubic_map(model, problem)
+    samples = _sphere_samples(3, 4000, np.random.default_rng(0))
+    threshold = _CONVERGED_REL * cubic.scaled_residual(samples)[1]
+    refined = _refine(cubic, samples, threshold)[0]
+    solutions = refined[np.linalg.norm(cubic.residual(refined), axis=1) <= threshold]
+    witnesses = np.concatenate([c.witnesses for c in classify(model, problem, resolution=4000).components])
+    checked = 0
+    for indices in _cluster_indices(solutions):
+        members = solutions[indices]
+        centroid = members.mean(axis=0) / np.linalg.norm(members.mean(axis=0))
+        distances = np.linalg.norm(members - centroid, axis=1)
+        for witness in witnesses:
+            if np.any(np.all(members == witness, axis=1)):
+                assert np.linalg.norm(witness - centroid) <= distances.min() + 1e-12
+                checked += 1
+    # the six poles adopt their exact axis vectors, the twelve others are members
+    assert checked == 12
 
 
 def test_clusters_chain_through_adjacent_cells_in_index_order():
@@ -628,11 +676,20 @@ def _fragment(kind, witness, axis=None, value=None, dim=0):
 
 
 def _merged(fragments):
+    """Merge as classify does, each fragment holding the indices of its
+    witness rows in one table; the components come back with their rows."""
+    rows = np.concatenate([f.witnesses for f in fragments])
+    ends = np.cumsum([len(f.witnesses) for f in fragments]).tolist()
     components: list[CriticalComponent] = []
     ambiguous = False
-    for fragment in fragments:
-        ambiguous |= _merge_fragment(components, fragment)
-    return components, ambiguous
+    for fragment, end in zip(fragments, ends):
+        indexed = replace(fragment, witnesses=list(range(end - len(fragment.witnesses), end)))
+        ambiguous |= _merge_fragment(components, indexed, rows)
+    return [replace(c, witnesses=rows[c.witnesses]) for c in components], ambiguous
+
+
+def _fields(components):
+    return [(c.kind, c.axis, c.value, c.dim, c.witnesses.tolist()) for c in components]
 
 
 def test_fragments_within_tolerance_merge_at_the_last_fragments_position():
@@ -661,28 +718,28 @@ def test_families_on_one_axis_5e_4_apart_stay_separate_and_are_ambiguous():
     first = _fragment("circle", [0.0, 1.0, 0.0], axis=2, value=0.0, dim=1)
     second = _fragment("circle", [0.0, 1.0, 5e-4], axis=2, value=5e-4, dim=1)
     components, ambiguous = _merged([first, second])
-    assert components == [first, second] and ambiguous
+    assert _fields(components) == _fields([first, second]) and ambiguous
     # the same values on another axis are another family, far from this one
     other = _fragment("circle", [1.0, 0.0, 0.0], axis=1, value=5e-4, dim=1)
     components, ambiguous = _merged([first, other])
-    assert components == [first, other] and not ambiguous
+    assert _fields(components) == _fields([first, other]) and not ambiguous
 
 
 def test_points_0_05_apart_stay_separate_and_are_ambiguous():
     first = _fragment("point", [0.0, 0.0, 1.0])
     second = _fragment("point", [0.05, 0.0, np.sqrt(1.0 - 0.05**2)])
     components, ambiguous = _merged([first, second])
-    assert components == [first, second] and ambiguous
+    assert _fields(components) == _fields([first, second]) and ambiguous
     far = _fragment("point", [1.0, 0.0, 0.0])
     components, ambiguous = _merged([first, far])
-    assert components == [first, far] and not ambiguous
+    assert _fields(components) == _fields([first, far]) and not ambiguous
 
 
 def test_cluster_fragments_never_merge():
     first = _fragment("cluster", [0.0, 0.0, 1.0], dim=1)
     second = _fragment("cluster", [0.0, 0.0, 1.0], dim=1)
     components, ambiguous = _merged([first, second])
-    assert components == [first, second] and not ambiguous
+    assert _fields(components) == _fields([first, second]) and not ambiguous
 
 
 def test_classify_samples_each_latitude_once(monkeypatch):

@@ -15,23 +15,33 @@ full-rank system must be ``pinv``'s to within a fixed multiple of
 ``cond * eps``; on a system with exactly dependent columns the damped step
 must be ``pinv``'s to within the damping's own bias, ``(mu / sigma_r)^2``
 relative, plus the same roundoff bound for the damped system.
+
+``classify`` joins each cell-hash cluster to the component of its signature
+in one batched pass.  Over random half-spaces of dimension 3 and 4, random
+``su2`` scales, each problem and random seeds, cutting every cluster into
+two interleaved halves must print the same classification and ambiguity
+flag as the whole clusters.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusfield import liegroups
 from torusfield.liegroups import (
     _DAMPING,
     _PROBLEMS,
+    _cluster_indices,
     _cubic_map,
     _defining_expression,
     _least_squares,
     _tangent_part,
+    classify,
     hyperbolic,
     sol3,
     su2,
@@ -147,3 +157,31 @@ def test_damped_step_on_dependent_columns_is_the_min_norm_step(system, power, ze
     gap = np.linalg.norm(step - reference, axis=1)
     bound = 2.0 * (mu / sigma_r) ** 2 + 64.0 * np.linalg.cond(damped) * np.finfo(float).eps
     assert np.all(gap <= bound * np.linalg.norm(reference, axis=1))
+
+
+def _halved(points):
+    return [half for indices in _cluster_indices(points)
+            for half in (indices[0::2], indices[1::2]) if len(half)]
+
+
+def _printed(found):
+    return found.kind, [c.describe() for c in found.components], found.ambiguous
+
+
+@settings(max_examples=25)
+@given(
+    st.one_of(
+        st.builds(hyperbolic, st.integers(3, 4), st.floats(0.5, 3.0)),
+        st.lists(scales, min_size=3, max_size=3).map(lambda s: su2(*sorted(s, reverse=True))),
+    ),
+    st.sampled_from(_PROBLEMS),
+    st.integers(0, 2**31 - 1),
+)
+def test_halved_clusters_print_what_whole_clusters_print(model, problem, seed):
+    # no unresolved cluster arises on these models, so every fragment has a
+    # component to rejoin
+    resolution = 1500 if model.dim == 3 else 1000
+    whole = _printed(classify(model, problem, resolution=resolution, seed=seed))
+    with mock.patch.object(liegroups, "_cluster_indices", _halved):
+        split = _printed(classify(model, problem, resolution=resolution, seed=seed))
+    assert split == whole
