@@ -403,7 +403,8 @@ def _least_squares(A: NDArray, b: NDArray) -> NDArray:
         vv = np.einsum("in,in->n", v, v)
         beta = np.divide(2.0, vv, out=np.zeros(n), where=vv > 0.0)
         projections = np.einsum("in,ijn->jn", v, A[j:, j:])
-        A[j:, j:] -= (beta * v)[:, None, :] * projections
+        for column in range(j, k):  # column by column: no (m, k, n) temporary
+            A[j:, column] -= beta * v * projections[column - j]
         b[j:] -= beta * np.einsum("in,in->n", v, b[j:]) * v
     x = np.zeros((k, n))
     for i in range(k - 1, -1, -1):
@@ -600,8 +601,7 @@ def classify(
     clusters = _cluster_indices(solutions)
     sizes = np.array([len(indices) for indices in clusters])
     starts = np.cumsum(sizes) - sizes
-    # members sorted by cluster: the centroids, nearest members (the first of equals, as
-    # argmin takes it), spreads and leading latitude candidates come in one batch each
+    # members sorted by cluster; the nearest member is the first of equals, as argmin takes it
     members = solutions[np.concatenate(clusters)]
     means = np.add.reduceat(members, starts) / sizes[:, None]
     centroids = means / np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-300)
