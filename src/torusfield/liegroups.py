@@ -25,6 +25,7 @@ dimension ``n >= 2``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
@@ -403,8 +404,9 @@ def _least_squares(A: NDArray, b: NDArray) -> NDArray:
         vv = np.einsum("in,in->n", v, v)
         beta = np.divide(2.0, vv, out=np.zeros(n), where=vv > 0.0)
         projections = np.einsum("in,ijn->jn", v, A[j:, j:])
+        bv = beta * v
         for column in range(j, k):  # column by column: no (m, k, n) temporary
-            A[j:, column] -= beta * v * projections[column - j]
+            A[j:, column] -= bv * projections[column - j]
         b[j:] -= beta * np.einsum("in,in->n", v, b[j:]) * v
     x = np.zeros((k, n))
     for i in range(k - 1, -1, -1):
@@ -518,9 +520,23 @@ def _local_structure(cubic: _CubicMap, V: NDArray) -> tuple[NDArray, NDArray]:
     return null.sum(axis=1), (bases @ rows.transpose(0, 2, 1)) * null[:, None, :]
 
 
+def _latitude_candidates(
+    members: NDArray, starts: NDArray, means: NDArray, null_bases: NDArray
+) -> list[list[tuple[int, float, float]]]:
+    """For each cluster of ``members`` (sorted by cluster, each from its entry
+    of ``starts``), its latitude candidates ``(axis, row norm, mean)``: the
+    axes ranked by the row norms of its null basis plus its members' spread
+    along them, with those norms and its members' ``means``, in one batch."""
+    row_norms = np.linalg.norm(null_bases, axis=2)
+    spreads = np.maximum.reduceat(members, starts) - np.minimum.reduceat(members, starts)
+    order = np.argsort(row_norms + spreads, axis=1)
+    ranked = (order, np.take_along_axis(row_norms, order, 1), np.take_along_axis(means, order, 1))
+    return [list(zip(*cluster)) for cluster in zip(*(x.tolist() for x in ranked))]
+
+
 def _latitude_family(
-    cubic: _CubicMap, members: NDArray, null_basis: NDArray, threshold: float,
-    rng: np.random.Generator, found: Sequence[CriticalComponent] = (),
+    cubic: _CubicMap, members: NDArray, candidates: Sequence[tuple[int, float, float]],
+    threshold: float, rng: np.random.Generator, found: Sequence[CriticalComponent] = (),
 ) -> tuple[int, float, float, bool]:
     """``(axis, value, radius, holds)`` of the latitude {V_axis = value} an
     extended cluster lies on; when no latitude holds, the top-ranked
@@ -528,21 +544,18 @@ def _latitude_family(
 
     The coordinate absent from the solution manifold's tangent directions is
     the family's constant one.  At special points several axes can be
-    tangent-orthogonal at once, so candidates are ranked by row norm plus
-    member spread and the first whose whole latitude (not just the cluster
-    that suggested it) solves the system wins; an axis along which the
-    family collapses to a pole is skipped for the next tangent-orthogonal
-    one.  A candidate with the signature of a family ``found`` so far holds
-    unsampled: it was sampled then.
+    tangent-orthogonal at once, so the ``candidates`` come ranked (see
+    :func:`_latitude_candidates`) and the first whose whole latitude (not
+    just the cluster that suggested it) solves the system wins; an axis along
+    which the family collapses to a pole is skipped for the next
+    tangent-orthogonal one.  A candidate with the signature of a family
+    ``found`` so far holds unsampled: it was sampled then.
     """
-    row_norms = np.linalg.norm(null_basis, axis=1)
-    spreads = members.max(axis=0) - members.min(axis=0)
     top = None
-    for axis in map(int, np.argsort(row_norms + spreads)):
-        if top and row_norms[axis] > 1e-3:
+    for axis, row_norm, value in candidates:
+        if top and row_norm > 1e-3:
             break  # this and the remaining axes are not tangent-orthogonal at all
-        value = float(members[:, axis].mean())
-        radius = float(np.sqrt(max(0.0, 1.0 - value * value)))
+        radius = math.sqrt(max(0.0, 1.0 - value * value))
         top = top or (axis, value, radius, False)
         if radius > 1e-3:
             if any(c.axis == axis and abs(c.value - value) <= _SIGNATURE_TOL for c in found):
@@ -555,12 +568,11 @@ def _latitude_family(
     return top
 
 
-def _subsample(size: int, count: int = 12) -> list[int]:
-    """The positions of ``np.linspace(0, size - 1, count).astype(int)``, or all."""
-    if size <= count:
-        return list(range(size))
-    step = (size - 1) / (count - 1)
-    return [int(i * step) for i in range(count - 1)] + [size - 1]
+def _subsample(members: NDArray, count: int = 12) -> NDArray:
+    if len(members) <= count:
+        return members.copy()
+    idx = np.linspace(0, len(members) - 1, count).astype(int)
+    return members[idx].copy()
 
 
 def classify(
@@ -571,8 +583,9 @@ def classify(
     Dense deterministic sampling, batched Gauss-Newton refinement,
     clustering of converged solutions into points and latitude-type
     families, and a local-dimension measurement per component.  Clusters are
-    measured in one batch, then joined in one pass, each to the component with
-    its signature as it is found (see :func:`_merge_fragment`; a family's later
+    measured in one batch (centroids, representatives, null bases, latitude
+    candidates), then joined in one pass, each to the component with its
+    signature as it is found (see :func:`_merge_fragment`; a family's later
     fragments unsampled); near-collisions are flagged as ambiguous rather
     than silently merged.
     """
@@ -587,7 +600,7 @@ def classify(
     initial, scale = cubic.scaled_residual(samples)
     threshold = _CONVERGED_REL * scale
     if np.mean(initial <= 1e-9 * scale) > 0.999:
-        sphere = CriticalComponent("full_sphere", samples[_subsample(len(samples))], None, None, None, model.dim - 1)
+        sphere = CriticalComponent("full_sphere", _subsample(samples), None, None, None, model.dim - 1)
         return CriticalSet(kind="full_sphere", components=(sphere,), ambiguous=False, clusters=1,
                            samples=len(samples), converged=int(np.sum(initial <= 1e-9 * scale)))
 
@@ -608,68 +621,60 @@ def classify(
     distances = np.linalg.norm(members - np.repeat(centroids, sizes, axis=0), axis=1)
     nearest = np.lexsort((distances, np.repeat(np.arange(len(sizes)), sizes)))[starts]
     nullities, null_bases = _local_structure(cubic, members[nearest])
-    spreads = np.maximum.reduceat(members, starts) - np.minimum.reduceat(members, starts)
-    leading = np.argsort(np.linalg.norm(null_bases, axis=2) + spreads, axis=1)[:, 0]
+    candidates = _latitude_candidates(members, starts, means, null_bases)
     components: list[CriticalComponent] = []
     ambiguous = False
-    for index, (start, size, local_dim, axis, representative) in enumerate(zip(
-        starts.tolist(), sizes.tolist(), nullities.tolist(), leading.tolist(), nearest.tolist()
-    )):
-        value = float(means[index, axis])
-        radius = max(0.0, 1.0 - value * value) ** 0.5
-        kind = "circle" if local_dim == 1 else "hypersphere"
+    for start, end, local_dim, representative, ranked in zip(
+        starts.tolist(), (starts + sizes).tolist(), nullities.tolist(), nearest.tolist(), candidates
+    ):
+        cluster = members[start:end]
         # the solution manifold is extended where local_dim > 0; a latitude of radius
         # ~ 0 is a degenerate pole, an isolated point whose linearization vanishes
-        if local_dim == 0:
-            radius, holds = 0.0, False
-        elif radius > 1e-3 and any(c.kind == kind and c.axis == axis
-                                   and abs(c.value - value) <= _SIGNATURE_TOL for c in components):
-            holds = True  # another fragment of a family found: it joins unsampled
-        else:
-            axis, value, radius, holds = _latitude_family(
-                cubic, members[start:start + size], null_bases[index], threshold, rng, components)
-        rows = [start + position for position in _subsample(size)]
+        axis, value, radius, holds = (
+            _latitude_family(cubic, cluster, ranked, threshold, rng, components)
+            if local_dim > 0 else (None, None, 0.0, False)
+        )
         if holds:
-            fragment = CriticalComponent(kind, rows, axis, value, radius, local_dim)
+            kind = "circle" if local_dim == 1 else "hypersphere"
+            fragment = CriticalComponent(kind, _subsample(cluster), axis, value, radius, local_dim)
         elif radius > 1e-3:
             # extended but not of the latitude type: report the raw cluster
             # and flag the classification as unresolved
             ambiguous = True
-            fragment = CriticalComponent("cluster", rows, None, None, None, local_dim)
+            fragment = CriticalComponent("cluster", _subsample(cluster), None, None, None, local_dim)
         else:
-            witness = members[representative]
+            witness = members[representative].copy()
             # degenerate roots converge slowly, leaving the witness a little
             # off; when a signed coordinate axis sits nearby and itself solves
-            # the system exactly, adopt it (verified, not assumed) in its row
+            # the system exactly, adopt it (verified, not assumed)
             nearest_axis = int(np.argmax(np.abs(witness)))
             candidate = np.zeros(model.dim)
             candidate[nearest_axis] = np.sign(witness[nearest_axis])
             near = np.linalg.norm(witness - candidate) <= 1e-3
             if near and np.linalg.norm(cubic.residual(candidate)) <= threshold:
-                witness[:] = candidate
-            fragment = CriticalComponent("point", [representative], None, None, None, local_dim)
-        ambiguous |= _merge_fragment(components, fragment, members)
+                witness = candidate
+            fragment = CriticalComponent("point", witness[None, :], None, None, None, local_dim)
+        ambiguous |= _merge_fragment(components, fragment)
 
     kinds = {c.kind for c in components}
     aggregate = _AGGREGATES.get(kinds.pop(), "mixed") if len(kinds) == 1 else "mixed"
     return CriticalSet(
-        kind=aggregate, components=tuple(replace(c, witnesses=members[c.witnesses]) for c in components),
-        ambiguous=ambiguous, clusters=len(clusters), **counts,
+        kind=aggregate, components=tuple(components), ambiguous=ambiguous,
+        clusters=len(clusters), **counts,
     )
 
 
-def _merge_fragment(components: list[CriticalComponent], fragment: CriticalComponent, rows: NDArray) -> bool:
+def _merge_fragment(components: list[CriticalComponent], fragment: CriticalComponent) -> bool:
     """Join the fragment to the component of its signature, which moves to the
     end of ``components``, or append it; True when it also falls in another's
     near-collision band.  Signatures: points within ``_SIGNATURE_TOL`` (band
     ``2 * _CLUSTER_RADIUS``), families on one axis with values within
-    ``_SIGNATURE_TOL`` (band ``10 * _SIGNATURE_TOL``); clusters never join.
-    Witnesses are lists of indices into ``rows``, which a join extends."""
+    ``_SIGNATURE_TOL`` (band ``10 * _SIGNATURE_TOL``); clusters never join."""
     target, ambiguous = None, False
     alike = [c for c in components if c.kind == fragment.kind and c.axis == fragment.axis]
     for existing in alike if fragment.kind != "cluster" else ():
         if fragment.kind == "point":
-            gap = float(np.linalg.norm(rows[existing.witnesses[0]] - rows[fragment.witnesses[0]]))
+            gap = float(np.linalg.norm(existing.witnesses[0] - fragment.witnesses[0]))
             band = 2.0 * _CLUSTER_RADIUS
         else:
             gap, band = abs(existing.value - fragment.value), 10.0 * _SIGNATURE_TOL
@@ -679,8 +684,8 @@ def _merge_fragment(components: list[CriticalComponent], fragment: CriticalCompo
             ambiguous = True
     if target is not None:
         components.remove(target)
-        target.witnesses.extend(fragment.witnesses)
-        fragment = target if target.dim >= fragment.dim else replace(target, dim=fragment.dim)
+        witnesses = np.concatenate([target.witnesses, fragment.witnesses])
+        fragment = replace(target, witnesses=witnesses, dim=max(target.dim, fragment.dim))
     components.append(fragment)
     return ambiguous
 

@@ -4,7 +4,6 @@ three model geometries."""
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from torusfield.liegroups import (
     LeftInvariantModel,
     _cluster_indices,
     _cubic_map,
+    _latitude_candidates,
     _latitude_family,
     _local_structure,
     _merge_fragment,
@@ -24,7 +24,6 @@ from torusfield.liegroups import (
     _rough_laplacian,
     _shape_term,
     _sphere_samples,
-    _subsample,
     classify,
     compare_known,
     critical_system_residual,
@@ -557,14 +556,9 @@ def test_pole_collapsed_axis_yields_to_the_next_tangent_orthogonal_one(pole_firs
     rng = np.random.default_rng(0)
     samples = _sphere_samples(4, 1000, rng)
     threshold = _CONVERGED_REL * (1.0 + np.max(np.linalg.norm(cubic.expression(samples), axis=1)))
-    axis, value, radius, holds = _latitude_family(cubic, member[None, :], null_basis, threshold, rng)
+    (candidates,) = _latitude_candidates(member[None, :], np.array([0]), member[None, :], null_basis[None])
+    axis, value, radius, holds = _latitude_family(cubic, member[None, :], candidates, threshold, rng)
     assert (axis, value, radius, holds) == (0, 0.0, 1.0, True)
-
-
-def test_subsample_picks_the_positions_of_linspace():
-    for size in range(1, 3000):
-        expected = np.linspace(0, size - 1, 12).astype(int) if size > 12 else np.arange(size)
-        assert _subsample(size) == expected.tolist()
 
 
 def test_point_witnesses_are_the_members_nearest_their_cluster_centroids():
@@ -676,20 +670,11 @@ def _fragment(kind, witness, axis=None, value=None, dim=0):
 
 
 def _merged(fragments):
-    """Merge as classify does, each fragment holding the indices of its
-    witness rows in one table; the components come back with their rows."""
-    rows = np.concatenate([f.witnesses for f in fragments])
-    ends = np.cumsum([len(f.witnesses) for f in fragments]).tolist()
     components: list[CriticalComponent] = []
     ambiguous = False
-    for fragment, end in zip(fragments, ends):
-        indexed = replace(fragment, witnesses=list(range(end - len(fragment.witnesses), end)))
-        ambiguous |= _merge_fragment(components, indexed, rows)
-    return [replace(c, witnesses=rows[c.witnesses]) for c in components], ambiguous
-
-
-def _fields(components):
-    return [(c.kind, c.axis, c.value, c.dim, c.witnesses.tolist()) for c in components]
+    for fragment in fragments:
+        ambiguous |= _merge_fragment(components, fragment)
+    return components, ambiguous
 
 
 def test_fragments_within_tolerance_merge_at_the_last_fragments_position():
@@ -718,28 +703,28 @@ def test_families_on_one_axis_5e_4_apart_stay_separate_and_are_ambiguous():
     first = _fragment("circle", [0.0, 1.0, 0.0], axis=2, value=0.0, dim=1)
     second = _fragment("circle", [0.0, 1.0, 5e-4], axis=2, value=5e-4, dim=1)
     components, ambiguous = _merged([first, second])
-    assert _fields(components) == _fields([first, second]) and ambiguous
+    assert components == [first, second] and ambiguous
     # the same values on another axis are another family, far from this one
     other = _fragment("circle", [1.0, 0.0, 0.0], axis=1, value=5e-4, dim=1)
     components, ambiguous = _merged([first, other])
-    assert _fields(components) == _fields([first, other]) and not ambiguous
+    assert components == [first, other] and not ambiguous
 
 
 def test_points_0_05_apart_stay_separate_and_are_ambiguous():
     first = _fragment("point", [0.0, 0.0, 1.0])
     second = _fragment("point", [0.05, 0.0, np.sqrt(1.0 - 0.05**2)])
     components, ambiguous = _merged([first, second])
-    assert _fields(components) == _fields([first, second]) and ambiguous
+    assert components == [first, second] and ambiguous
     far = _fragment("point", [1.0, 0.0, 0.0])
     components, ambiguous = _merged([first, far])
-    assert _fields(components) == _fields([first, far]) and not ambiguous
+    assert components == [first, far] and not ambiguous
 
 
 def test_cluster_fragments_never_merge():
     first = _fragment("cluster", [0.0, 0.0, 1.0], dim=1)
     second = _fragment("cluster", [0.0, 0.0, 1.0], dim=1)
     components, ambiguous = _merged([first, second])
-    assert _fields(components) == _fields([first, second]) and not ambiguous
+    assert components == [first, second] and not ambiguous
 
 
 def test_classify_samples_each_latitude_once(monkeypatch):
