@@ -520,13 +520,9 @@ def _local_structure(cubic: _CubicMap, V: NDArray) -> tuple[NDArray, NDArray]:
     return null.sum(axis=1), (bases @ rows.transpose(0, 2, 1)) * null[:, None, :]
 
 
-def _latitude_candidates(
-    members: NDArray, starts: NDArray, means: NDArray, null_bases: NDArray
-) -> list[list[tuple[int, float, float]]]:
-    """For each cluster of ``members`` (sorted by cluster, each from its entry
-    of ``starts``), its latitude candidates ``(axis, row norm, mean)``: the
-    axes ranked by the row norms of its null basis plus its members' spread
-    along them, with those norms and its members' ``means``, in one batch."""
+def _latitude_candidates(members: NDArray, starts: NDArray, means: NDArray, null_bases: NDArray) -> list:
+    """Per cluster of ``members`` (sorted by cluster from ``starts``), its ``(axis, row norm,
+    mean)`` ranked by the row norms of its null basis plus its members' spread."""
     row_norms = np.linalg.norm(null_bases, axis=2)
     spreads = np.maximum.reduceat(members, starts) - np.minimum.reduceat(members, starts)
     order = np.argsort(row_norms + spreads, axis=1)
@@ -544,12 +540,11 @@ def _latitude_family(
 
     The coordinate absent from the solution manifold's tangent directions is
     the family's constant one.  At special points several axes can be
-    tangent-orthogonal at once, so the ``candidates`` come ranked (see
-    :func:`_latitude_candidates`) and the first whose whole latitude (not
-    just the cluster that suggested it) solves the system wins; an axis along
-    which the family collapses to a pole is skipped for the next
-    tangent-orthogonal one.  A candidate with the signature of a family
-    ``found`` so far holds unsampled: it was sampled then.
+    tangent-orthogonal at once, so ``candidates`` come ranked (by
+    :func:`_latitude_candidates`) and the first whose whole latitude (not just
+    the cluster that suggested it) solves the system wins; an axis along which
+    the family collapses to a pole is skipped for the next one.  A candidate with
+    the signature of a family ``found`` so far holds unsampled: it was sampled then.
     """
     top = None
     for axis, row_norm, value in candidates:
@@ -582,12 +577,10 @@ def classify(
 
     Dense deterministic sampling, batched Gauss-Newton refinement,
     clustering of converged solutions into points and latitude-type
-    families, and a local-dimension measurement per component.  Clusters are
-    measured in one batch (centroids, representatives, null bases, latitude
-    candidates), then joined in one pass, each to the component with its
-    signature as it is found (see :func:`_merge_fragment`; a family's later
-    fragments unsampled); near-collisions are flagged as ambiguous rather
-    than silently merged.
+    families, and a local-dimension measurement per component, in one batch.
+    In one pass over the clusters, each joins the component with its
+    signature as it is found (see :func:`_merge_fragment`); near-collisions
+    are flagged as ambiguous rather than silently merged.
     """
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem: {problem!r}")
