@@ -37,6 +37,7 @@ computed numerically wherever a formula calls for it).
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -162,6 +163,14 @@ class ConformalStructure:
             raise ValueError("lattice mismatch")
 
 
+class _Work(NamedTuple):
+    """A real array of the grid's shape and two ``rfft2`` half spectra."""
+
+    r0: NDArray
+    h0: NDArray
+    h1: NDArray
+
+
 class _Kernel:
     """``P`` and the preconditioner ``M`` of one structure on ``rfft2`` half
     spectra, and ``P`` on raw arrays through one transform each way.
@@ -177,6 +186,17 @@ class _Kernel:
     ``inner`` is the flat product on half spectra (columns 0 and ``n2/2`` count once,
     the others twice); ``hermitian`` keeps of those two columns, in place, what
     ``irfft2`` reads: ``(c(k) + conj c(-k))/2``.
+
+    The ops write their intermediate steps into the ``_Work`` arrays of
+    ``scratch``: those of the ``working`` block in progress, which lends one set
+    to every op until it ends (a solve's is the call), else a fresh set per op.
+    So an op allocates only what it returns and what NumPy's ``irfft2``, which
+    drops ``out=``, allocates: ``finish`` and ``precondition_spectrum`` one half
+    spectrum each, and the latter one ``irfft2``; ``inner`` nothing.  The ops step
+    through ``h0`` and ``r0``, except ``inner``, which steps through ``h1``, and
+    ``divergence``, which takes both half spectra; no argument of an op may be an
+    array it steps through.  A kernel is not re-entrant: two threads must not
+    run the ops of one structure at once.
     """
 
     def __init__(self, cs: ConformalStructure) -> None:
@@ -192,34 +212,65 @@ class _Kernel:
         column = np.arange(lattice.n2 + 2) // 2  # of each real and imaginary part
         self.weight = np.where(column % (lattice.n2 // 2), 2.0, 1.0) / (lattice.n1 * lattice.n2)
         self.mirror = np.ix_(-np.arange(lattice.n1) % lattice.n1, [0, -1])
+        self.work: _Work | None = None
+
+    def scratch(self) -> _Work:
+        if self.work is not None:
+            return self.work
+        return _Work(np.empty(self.e2u.shape), np.empty(self.lap.shape, complex), np.empty(self.lap.shape, complex))
+
+    @contextmanager
+    def working(self):
+        outer = self.work
+        self.work = self.scratch()
+        try:
+            yield
+        finally:
+            self.work = outer
 
     def bilaplacian_spectrum(self, spectrum: NDArray) -> NDArray:
         return self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
 
     def derivatives(self, spectrum: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-        return tuple(np.fft.irfft2(m * spectrum) for m in (self.lap, self.d1, self.d2))
+        product = self.scratch().h0
+        return tuple(
+            np.fft.irfft2(np.multiply(m, spectrum, out=product)) for m in (self.lap, self.d1, self.d2)
+        )
 
     def finish(self, lap_h: NDArray, d1_h: NDArray, d2_h: NDArray) -> NDArray:
-        out = self.lap * np.fft.rfft2(self.e2u * lap_h)
+        work = self.scratch()
+        out = self.lap * np.fft.rfft2(np.multiply(self.e2u, lap_h, out=work.r0), out=work.h0)
         for d, d_h in ((self.d1, d1_h), (self.d2, d2_h)):
-            out -= d * np.fft.rfft2(self.kg_sq * d_h)
+            spectrum = np.fft.rfft2(np.multiply(self.kg_sq, d_h, out=work.r0), out=work.h0)
+            out -= np.multiply(d, spectrum, out=spectrum)
         return out
 
     def apply_spectrum(self, spectrum: NDArray) -> NDArray:
         return self.finish(*self.derivatives(spectrum))
 
     def precondition_spectrum(self, spectrum: NDArray) -> NDArray:
-        s = np.fft.irfft2(self.inv_lap * spectrum)
+        work = self.scratch()
+        s = np.fft.irfft2(np.multiply(self.inv_lap, spectrum, out=work.h0))
         # the constant left free by the inner inverse makes the outer
         # Laplacian's argument mean-zero, hence solvable
-        c = -float(np.mean(self.em2u * s)) / self.em2u_mean
-        return self.inv_lap * np.fft.rfft2(self.em2u * (s + c))
+        c = -float(np.mean(np.multiply(self.em2u, s, out=work.r0))) / self.em2u_mean
+        s += c
+        return self.inv_lap * np.fft.rfft2(np.multiply(self.em2u, s, out=s), out=work.h0)
+
+    def divergence(self, x1: NDArray, x2: NDArray) -> NDArray:
+        """``flat_divergence`` of the flat components ``x1``, ``x2``."""
+        work = self.scratch()
+        np.multiply(self.d1, np.fft.rfft2(x1, out=work.h0), out=work.h0)
+        np.multiply(self.d2, np.fft.rfft2(x2, out=work.h1), out=work.h1)
+        return np.fft.irfft2(np.add(work.h0, work.h1, out=work.h0))
 
     def apply(self, h: NDArray) -> NDArray:
         return np.fft.irfft2(self.apply_spectrum(np.fft.rfft2(h)))
 
     def inner(self, x: NDArray, y: NDArray) -> float:
-        return float(np.sum(self.weight * (x.view(np.float64) * y.view(np.float64))))
+        product = self.scratch().h1.view(np.float64)
+        np.multiply(x.view(np.float64), y.view(np.float64), out=product)
+        return float(np.sum(np.multiply(self.weight, product, out=product)))
 
     def hermitian(self, spectrum: NDArray) -> NDArray:
         spectrum[:, [0, -1]] = 0.5 * (spectrum[:, [0, -1]] + spectrum[self.mirror].conj())

@@ -40,13 +40,7 @@ from numpy.typing import NDArray
 
 from .angles import AngleField, HomotopyClass, _constant_gradient
 from .conformal import RESOLUTION_THRESHOLD, ConformalStructure, ResolutionWarning, frame_connection
-from .lattice import (
-    ScalarField,
-    VectorFieldFlat,
-    flat_divergence,
-    integrate_inner,
-    resolution_fraction,
-)
+from .lattice import ScalarField, VectorFieldFlat, _quadrature, resolution_fraction
 
 
 class EnergyBreakdown(NamedTuple):
@@ -79,11 +73,14 @@ def _breakdown(
     cs: ConformalStructure, theta: AngleField, spectrum: NDArray, fields, stacklevel: int
 ) -> EnergyBreakdown:
     """:func:`bienergy` from ``rfft2`` of alpha and the kernel's ``derivatives`` of
-    it; an under-resolved angle warns at ``stacklevel``, counted from here."""
+    it, the last two of which it writes over; an under-resolved angle warns at
+    ``stacklevel``, counted from here."""
     lattice = cs.lattice
+    work = cs.kernel.scratch()
     alpha = theta.periodic.values
     # an angle within an FFT's roundoff of 1 rad is roundoff of (cos theta, sin theta)
-    roundoff = np.sqrt(np.mean(alpha**2)) <= np.finfo(float).eps * np.log2(alpha.size)
+    rms = np.sqrt(np.mean(np.square(alpha, out=work.r0)))
+    roundoff = rms <= np.finfo(float).eps * np.log2(alpha.size)
     if not roundoff and resolution_fraction(theta.periodic, spectrum) > RESOLUTION_THRESHOLD:
         warnings.warn(
             "angle field is spectrally under-resolved; energies are unreliable",
@@ -91,15 +88,15 @@ def _breakdown(
             stacklevel=stacklevel,
         )
 
-    lap_alpha = ScalarField(lattice, fields[0])
-    vertical = integrate_inner(lap_alpha, lap_alpha, weight=cs.e2u)
+    vertical = _quadrature(lattice, fields[0], fields[0], cs.e2u.values, out=work.r0)
 
     # flat components of the first-order term: grad theta_total - J grad u
     y1, y2 = _constant_gradient(theta.homotopy, lattice)
-    b1, b2 = fields[1] + y1 - cs.jgrad_u.comp1.values, fields[2] + y2 - cs.jgrad_u.comp2.values
-    density = ScalarField(lattice, b1 * b1 + b2 * b2)
-    horizontal = integrate_inner(density, cs.kg_sq)
-    total_bending = 0.5 * integrate_inner(density)
+    b1 = np.subtract(np.add(fields[1], y1, out=fields[1]), cs.jgrad_u.comp1.values, out=fields[1])
+    b2 = np.subtract(np.add(fields[2], y2, out=fields[2]), cs.jgrad_u.comp2.values, out=fields[2])
+    density = np.add(np.multiply(b1, b1, out=b1), np.multiply(b2, b2, out=b2), out=b1)
+    horizontal = _quadrature(lattice, density, cs.kg_sq.values, out=work.r0)
+    total_bending = 0.5 * _quadrature(lattice, density)
 
     return EnergyBreakdown(
         bienergy=vertical + horizontal,
@@ -113,7 +110,12 @@ def _breakdown(
 def _source_flux(cs: ConformalStructure, homotopy: HomotopyClass) -> VectorFieldFlat:
     """``k_g^2 (Y0 - J grad u)``, whose flat divergence is the flat source."""
     y1, y2 = _constant_gradient(homotopy, cs.lattice)
-    return cs.kg_sq * VectorFieldFlat(y1 - cs.jgrad_u.comp1, y2 - cs.jgrad_u.comp2)
+    work, kg_sq = cs.kernel.scratch().r0, cs.kg_sq.values
+    # each component is copied out of the work array before the next overwrites it
+    return VectorFieldFlat(*(
+        ScalarField(cs.lattice, np.multiply(np.subtract(y, j.values, out=work), kg_sq, out=work))
+        for y, j in ((y1, cs.jgrad_u.comp1), (y2, cs.jgrad_u.comp2))
+    ))
 
 
 def right_hand_side(
@@ -128,7 +130,8 @@ def right_hand_side(
     for faithfulness to the equation as written).
     """
     if formulation == "flat_weighted":
-        return flat_divergence(_source_flux(cs, homotopy))
+        flux = _source_flux(cs, homotopy)
+        return ScalarField(cs.lattice, cs.kernel.divergence(flux.comp1.values, flux.comp2.values))
     if formulation == "curved":
         y1, y2 = _constant_gradient(homotopy, cs.lattice)
         Z = frame_connection(cs).Z

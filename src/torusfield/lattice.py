@@ -311,13 +311,17 @@ def integrate_inner(
     polynomials.  Absent factors are treated as 1.  Summation uses numpy's
     fixed pairwise order, so results are reproducible bit for bit.
     """
-    lattice = f.lattice
-    prod = f.values
-    for factor in (g, weight):
-        if factor is not None:
-            if factor.lattice != lattice:
-                raise ValueError("lattice mismatch")
-            prod = prod * factor.values
+    factors = [factor for factor in (g, weight) if factor is not None]
+    if any(factor.lattice != f.lattice for factor in factors):
+        raise ValueError("lattice mismatch")
+    return _quadrature(f.lattice, f.values, *(factor.values for factor in factors))
+
+
+def _quadrature(lattice: LatticeSpec, *factors: NDArray, out: NDArray | None = None) -> float:
+    """:func:`integrate_inner` of raw arrays, its products written to ``out`` if given."""
+    prod = factors[0]
+    for factor in factors[1:]:
+        prod = np.multiply(prod, factor, out=out)
     scale = lattice.area / (lattice.n1 * lattice.n2)
     return float(scale * np.sum(prod))
 
@@ -330,7 +334,8 @@ def resolution_fraction(f: ScalarField, spectrum: NDArray | None = None) -> floa
     ``rfft2(f.values)`` where the caller has it already.
     """
     n1, n2 = f.lattice.shape
-    energy = np.abs(np.fft.rfft2(f.values) if spectrum is None else spectrum) ** 2
+    energy = np.abs(np.fft.rfft2(f.values) if spectrum is None else spectrum)
+    np.square(energy, out=energy)
     # each interior column also stands for its conjugate mirror in the full spectrum
     energy[:, 1 : n2 // 2] *= 2.0
     mean_energy = energy[0, 0]

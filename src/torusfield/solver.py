@@ -28,6 +28,15 @@ curved equation is asked for; energy and P alpha share one derivative pass
 curved assembly (the pointwise multiple e^{2u} P, symmetric against the
 curved area element) survives only as an independent oracle.
 
+Each call lends the kernel one set of work arrays (one of the grid's shape,
+two half spectra) for its length and drops it on return, and every
+short-lived step of the source, the kernel ops, PCG's updates and the report
+is written into them.  What a call allocates is what it returns or keeps
+(the field, the source, the report's derivatives, PCG's iterates) and what
+NumPy's ``irfft2`` allocates, which ignores ``out=``.  The set hangs on the
+kernel while the call runs, so a kernel is not re-entrant: two threads must
+not solve on one structure at once.
+
 The rigidity check runs here as well, on the same half spectra: an
 inverse-iteration estimate of the smallest Rayleigh quotient of the weighted
 bilaplacian, the operator whose kernel rigidity forces purely "vertical"
@@ -160,6 +169,7 @@ def _pcg(
     final recursive residual as a half spectrum.  Raises ConvergenceError when
     the budget runs out or on stagnation.
     """
+    scaled = kernel.scratch().h0  # each step-scaled direction, added at once
     r, bnorm = _source_spectrum(kernel, b)
     if bnorm == 0.0:
         return np.zeros_like(b), [0.0], r
@@ -187,8 +197,8 @@ def _pcg(
                 history,
             )
         step = rz / dAd
-        x += step * d
-        r -= step * Ad
+        x += np.multiply(step, d, out=scaled)
+        r -= np.multiply(step, Ad, out=scaled)
         rel = float(np.sqrt(kernel.inner(r, r)) / bnorm)
         history.append(rel)
         if rel <= tolerance:
@@ -209,7 +219,7 @@ def _pcg(
                 "what is left lies outside the operator's range",
                 history,
             )
-        d = z + (rz_next / rz) * d
+        np.add(z, np.multiply(rz_next / rz, d, out=d), out=d)
         rz = rz_next
     raise ConvergenceError(
         f"no convergence within {max_iterations} iterations "
@@ -231,8 +241,11 @@ def _criticality(
     ``"curved"`` (the curved equation is the flat one times it), by 1 otherwise."""
     applied = cs.kernel.apply(theta.periodic.values) if applied is None else applied
     weight = cs.e2u.values if formulation == "curved" else 1.0
-    residual = weight * (applied - source.values)
-    return float(np.max(np.abs(residual))), float(np.max(np.abs(weight * source.values)))
+    work = cs.kernel.scratch().r0
+    np.multiply(weight, np.subtract(applied, source.values, out=work), out=work)
+    residual = float(np.max(np.abs(work, out=work)))
+    np.multiply(weight, source.values, out=work)
+    return residual, float(np.max(np.abs(work, out=work)))
 
 
 def _report(
@@ -243,7 +256,8 @@ def _report(
     history: list[float],
     started: float,
 ) -> SolveReport:
-    spectrum = np.fft.rfft2(theta.periodic.values)
+    # h1 is free until the report ends: no op it runs calls inner
+    spectrum = np.fft.rfft2(theta.periodic.values, out=cs.kernel.scratch().h1)
     fields = cs.kernel.derivatives(spectrum)  # one pass serves the energy and P alpha
     applied = np.fft.irfft2(cs.kernel.finish(*fields))
     residual, scale = _criticality(cs, theta, source, opts.formulation, applied)
@@ -284,39 +298,40 @@ def solve_homotopy_class(
     """
     opts = opts or SolveOptions()
     started = time.perf_counter()
-    b = right_hand_side(cs, homotopy, "flat_weighted")
     kernel = cs.kernel
-    budget = _iteration_budget(cs.lattice)
-    solves = _BASES.setdefault(cs, {}).setdefault(opts.tolerance, {})
-    weights = (1 - homotopy.m - homotopy.n, homotopy.m, homotopy.n)
-    terms = [(w, klass) for w, klass in zip(weights, _BASIS) if w]
-    for _, klass in terms:
-        if klass not in solves:
-            source = b if klass == homotopy else right_hand_side(cs, klass, "flat_weighted")
-            x, rels, r = _pcg(
-                kernel, kernel.precondition_spectrum, source.values, opts.tolerance, budget
-            )
-            solves[klass] = (_project(x), r, rels)
-    # one leading entry: 1.0, or 0.0 when every source it rests on is zero
-    history = [max(solves[klass][2][0] for _, klass in terms)]
-    history += [rel for _, klass in terms for rel in solves[klass][2][1:]]
-    if len(terms) == 1:  # a basis class
-        alpha = solves[homotopy][0]
-    else:
-        alpha = sum(w * solves[klass][0] for w, klass in terms)
-        r = sum(w * solves[klass][1] for w, klass in terms)
-        _, bnorm = _source_spectrum(kernel, b.values)
-        # the last entry is the field's own residual; a source that assembles
-        # to zero goes to _pcg, which returns zero
-        history[-1] = float(np.sqrt(kernel.inner(r, r)) / bnorm) if bnorm else np.inf
-        if not history[-1] <= opts.tolerance:
-            x, polish, _ = _pcg(
-                kernel, kernel.precondition_spectrum, b.values, opts.tolerance, budget,
-                x0=np.fft.rfft2(alpha),
-            )
-            alpha, history[-1:] = _project(x), polish
-    theta = AngleField(homotopy, ScalarField(cs.lattice, alpha))
-    return theta, _report(cs, theta, opts, b, history, started)
+    with kernel.working():  # released when the call returns
+        b = right_hand_side(cs, homotopy, "flat_weighted")
+        budget = _iteration_budget(cs.lattice)
+        solves = _BASES.setdefault(cs, {}).setdefault(opts.tolerance, {})
+        weights = (1 - homotopy.m - homotopy.n, homotopy.m, homotopy.n)
+        terms = [(w, klass) for w, klass in zip(weights, _BASIS) if w]
+        for _, klass in terms:
+            if klass not in solves:
+                source = b if klass == homotopy else right_hand_side(cs, klass, "flat_weighted")
+                x, rels, r = _pcg(
+                    kernel, kernel.precondition_spectrum, source.values, opts.tolerance, budget
+                )
+                solves[klass] = (_project(x), r, rels)
+        # one leading entry: 1.0, or 0.0 when every source it rests on is zero
+        history = [max(solves[klass][2][0] for _, klass in terms)]
+        history += [rel for _, klass in terms for rel in solves[klass][2][1:]]
+        if len(terms) == 1:  # a basis class
+            alpha = solves[homotopy][0]
+        else:
+            alpha = sum(w * solves[klass][0] for w, klass in terms)
+            r = sum(w * solves[klass][1] for w, klass in terms)
+            _, bnorm = _source_spectrum(kernel, b.values)
+            # the last entry is the field's own residual; a source that assembles
+            # to zero goes to _pcg, which returns zero
+            history[-1] = float(np.sqrt(kernel.inner(r, r)) / bnorm) if bnorm else np.inf
+            if not history[-1] <= opts.tolerance:
+                x, polish, _ = _pcg(
+                    kernel, kernel.precondition_spectrum, b.values, opts.tolerance, budget,
+                    x0=np.fft.rfft2(alpha),
+                )
+                alpha, history[-1:] = _project(x), polish
+        theta = AngleField(homotopy, ScalarField(cs.lattice, alpha))
+        return theta, _report(cs, theta, opts, b, history, started)
 
 
 def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCertificate:
@@ -338,14 +353,15 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
     kernel = cs.kernel
     x = np.fft.rfft2(np.random.default_rng(seed).standard_normal(cs.lattice.shape))
     rayleigh = np.inf
-    for _ in range(_RIGIDITY_ITERATIONS):
-        x = kernel.hermitian(kernel.precondition_spectrum(x))
-        x /= np.sqrt(kernel.inner(x, x))
-        updated = kernel.inner(x, kernel.bilaplacian_spectrum(x))
-        settled = abs(updated - rayleigh) <= 1e-9 * max(abs(updated), 1e-300)
-        rayleigh = updated
-        if settled:
-            break
+    with kernel.working():
+        for _ in range(_RIGIDITY_ITERATIONS):
+            x = kernel.hermitian(kernel.precondition_spectrum(x))
+            x /= np.sqrt(kernel.inner(x, x))
+            updated = kernel.inner(x, kernel.bilaplacian_spectrum(x))
+            settled = abs(updated - rayleigh) <= 1e-9 * max(abs(updated), 1e-300)
+            rayleigh = updated
+            if settled:
+                break
 
     flat_reference = float(np.min(kernel.lap[kernel.lap != 0.0])) ** 2
     return RigidityCertificate(rayleigh, verdict=rayleigh >= 1e-6 * flat_reference)

@@ -7,7 +7,8 @@ and the Laplacian must equal minus the divergence of the gradient on white noise
 Gauss-Bonnet and the winding round trip hold for every lattice, grid,
 exponent and class, and the kernel's Parseval product and Hermitian
 projection, on which PCG runs, for every lattice and grid; a
-solve's report equals ``bienergy`` and the flat ``el_residual`` bit for bit;
+solve's report equals ``bienergy`` and the flat ``el_residual`` bit for bit,
+and the solve on work arrays the plain-expression reference of ``oracles``;
 the energy's two quadratic identities along ``theta +- beta`` tie it to the
 kernel and the source at roundoff for every class, base and direction.
 All are checked over random oblique lattices and even grids of 8 to 32 points
@@ -55,6 +56,8 @@ from torusfield.solver import (
     solve_homotopy_class,
 )
 from torusfield.stability import variation_check
+
+from oracles import plain_solve
 
 EPS = np.finfo(float).eps
 TWO_PI = 2.0 * np.pi
@@ -395,6 +398,31 @@ def test_report_energy_and_residual_are_the_public_routines_bit_for_bit(
     residual = weight * el_residual(cs, theta, "flat_weighted").values
     assert report.el_residual_maxnorm == float(np.max(np.abs(residual)))
 
+
+@given(
+    lattices(),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.integers(1, 3),
+    st.floats(0.0, 0.5),
+    st.sampled_from(["curved", "flat_weighted"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_solve_on_work_arrays_is_the_plain_reference_bit_for_bit(
+    lattice, m, n, band, amplitude, formulation, seed
+):
+    # every step of the solve writes into the call's work arrays; the same
+    # operations on fresh arrays, in the same order, give the same bits
+    cs = _structure(lattice, np.random.default_rng(seed), band, amplitude)
+    homotopy = HomotopyClass(m, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        theta, report = solve_homotopy_class(cs, homotopy, SolveOptions(formulation=formulation))
+    plain = plain_solve(cs, homotopy, formulation=formulation)
+    assert np.array_equal(theta.periodic.values, plain.alpha)
+    assert report.residual_history == tuple(plain.residual_history)
+    assert report.energy == plain.energy
+    assert report.el_residual_maxnorm == plain.el_residual_maxnorm
 
 def _variations(lattice: LatticeSpec, rng: np.random.Generator, band: int, amplitude: float,
                 homotopy: HomotopyClass, size: float, step: float):

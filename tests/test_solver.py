@@ -9,6 +9,7 @@ first-variation check are the reference routes of ``oracles.py``.
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -467,6 +468,68 @@ def test_results_do_not_depend_on_the_order_of_the_classes():
         assert report_a.residual_history == report_b.residual_history
         assert len(report_a.residual_history) == report_a.iterations + 1
 
+
+def test_classes_in_either_order_reuse_the_work_arrays_without_a_trace():
+    # each call lends its ops a fresh set of work arrays, which may reuse the
+    # memory an earlier call's set left behind: a class gets the same bits in
+    # either order
+    config = RunConfig(lattice="1,0;0.5,1.5", grid="48x32", u="0.4*sin(2pi*x)+0.2*cos(2pi*y)")
+    classes = [HomotopyClass(1, 1), HomotopyClass(-2, 2), HomotopyClass(1, 0)]
+    runs = []
+    for order in (classes, classes[::-1]):
+        cs, _, opts = realize(config)
+        runs.append({klass: solve_homotopy_class(cs, klass, opts) for klass in order})
+    for klass in classes:
+        (theta_a, report_a), (theta_b, report_b) = runs[0][klass], runs[1][klass]
+        assert np.array_equal(theta_a.periodic.values, theta_b.periodic.values)
+        assert report_a._replace(wall_time=0.0) == report_b._replace(wall_time=0.0)
+
+
+@pytest.fixture(scope="module")
+def standard256() -> ConformalStructure:
+    return realize(RunConfig(grid="256", u=STANDARD_U))[0]
+
+
+def test_kernel_ops_on_work_arrays_allocate_only_what_they_return(standard256):
+    # traced at 256^2, where a grid-sized array is 0.5 MB; NumPy's irfft2
+    # drops out=, so the inverse of precondition_spectrum keeps its own result,
+    # and a real multiplier casts to complex through NumPy's buffer
+    kernel = standard256.kernel
+    spectrum = np.fft.rfft2(np.random.default_rng(0).standard_normal(standard256.lattice.shape))
+    fields = kernel.derivatives(spectrum)
+    half, real = spectrum.nbytes, fields[0].nbytes
+    ops = [
+        (kernel.finish, fields, half),
+        (kernel.precondition_spectrum, (spectrum,), half + real),
+        (kernel.inner, (spectrum, spectrum), 0),
+    ]
+    allowance = 16 * np.getbufsize() + 16 * 1024  # the cast buffer and Python objects
+    with kernel.working():
+        tracemalloc.start()
+        try:
+            for op, args, returned in ops:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                op(*args)
+                assert tracemalloc.get_traced_memory()[1] - before <= returned + allowance, op.__name__
+        finally:
+            tracemalloc.stop()
+
+
+def test_a_solve_releases_its_work_arrays(monkeypatch, standard256):
+    kernel = standard256.kernel
+    lent = []
+    finish = kernel.finish
+
+    def spy(*fields):
+        lent.extend(weakref.ref(array) for array in kernel.work)
+        return finish(*fields)
+
+    monkeypatch.setattr(kernel, "finish", spy)
+    solve_homotopy_class(standard256, HomotopyClass(1, 1))
+    gc.collect()
+    assert lent and kernel.work is None
+    assert all(ref() is None for ref in lent)
 
 def test_the_basis_dies_with_its_structure():
     cs, cls, opts = realize(RunConfig(grid="16", u=STANDARD_U, winding=(1, 1)))
