@@ -192,11 +192,11 @@ class _Kernel:
     to every op until it ends (a solve's is the call), else a fresh set per op.
     So an op allocates only what it returns and what NumPy's ``irfft2``, which
     drops ``out=``, allocates: ``finish`` and ``precondition_spectrum`` one half
-    spectrum each, and the latter one ``irfft2``; ``inner`` nothing.  The ops step
-    through ``h0`` and ``r0``, except ``inner``, which steps through ``h1``, and
-    ``divergence``, which takes both half spectra; no argument of an op may be an
-    array it steps through.  A kernel is not re-entrant: two threads must not
-    run the ops of one structure at once.
+    spectrum each, and the latter one ``irfft2``; ``inner`` nothing.  The ops
+    step through ``r0`` and ``h0``, so no argument of an op may be one of them;
+    ``divergence``, the flat source's, also through ``h1``, which a solve's
+    report keeps its spectrum in.  A kernel is not re-entrant: two threads must
+    not run the ops of one structure at once.
     """
 
     def __init__(self, cs: ConformalStructure) -> None:
@@ -260,15 +260,15 @@ class _Kernel:
     def divergence(self, x1: NDArray, x2: NDArray) -> NDArray:
         """``flat_divergence`` of the flat components ``x1``, ``x2``."""
         work = self.scratch()
-        np.multiply(self.d1, np.fft.rfft2(x1, out=work.h0), out=work.h0)
-        np.multiply(self.d2, np.fft.rfft2(x2, out=work.h1), out=work.h1)
-        return np.fft.irfft2(np.add(work.h0, work.h1, out=work.h0))
+        first = np.multiply(self.d1, np.fft.rfft2(x1, out=work.h0), out=work.h0)
+        second = np.multiply(self.d2, np.fft.rfft2(x2, out=work.h1), out=work.h1)
+        return np.fft.irfft2(np.add(first, second, out=first))
 
     def apply(self, h: NDArray) -> NDArray:
         return np.fft.irfft2(self.apply_spectrum(np.fft.rfft2(h)))
 
     def inner(self, x: NDArray, y: NDArray) -> float:
-        product = self.scratch().h1.view(np.float64)
+        product = self.scratch().h0.view(np.float64)
         np.multiply(x.view(np.float64), y.view(np.float64), out=product)
         return float(np.sum(np.multiply(self.weight, product, out=product)))
 

@@ -30,12 +30,12 @@ curved area element) survives only as an independent oracle.
 
 Each call lends the kernel one set of work arrays (one of the grid's shape,
 two half spectra) for its length and drops it on return, and every
-short-lived step of the source, the kernel ops, PCG's updates and the report
-is written into them.  What a call allocates is what it returns or keeps
-(the field, the source, the report's derivatives, PCG's iterates) and what
-NumPy's ``irfft2`` allocates, which ignores ``out=``.  The set hangs on the
-kernel while the call runs, so a kernel is not re-entrant: two threads must
-not solve on one structure at once.
+short-lived step of the source, the kernel ops and the report is written
+into them.  What a call allocates is what it returns or keeps (the field,
+the source, the report's derivatives, PCG's iterates and their updates)
+and what NumPy's ``irfft2`` allocates, which ignores ``out=``.  The set
+hangs on the kernel while the call runs, so a kernel is not re-entrant:
+two threads must not solve on one structure at once.
 
 The rigidity check runs here as well, on the same half spectra: an
 inverse-iteration estimate of the smallest Rayleigh quotient of the weighted
@@ -169,7 +169,6 @@ def _pcg(
     final recursive residual as a half spectrum.  Raises ConvergenceError when
     the budget runs out or on stagnation.
     """
-    scaled = kernel.scratch().h0  # each step-scaled direction, added at once
     r, bnorm = _source_spectrum(kernel, b)
     if bnorm == 0.0:
         return np.zeros_like(b), [0.0], r
@@ -197,8 +196,8 @@ def _pcg(
                 history,
             )
         step = rz / dAd
-        x += np.multiply(step, d, out=scaled)
-        r -= np.multiply(step, Ad, out=scaled)
+        x += step * d
+        r -= step * Ad
         rel = float(np.sqrt(kernel.inner(r, r)) / bnorm)
         history.append(rel)
         if rel <= tolerance:
@@ -219,7 +218,7 @@ def _pcg(
                 "what is left lies outside the operator's range",
                 history,
             )
-        np.add(z, np.multiply(rz_next / rz, d, out=d), out=d)
+        d = z + (rz_next / rz) * d
         rz = rz_next
     raise ConvergenceError(
         f"no convergence within {max_iterations} iterations "
@@ -256,7 +255,6 @@ def _report(
     history: list[float],
     started: float,
 ) -> SolveReport:
-    # h1 is free until the report ends: no op it runs calls inner
     spectrum = np.fft.rfft2(theta.periodic.values, out=cs.kernel.scratch().h1)
     fields = cs.kernel.derivatives(spectrum)  # one pass serves the energy and P alpha
     applied = np.fft.irfft2(cs.kernel.finish(*fields))
@@ -353,15 +351,14 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
     kernel = cs.kernel
     x = np.fft.rfft2(np.random.default_rng(seed).standard_normal(cs.lattice.shape))
     rayleigh = np.inf
-    with kernel.working():
-        for _ in range(_RIGIDITY_ITERATIONS):
-            x = kernel.hermitian(kernel.precondition_spectrum(x))
-            x /= np.sqrt(kernel.inner(x, x))
-            updated = kernel.inner(x, kernel.bilaplacian_spectrum(x))
-            settled = abs(updated - rayleigh) <= 1e-9 * max(abs(updated), 1e-300)
-            rayleigh = updated
-            if settled:
-                break
+    for _ in range(_RIGIDITY_ITERATIONS):
+        x = kernel.hermitian(kernel.precondition_spectrum(x))
+        x /= np.sqrt(kernel.inner(x, x))
+        updated = kernel.inner(x, kernel.bilaplacian_spectrum(x))
+        settled = abs(updated - rayleigh) <= 1e-9 * max(abs(updated), 1e-300)
+        rayleigh = updated
+        if settled:
+            break
 
     flat_reference = float(np.min(kernel.lap[kernel.lap != 0.0])) ** 2
     return RigidityCertificate(rayleigh, verdict=rayleigh >= 1e-6 * flat_reference)
