@@ -31,8 +31,9 @@ from .lattice import (
     flat_laplacian,
     integrate_inner,
 )
-from .liegroups import LeftInvariantModel, classify, compare_known, hyperbolic, sol3, su2
+from .liegroups import _PROBLEMS, LeftInvariantModel, classify, compare_known, hyperbolic, sol3, su2
 from .solver import (
+    _FORMULATIONS,
     ConvergenceError,
     apply_operator_P,
     section_rigidity_check,
@@ -56,7 +57,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConvergenceError, NotCriticalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -75,11 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one winding class and write artifacts")
     _add_geometry_flags(solve)
     _add_solver_flags(solve)
-    solve.add_argument("--formulation", choices=("curved", "flat_weighted"),
+    solve.add_argument("--formulation", choices=_FORMULATIONS,
                        help="weight of the reported residual: e^(2u) (curved) or 1")
     solve.add_argument(
         "--outputs",
-        help="comma list of artifacts to write: csv, pgm, json, quiver",
+        help=f"comma list of artifacts to write: {', '.join(runio.OUTPUT_KINDS)}",
     )
     solve.add_argument("--outdir", help="output directory (default: TORUSFIELD_OUTDIR or .)")
     solve.add_argument("--classes", metavar="M0:M1,N0:N1",
@@ -113,9 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lie = sub.add_parser(
         "lie", help="classify critical unit fields on a three-parameter model group"
     )
-    lie.add_argument(
-        "--model", required=True, choices=("su2", "sol3", "hyperbolic"), help="model family"
-    )
+    lie.add_argument("--model", required=True, choices=tuple(_MODELS), help="model family")
     lie.add_argument(
         "--params",
         help="comma list: su2 wants three scales (default 1,1,1), "
@@ -124,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lie.add_argument(
         "--problem",
         default="biharmonic-section",
-        choices=("harmonic-section", "biharmonic-section", "biharmonic-vector-field"),
+        choices=tuple(problem.replace("_", "-") for problem in _PROBLEMS),
     )
     lie.add_argument(
         "--compare",
@@ -294,33 +293,33 @@ def _cmd_lie(args: argparse.Namespace) -> int:
     return 0
 
 
+#: model family -> (its builder, which returns None for parameters of the right
+#: count that it cannot take, its default --params, what a misfit is told)
+_MODELS: dict[str, tuple[Callable[..., LeftInvariantModel | None], tuple[float, ...], str]] = {
+    "su2": (su2, (1.0, 1.0, 1.0), "su2 wants exactly three scales, e.g. --params 2,1.5,1"),
+    "sol3": (sol3, (), "sol3 has no parameters; drop --params"),
+    "hyperbolic": (
+        lambda dim, c: hyperbolic(int(dim), c) if dim == int(dim) else None,
+        (3.0, 1.0),
+        "hyperbolic wants dimension,curvature-scale with integer dimension, e.g. --params 4,1",
+    ),
+}
+
+
 def _build_model(family: str, params_text: str | None) -> LeftInvariantModel:
-    params: list[float] = []
+    build, default, usage = _MODELS[family]
+    params = default
     if params_text is not None:
         try:
-            params = [float(piece) for piece in params_text.split(",") if piece.strip()]
+            params = tuple(float(piece) for piece in params_text.split(",") if piece.strip())
         except ValueError:
-            params = []
+            params = ()
         if not params or not np.all(np.isfinite(params)):
             raise ValueError(f"--params wants a comma list of finite numbers, got {params_text!r}")
-    if family == "su2":
-        if not params:
-            params = [1.0, 1.0, 1.0]
-        if len(params) != 3:
-            raise ValueError("su2 wants exactly three scales, e.g. --params 2,1.5,1")
-        return su2(*params)
-    if family == "sol3":
-        if params:
-            raise ValueError("sol3 has no parameters; drop --params")
-        return sol3()
-    if not params:
-        params = [3.0, 1.0]
-    if len(params) != 2 or params[0] != int(params[0]):
-        raise ValueError(
-            "hyperbolic wants dimension,curvature-scale with integer dimension, "
-            "e.g. --params 4,1"
-        )
-    return hyperbolic(int(params[0]), params[1])
+    model = build(*params) if len(params) == len(default) else None
+    if model is None:
+        raise ValueError(usage)
+    return model
 
 
 ### Identity checks behind `verify`

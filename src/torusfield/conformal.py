@@ -197,6 +197,10 @@ class _Kernel:
     ``divergence``, the flat source's, also through ``h1``, which a solve's
     report keeps its spectrum in.  A kernel is not re-entrant: two threads must
     not run the ops of one structure at once.
+
+    ``bases`` holds the solver's basis solves, by tolerance and class, so they
+    live as long as the structure; ``criticality`` and ``roundoff`` measure a
+    field's critical-point residual and the floor below which it is noise.
     """
 
     def __init__(self, cs: ConformalStructure) -> None:
@@ -213,6 +217,7 @@ class _Kernel:
         self.weight = np.where(column % (lattice.n2 // 2), 2.0, 1.0) / (lattice.n1 * lattice.n2)
         self.mirror = np.ix_(-np.arange(lattice.n1) % lattice.n1, [0, -1])
         self.work: _Work | None = None
+        self.bases: dict = {}
 
     def scratch(self) -> _Work:
         if self.work is not None:
@@ -275,6 +280,25 @@ class _Kernel:
     def hermitian(self, spectrum: NDArray) -> NDArray:
         spectrum[:, [0, -1]] = 0.5 * (spectrum[:, [0, -1]] + spectrum[self.mirror].conj())
         return spectrum
+
+    def criticality(self, applied: NDArray, source: NDArray, weighted: bool) -> tuple[float, float]:
+        """Max-norms of ``applied - source``, with ``applied`` a field's ``P alpha``
+        and ``source`` the flat b, and of ``source``, both weighted by e^{2u} if
+        ``weighted`` (the curved equation is the flat one times it), else by 1."""
+        weight = self.e2u if weighted else 1.0
+        work = self.scratch().r0
+        np.multiply(weight, np.subtract(applied, source, out=work), out=work)
+        residual = float(np.max(np.abs(work, out=work)))
+        np.multiply(weight, source, out=work)
+        return residual, float(np.max(np.abs(work, out=work)))
+
+    def roundoff(self, amplitude: float) -> float:
+        """Roundoff floor of the e^{2u}-weighted flat assembly of ``P alpha`` at
+        ``max|alpha| = amplitude``: ``eps (max(lap)^2 max e^{2u} + max(lap) max
+        k_g^2) max e^{2u} amplitude``, which grows like n^4."""
+        lap, e2u = float(np.max(self.lap)), float(np.max(self.e2u))
+        floor = lap * (lap * e2u + float(np.max(self.kg_sq))) * e2u
+        return floor * (np.finfo(float).eps * amplitude)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,38 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
+from .angles import TWO_PI, AngleField, HomotopyClass, angle_to_unit_field, winding_class
 from .conformal import ConformalStructure
 from .lattice import LatticeSpec, ScalarField, VectorFieldFlat
 from .solver import SolveOptions, SolveReport
 
-TWO_PI = 2.0 * np.pi
-
 CSV_HEADER = "lambda1,lambda2,theta,vx,vy,kg,u"
 
-#: Artifact kinds a run may request, in the order they are written.
+#: Artifact kinds a run may request; ``write_outputs`` writes them in the run's order.
 OUTPUT_KINDS = ("csv", "pgm", "json", "quiver")
 
 #: ``quiver.txt`` keeps every ``QUIVER_STRIDE``-th grid sample in each direction.
 QUIVER_STRIDE = 4
-
-#: Top-level keys of a solve-report document.
-REPORT_KEYS = frozenset(
-    {
-        "config",
-        "winding_class",
-        "iterations",
-        "final_relative_residual",
-        "energy",
-        "el_residual_maxnorm",
-        "wall_time",
-    }
-)
-
-#: Keys of the "energy" sub-document.
-ENERGY_KEYS = frozenset(
-    {"bienergy", "vertical_bienergy", "horizontal_part", "total_bending", "area"}
-)
 
 
 def _fmt(x: float) -> str:
@@ -427,24 +407,21 @@ def write_outputs(
 ) -> list[Path]:
     """Write the artifacts ``config.outputs`` asks for (``RunConfig`` admits only
     ``OUTPUT_KINDS``); returns their paths."""
+    # kind -> (the files it writes, the first handed to its writer; that writer)
+    artifacts = {
+        "csv": (("field.csv",), lambda path: write_field_csv(path, cs, theta)),
+        "pgm": (
+            ("periodic_part.pgm", "periodic_part.pgm.scale"),
+            lambda path: write_heatmap_pgm(path, theta.periodic),
+        ),
+        "json": (("report.json",), lambda path: write_report_json(path, config, report)),
+        "quiver": (("quiver.txt",), lambda path: write_quiver(path, theta)),
+    }
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for kind in config.outputs:
-        if kind == "csv":
-            target = outdir / "field.csv"
-            write_field_csv(target, cs, theta)
-            written.append(target)
-        elif kind == "pgm":
-            target = outdir / "periodic_part.pgm"
-            write_heatmap_pgm(target, theta.periodic)
-            written.extend([target, Path(f"{target}.scale")])
-        elif kind == "json":
-            target = outdir / "report.json"
-            write_report_json(target, config, report)
-            written.append(target)
-        elif kind == "quiver":
-            target = outdir / "quiver.txt"
-            write_quiver(target, theta)
-            written.append(target)
+        names, write = artifacts[kind]
+        write(outdir / names[0])
+        written.extend(outdir / name for name in names)
     return written

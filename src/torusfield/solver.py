@@ -20,9 +20,9 @@ exact inverse of the leading-order term flat_lap e^{2u} flat_lap on mean-zero fi
 which keeps iteration counts grid-independent and nearly independent of
 the size of the conformal exponent.  P does not depend on the winding class
 and the source is affine in it, so three such solves per structure, of the
-classes (0, 0), (1, 0) and (0, 1), cached while the structure lives, give
-every class as their combination.  Reports measure criticality on the
-kernel and source of the returned field, weighted by e^{2u} where the
+classes (0, 0), (1, 0) and (0, 1), kept on the kernel while the structure
+lives, give every class as their combination.  Reports measure criticality
+on the kernel and source of the returned field, weighted by e^{2u} where the
 curved equation is asked for; energy and P alpha share one derivative pass
 (4 + 4 transforms): a solve costs ``8 it + 13``, a cached class 12.  The
 curved assembly (the pointwise multiple e^{2u} P, symmetric against the
@@ -47,7 +47,6 @@ on the field the linear solve produces, lives in the test suite.
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -231,22 +230,6 @@ def _iteration_budget(lattice: LatticeSpec) -> int:
     return 10 * lattice.n1 * lattice.n2
 
 
-def _criticality(
-    cs: ConformalStructure, theta: AngleField, source: ScalarField, formulation: str,
-    applied: NDArray | None = None,
-) -> tuple[float, float]:
-    """Max-norms of ``P alpha - b`` at ``theta`` on the kernel of ``cs`` (``applied``,
-    if given, is ``P alpha``) and of the flat ``source`` b, weighted by e^{2u} for
-    ``"curved"`` (the curved equation is the flat one times it), by 1 otherwise."""
-    applied = cs.kernel.apply(theta.periodic.values) if applied is None else applied
-    weight = cs.e2u.values if formulation == "curved" else 1.0
-    work = cs.kernel.scratch().r0
-    np.multiply(weight, np.subtract(applied, source.values, out=work), out=work)
-    residual = float(np.max(np.abs(work, out=work)))
-    np.multiply(weight, source.values, out=work)
-    return residual, float(np.max(np.abs(work, out=work)))
-
-
 def _report(
     cs: ConformalStructure,
     theta: AngleField,
@@ -258,7 +241,8 @@ def _report(
     spectrum = np.fft.rfft2(theta.periodic.values, out=cs.kernel.scratch().h1)
     fields = cs.kernel.derivatives(spectrum)  # one pass serves the energy and P alpha
     applied = np.fft.irfft2(cs.kernel.finish(*fields))
-    residual, scale = _criticality(cs, theta, source, opts.formulation, applied)
+    weighted = opts.formulation == "curved"
+    residual, scale = cs.kernel.criticality(applied, source.values, weighted=weighted)
     return SolveReport(
         iterations=len(history) - 1,
         final_relative_residual=history[-1],
@@ -276,10 +260,6 @@ def _report(
 #: alpha(m, n) is the combination of these classes' with weights (1 - m - n, m, n)
 _BASIS = (HomotopyClass(0, 0), HomotopyClass(1, 0), HomotopyClass(0, 1))
 
-#: structure -> tolerance -> basis class -> (periodic part, final recursive
-#: residual as a half spectrum, residual history); dies with the structure
-_BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 def solve_homotopy_class(
     cs: ConformalStructure, homotopy: HomotopyClass, opts: SolveOptions | None = None
@@ -289,9 +269,11 @@ def solve_homotopy_class(
     The periodic part of class (m, n) is ``sum w_i alpha_i`` over the basis
     classes (0, 0), (1, 0), (0, 1), weights ``w = (1 - m - n, m, n)``.  A basis
     class is one PCG solve at ``opts.tolerance``, made when first needed and kept
-    while the structure lives.  Any other class reports PCG's recursive residual
-    ``|sum w_i r_i|`` over its own source's norm, and PCG continues from the
-    combination where that misses the tolerance.  No result depends on what was
+    in ``cs.kernel.bases`` (tolerance -> class -> periodic part, final recursive
+    residual as a half spectrum, residual history) while the structure lives.
+    Any other class reports PCG's recursive residual ``|sum w_i r_i|`` over its
+    own source's norm, and PCG continues from the combination where that misses
+    the tolerance.  No result depends on what was
     solved before.  Returns the angle field and its ``SolveReport``.
     """
     opts = opts or SolveOptions()
@@ -300,7 +282,7 @@ def solve_homotopy_class(
     with kernel.working():  # released when the call returns
         b = right_hand_side(cs, homotopy, "flat_weighted")
         budget = _iteration_budget(cs.lattice)
-        solves = _BASES.setdefault(cs, {}).setdefault(opts.tolerance, {})
+        solves = kernel.bases.setdefault(opts.tolerance, {})
         weights = (1 - homotopy.m - homotopy.n, homotopy.m, homotopy.n)
         terms = [(w, klass) for w, klass in zip(weights, _BASIS) if w]
         for _, klass in terms:

@@ -20,7 +20,7 @@ from .angles import AngleField
 from .conformal import ConformalStructure
 from .energy import bienergy, right_hand_side
 from .lattice import ScalarField, integrate_inner
-from .solver import _criticality, apply_operator_P
+from .solver import apply_operator_P
 
 #: max-norm level (relative to the source, both weighted by e^{2u}) above
 #: which a field is rejected as a base point for second-difference checks
@@ -54,17 +54,14 @@ def hessian_form(cs: ConformalStructure, beta: ScalarField) -> float:
 
 def _require_critical(cs: ConformalStructure, theta_star: AngleField) -> ScalarField:
     """Refuse ``theta_star`` unless it is critical to within 1e-6 of the source
-    scale plus ten times the roundoff floor of the e^{2u}-weighted flat assembly,
-    ``eps (max(lap)^2 max e^{2u} + max(lap) max k_g^2) max|alpha| max e^{2u}``,
-    which grows like n^4 and overtakes 1e-6 of the scale near 768^2.  Returns the
-    flat ``P alpha - b``, the ``"flat_weighted"`` :func:`torusfield.energy.el_residual`."""
+    scale plus ten times the kernel's roundoff floor, which grows like n^4 and
+    overtakes 1e-6 of the scale near 768^2.  Returns the flat ``P alpha - b``,
+    the ``"flat_weighted"`` :func:`torusfield.energy.el_residual`."""
     source = right_hand_side(cs, theta_star.homotopy, "flat_weighted")
     applied = cs.kernel.apply(theta_star.periodic.values)
-    residual, scale = _criticality(cs, theta_star, source, "curved", applied)
+    residual, scale = cs.kernel.criticality(applied, source.values, weighted=True)
     scale = max(1.0, scale)
-    lap, e2u = float(np.max(cs.kernel.lap)), float(np.max(cs.e2u.values))
-    roundoff = lap * (lap * e2u + float(np.max(cs.kg_sq.values))) * e2u
-    roundoff *= np.finfo(float).eps * theta_star.periodic.max_abs()
+    roundoff = cs.kernel.roundoff(theta_star.periodic.max_abs())
     if residual > _CRITICALITY_THRESHOLD * scale + 10.0 * roundoff:
         raise NotCriticalError(
             "base field does not satisfy the critical-point equation "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -13,9 +14,12 @@ import numpy as np
 import pytest
 
 from torusfield import cli, conformal, energy, solver, stability
+from torusfield import io as runio
 from torusfield.cli import main
 from torusfield.io import read_field_csv
 from torusfield.lattice import VectorFieldFlat
+from torusfield.liegroups import _PROBLEMS
+from torusfield.solver import _FORMULATIONS
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -319,10 +323,11 @@ def test_stability_halving_ratio_is_clear_of_roundoff_on_a_strong_exponent(capsy
 
 
 def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
-    # every direction shares the solved field: one criticality gate per run,
-    # which also hands back the flat residual, the base energy read from the
-    # solve's report, then the two energies at theta +- beta per direction;
-    # the source is assembled once by the solve and once by the gate
+    # every direction shares the solved field: one criticality gate per run
+    # (counted at the roundoff floor only the gate reads), which also hands
+    # back the flat residual, the base energy read from the solve's report,
+    # then the two energies at theta +- beta per direction; the source is
+    # assembled once by the solve and once by the gate
     counts = {"gate": 0, "energy": 0, "source": 0}
 
     def counting(key, call):
@@ -331,7 +336,7 @@ def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
             return call(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(stability, "_criticality", counting("gate", stability._criticality))
+    monkeypatch.setattr(conformal._Kernel, "roundoff", counting("gate", conformal._Kernel.roundoff))
     # the variations take their energies through each module's bienergy
     for module in (cli, energy, stability):
         monkeypatch.setattr(module, "bienergy", counting("energy", module.bienergy))
@@ -466,6 +471,20 @@ def test_lie_rejects_nonfinite_parameters(capsys, model, params):
     assert captured.out == ""
 
 
+def test_running_out_of_memory_on_an_input_is_a_usage_error(capsys, monkeypatch):
+    # hyperbolic(3000, 1) asks for a 201 GiB connection; the refusal is
+    # raised here instead, so the test allocates nothing
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 201. GiB for an array with shape (3000, 3000, 3000)")
+
+    monkeypatch.setattr(cli, "classify", refuse)
+    code = main(["lie", "--model", "hyperbolic", "--params", "3,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: Unable to allocate 201. GiB for an array with shape (3000, 3000, 3000)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "family",
     [
@@ -503,6 +522,22 @@ def test_lie_rejects_a_nonpositive_resolution(capsys, family, resolution, compar
 def test_unusable_input_exits_two(capsys, argv):
     assert main(list(argv)) == 2
     capsys.readouterr()
+
+
+def _options(command: str) -> dict[str, argparse.Action]:
+    subparsers = next(
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {action.dest: action for action in subparsers.choices[command]._actions}
+
+
+def test_the_command_line_offers_what_the_package_defines():
+    lie, solve = _options("lie"), _options("solve")
+    assert list(lie["problem"].choices) == [name.replace("_", "-") for name in _PROBLEMS]
+    assert list(solve["formulation"].choices) == list(_FORMULATIONS)
+    assert list(lie["model"].choices) == list(cli._MODELS)
+    assert re.findall(r"\w+", solve["outputs"].help.partition(":")[2]) == list(runio.OUTPUT_KINDS)
 
 
 def test_help_exits_zero(capsys):

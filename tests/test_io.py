@@ -13,8 +13,6 @@ from torusfield.conformal import ConformalStructure
 from torusfield.energy import bienergy
 from torusfield.io import (
     CSV_HEADER,
-    ENERGY_KEYS,
-    REPORT_KEYS,
     RunConfig,
     build_lattice,
     parse_exponent,
@@ -32,6 +30,13 @@ from torusfield.lattice import LatticeSpec, ScalarField, bandlimited_field
 from torusfield.solver import solve_homotopy_class
 
 TWO_PI = 2.0 * np.pi
+
+#: the documented top-level keys of report.json, and of its "energy" entry
+REPORT_KEYS = {
+    "config", "winding_class", "iterations", "final_relative_residual",
+    "energy", "el_residual_maxnorm", "wall_time",
+}
+ENERGY_KEYS = {"bienergy", "vertical_bienergy", "horizontal_part", "total_bending", "area"}
 
 
 @pytest.fixture

@@ -49,7 +49,6 @@ from torusfield.lattice import (
 from torusfield.solver import (
     SolveOptions,
     _Kernel,
-    _criticality,
     _report,
     right_hand_side,
     section_rigidity_check,
@@ -188,10 +187,10 @@ def _count_transforms(monkeypatch, call) -> dict[str, int]:
         ("kernel_apply", {"rfft2": 4, "irfft2": 4}),
         # M on a half spectrum
         ("kernel_precondition", {"rfft2": 1, "irfft2": 1}),
-        # the flat residual is the kernel plus the flat source, and the
-        # report's criticality reuses both: no second assembly of P
+        # the flat residual is the kernel plus the flat source; the report's
+        # criticality is handed P alpha, so it transforms nothing
         ("el_residual", {"rfft2": 6, "irfft2": 5}),
-        ("criticality", {"rfft2": 4, "irfft2": 4}),
+        ("criticality", {}),
         # with J grad u kept on the structure, the source is one divergence
         # summed before one inverse transform, and the energy one rfft2 of
         # alpha, read by the resolution check and by the kernel's derivatives
@@ -216,13 +215,14 @@ def test_transform_counts_are_pinned(monkeypatch, layer, expected):
     spectrum = np.fft.rfft2(h)
     theta = AngleField(HomotopyClass(1, -1), ScalarField(lattice, h))
     source = right_hand_side(cs, theta.homotopy, "flat_weighted")
+    applied = kernel.apply(h)
     calls = {
         "flat_laplacian": lambda: flat_laplacian(cs.u),
         "kernel_apply": lambda: kernel.apply(h),
         "kernel_precondition": lambda: kernel.precondition_spectrum(spectrum),
         "kernel_bilaplacian": lambda: kernel.bilaplacian_spectrum(spectrum),
         "el_residual": lambda: el_residual(cs, theta, "flat_weighted"),
-        "criticality": lambda: _criticality(cs, theta, source, "curved"),
+        "criticality": lambda: kernel.criticality(applied, source.values, weighted=True),
         "right_hand_side": lambda: right_hand_side(cs, theta.homotopy, "flat_weighted"),
         "bienergy": lambda: bienergy(cs, theta),
         "report": lambda: _report(cs, theta, SolveOptions(), source, [1.0], 0.0),

@@ -31,7 +31,6 @@ from torusfield.lattice import (
 from torusfield.solver import (
     ConvergenceError,
     SolveOptions,
-    _BASES,
     _BASIS,
     _STAGNATION_WINDOW,
     _Kernel,
@@ -534,14 +533,11 @@ def test_a_solve_releases_its_work_arrays(monkeypatch, standard256):
 def test_the_basis_dies_with_its_structure():
     cs, cls, opts = realize(RunConfig(grid="16", u=STANDARD_U, winding=(1, 1)))
     solve_homotopy_class(cs, cls, opts)
-    assert set(_BASES[cs][opts.tolerance]) == set(_BASIS)
-    gc.collect()  # other structures that are already garbage go first
-    cached = len(_BASES)
+    assert set(cs.kernel.bases[opts.tolerance]) == set(_BASIS)
     probe = weakref.ref(cs)
     del cs
     gc.collect()
     assert probe() is None
-    assert len(_BASES) <= cached - 1
 
 
 def test_a_combination_that_misses_the_tolerance_is_polished():
@@ -552,8 +548,8 @@ def test_a_combination_that_misses_the_tolerance_is_polished():
     loose = SolveOptions(tolerance=1e-6)
     for cls in _BASIS:
         solve_homotopy_class(cs, cls, loose)
-    _BASES[cs][1e-10] = dict(_BASES[cs][loose.tolerance])
-    basis_iterations = sum(len(history) - 1 for _, _, history in _BASES[cs][1e-10].values())
+    cs.kernel.bases[1e-10] = dict(cs.kernel.bases[loose.tolerance])
+    basis_iterations = sum(len(history) - 1 for _, _, history in cs.kernel.bases[1e-10].values())
     cls = HomotopyClass(2, 1)
     theta, report = solve_homotopy_class(cs, cls, SolveOptions(tolerance=1e-10))
     assert report.iterations > basis_iterations

@@ -8,10 +8,9 @@ import pytest
 from torusfield.angles import AngleField, HomotopyClass
 from torusfield.conformal import ConformalStructure, _Kernel
 from torusfield.lattice import LatticeSpec, ScalarField, bandlimited_field
-from torusfield.solver import _criticality, right_hand_side, solve_homotopy_class
+from torusfield.solver import right_hand_side, solve_homotopy_class
 from torusfield.stability import HessianSample, NotCriticalError, hessian_form, hessian_vs_energy_check
 
-EPS = np.finfo(float).eps
 TWO_PI = 2.0 * np.pi
 FOURTH_POWER_OF_2PI = 1558.5454565440389  # (2*pi)**4
 
@@ -132,16 +131,15 @@ def test_fine_grid_solve_is_a_valid_base_point():
     ))
     theta, _ = solve_homotopy_class(cs, HomotopyClass(1, 0))
     source = right_hand_side(cs, theta.homotopy, "flat_weighted")
-    _, scale = _criticality(cs, theta, source, "curved")
+    kernel = cs.kernel
+    _, scale = kernel.criticality(kernel.apply(theta.periodic.values), source.values, weighted=True)
     threshold = 1e-6 * max(1.0, scale)
-    lap, e2u = float(np.max(cs.kernel.lap)), float(np.max(cs.e2u.values))
-    roundoff = EPS * lap * (lap * e2u + float(np.max(cs.kg_sq.values))) * e2u
 
     beta = bandlimited_field(lattice, np.random.default_rng(11), band=3)
-    push = float(np.max(np.abs(cs.e2u.values * cs.kernel.apply(beta.values))))
-    base = theta.shifted(beta * ((threshold + 5.0 * roundoff * theta.periodic.max_abs()) / push))
-    residual, _ = _criticality(cs, base, source, "curved")
-    assert threshold < residual < threshold + 10.0 * roundoff * base.periodic.max_abs()
+    push = float(np.max(np.abs(cs.e2u.values * kernel.apply(beta.values))))
+    base = theta.shifted(beta * ((threshold + 5.0 * kernel.roundoff(theta.periodic.max_abs())) / push))
+    residual, _ = kernel.criticality(kernel.apply(base.periodic.values), source.values, weighted=True)
+    assert threshold < residual < threshold + 10.0 * kernel.roundoff(base.periodic.max_abs())
     sample = hessian_vs_energy_check(cs, base, beta)
     assert sample.gap <= 1e-4 * sample.quadratic_value
     # the roundoff allowance is a small fraction of the scale: a field one
