@@ -23,7 +23,7 @@ from torusfield.conformal import (
     frame_connection,
     section_residual_pair,
 )
-from torusfield.energy import EnergyBreakdown, bienergy, el_residual
+from torusfield.energy import EnergyBreakdown, bienergy, el_residual, right_hand_side
 from torusfield.io import RunConfig, parse_exponent, read_field_csv, realize, write_outputs
 from torusfield.lattice import (
     LatticeSpec,
@@ -56,7 +56,6 @@ from torusfield.solver import (
     SolveOptions,
     SolveReport,
     apply_operator_P,
-    right_hand_side,
     section_rigidity_check,
     solve_homotopy_class,
 )

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from torusfield.angles import AngleField
+from torusfield.angles import AngleField, HomotopyClass, _constant_gradient
 from torusfield.lattice import (
     LatticeSpec,
     ScalarField,
@@ -172,19 +172,23 @@ class _Work(NamedTuple):
 
 
 class _Kernel:
-    """``P`` and the preconditioner ``M`` of one structure on ``rfft2`` half
-    spectra, and ``P`` on raw arrays through one transform each way.
+    """The flat critical-point equation ``P alpha = b`` of one structure: ``P``
+    and the preconditioner ``M`` on ``rfft2`` half spectra, ``P`` on raw arrays
+    through one transform each way, and the source ``b`` of a winding class.
 
     ``lap``, ``d1`` and ``d2`` are the lattice's masked half-spectrum
     multipliers as they are; ``inv_lap`` is the Laplacian's pseudo-inverse,
     zero on the mean and on the Nyquist lines where the Laplacian vanishes.
     ``apply_spectrum`` is ``finish`` (three ``rfft2``) of ``derivatives`` (three
     ``irfft2``: ``lap h``, ``d1 h``, ``d2 h``, which the energy reads too);
+    ``evaluate`` is that pass on a raw alpha, returning its half spectrum, the
+    three derivatives and ``P alpha`` (4 + 4 transforms) for a solve's report;
     ``bilaplacian_spectrum``, the leading-order term, and ``precondition_spectrum``
-    cost one of each.  ``M`` is symmetric positive semidefinite in the flat product
-    and inverts the bilaplacian on mean-zero fields resolved off the Nyquist lines.
-    ``inner`` is the flat product on half spectra (columns 0 and ``n2/2`` count once,
-    the others twice); ``hermitian`` keeps of those two columns, in place, what
+    cost one of each.  ``source`` is ``flat_div(k_g^2 (Y0 - J grad u))`` (2 + 1).
+    ``M`` is symmetric positive semidefinite in the flat product and inverts the
+    bilaplacian on mean-zero fields resolved off the Nyquist lines.  ``inner`` is
+    the flat product on half spectra (columns 0 and ``n2/2`` count once, the
+    others twice); ``hermitian`` keeps of those two columns, in place, what
     ``irfft2`` reads: ``(c(k) + conj c(-k))/2``.
 
     The ops write their intermediate steps into the ``_Work`` arrays of
@@ -194,9 +198,9 @@ class _Kernel:
     drops ``out=``, allocates: ``finish`` and ``precondition_spectrum`` one half
     spectrum each, and the latter one ``irfft2``; ``inner`` nothing.  The ops
     step through ``r0`` and ``h0``, so no argument of an op may be one of them;
-    ``divergence``, the flat source's, also through ``h1``, which a solve's
-    report keeps its spectrum in.  A kernel is not re-entrant: two threads must
-    not run the ops of one structure at once.
+    ``source`` also through ``h1``, where ``evaluate`` leaves the spectrum it
+    returns, which the next ``source`` overwrites.  A kernel is not re-entrant:
+    two threads must not run the ops of one structure at once.
 
     ``bases`` holds the solver's basis solves, by tolerance and class, so they
     live as long as the structure; ``criticality`` and ``roundoff`` measure a
@@ -213,6 +217,8 @@ class _Kernel:
         self.em2u = cs.em2u.values
         self.em2u_mean = float(np.mean(self.em2u))
         self.kg_sq = cs.kg_sq.values
+        self.jgrad_u = (cs.jgrad_u.comp1.values, cs.jgrad_u.comp2.values)
+        self.lattice = lattice
         column = np.arange(lattice.n2 + 2) // 2  # of each real and imaginary part
         self.weight = np.where(column % (lattice.n2 // 2), 2.0, 1.0) / (lattice.n1 * lattice.n2)
         self.mirror = np.ix_(-np.arange(lattice.n1) % lattice.n1, [0, -1])
@@ -262,12 +268,19 @@ class _Kernel:
         s += c
         return self.inv_lap * np.fft.rfft2(np.multiply(self.em2u, s, out=s), out=work.h0)
 
-    def divergence(self, x1: NDArray, x2: NDArray) -> NDArray:
-        """``flat_divergence`` of the flat components ``x1``, ``x2``."""
+    def evaluate(self, alpha: NDArray) -> tuple:
+        spectrum = np.fft.rfft2(alpha, out=self.scratch().h1)
+        fields = self.derivatives(spectrum)
+        return spectrum, fields, np.fft.irfft2(self.finish(*fields))
+
+    def source(self, homotopy: HomotopyClass) -> NDArray:
         work = self.scratch()
-        first = np.multiply(self.d1, np.fft.rfft2(x1, out=work.h0), out=work.h0)
-        second = np.multiply(self.d2, np.fft.rfft2(x2, out=work.h1), out=work.h1)
-        return np.fft.irfft2(np.add(first, second, out=first))
+        y = _constant_gradient(homotopy, self.lattice)
+        spectra = []
+        for y_i, j_i, d, out in zip(y, self.jgrad_u, (self.d1, self.d2), (work.h0, work.h1)):
+            flux = np.multiply(np.subtract(y_i, j_i, out=work.r0), self.kg_sq, out=work.r0)
+            spectra.append(np.multiply(d, np.fft.rfft2(flux, out=out), out=out))
+        return np.fft.irfft2(np.add(*spectra, out=work.h0))
 
     def apply(self, h: NDArray) -> NDArray:
         return np.fft.irfft2(self.apply_spectrum(np.fft.rfft2(h)))

@@ -20,9 +20,10 @@ finishes into ``P alpha``.  The geometric route survives in the test suite as
 an independent oracle.
 
 The source ``b`` of the critical-point equation ``P alpha = b``
-(``right_hand_side``) is assembled here, and the flat ``el_residual`` is
-``P alpha - b`` on the structure's one spectral kernel (``cs.kernel``).
-A winding class enters every derivative through ``Y0`` alone.
+(``right_hand_side``) and the flat ``el_residual``, ``P alpha - b``, wrap the
+structure's one spectral kernel (``cs.kernel``), which owns the flat equation;
+the curved forms are oracles.  A winding class enters every derivative
+through ``Y0`` alone.
 
 The overall normalization is fixed by the plain flat quadrature measure.
 Any alternative convention rescales every energy by one global positive
@@ -73,13 +74,13 @@ def _breakdown(
     cs: ConformalStructure, theta: AngleField, spectrum: NDArray, fields, stacklevel: int
 ) -> EnergyBreakdown:
     """:func:`bienergy` from ``rfft2`` of alpha and the kernel's ``derivatives`` of
-    it, the last two of which it writes over; an under-resolved angle warns at
+    it, all three of which it writes over; an under-resolved angle warns at
     ``stacklevel``, counted from here."""
     lattice = cs.lattice
-    work = cs.kernel.scratch()
     alpha = theta.periodic.values
+    vertical = _quadrature(lattice, fields[0], fields[0], cs.e2u.values, out=fields[0])
     # an angle within an FFT's roundoff of 1 rad is roundoff of (cos theta, sin theta)
-    rms = np.sqrt(np.mean(np.square(alpha, out=work.r0)))
+    rms = np.sqrt(np.mean(np.square(alpha, out=fields[0])))
     roundoff = rms <= np.finfo(float).eps * np.log2(alpha.size)
     if not roundoff and resolution_fraction(theta.periodic, spectrum) > RESOLUTION_THRESHOLD:
         warnings.warn(
@@ -88,14 +89,12 @@ def _breakdown(
             stacklevel=stacklevel,
         )
 
-    vertical = _quadrature(lattice, fields[0], fields[0], cs.e2u.values, out=work.r0)
-
     # flat components of the first-order term: grad theta_total - J grad u
     y1, y2 = _constant_gradient(theta.homotopy, lattice)
     b1 = np.subtract(np.add(fields[1], y1, out=fields[1]), cs.jgrad_u.comp1.values, out=fields[1])
     b2 = np.subtract(np.add(fields[2], y2, out=fields[2]), cs.jgrad_u.comp2.values, out=fields[2])
     density = np.add(np.multiply(b1, b1, out=b1), np.multiply(b2, b2, out=b2), out=b1)
-    horizontal = _quadrature(lattice, density, cs.kg_sq.values, out=work.r0)
+    horizontal = _quadrature(lattice, density, cs.kg_sq.values, out=fields[0])
     total_bending = 0.5 * _quadrature(lattice, density)
 
     return EnergyBreakdown(
@@ -105,17 +104,6 @@ def _breakdown(
         total_bending=total_bending,
         area=cs.area(),
     )
-
-
-def _source_flux(cs: ConformalStructure, homotopy: HomotopyClass) -> VectorFieldFlat:
-    """``k_g^2 (Y0 - J grad u)``, whose flat divergence is the flat source."""
-    y1, y2 = _constant_gradient(homotopy, cs.lattice)
-    work, kg_sq = cs.kernel.scratch().r0, cs.kg_sq.values
-    # each component is copied out of the work array before the next overwrites it
-    return VectorFieldFlat(*(
-        ScalarField(cs.lattice, np.multiply(np.subtract(y, j.values, out=work), kg_sq, out=work))
-        for y, j in ((y1, cs.jgrad_u.comp1), (y2, cs.jgrad_u.comp2))
-    ))
 
 
 def right_hand_side(
@@ -130,8 +118,7 @@ def right_hand_side(
     for faithfulness to the equation as written).
     """
     if formulation == "flat_weighted":
-        flux = _source_flux(cs, homotopy)
-        return ScalarField(cs.lattice, cs.kernel.divergence(flux.comp1.values, flux.comp2.values))
+        return ScalarField(cs.lattice, cs.kernel.source(homotopy))
     if formulation == "curved":
         y1, y2 = _constant_gradient(homotopy, cs.lattice)
         Z = frame_connection(cs).Z
@@ -152,8 +139,7 @@ def el_residual(
     flat form.  Both integrate to zero against their volume measures."""
     cs._check(theta.lattice)
     if formulation == "flat_weighted":
-        source = right_hand_side(cs, theta.homotopy, "flat_weighted")
-        return ScalarField(cs.lattice, cs.kernel.apply(theta.periodic.values) - source.values)
+        return ScalarField(cs.lattice, cs.kernel.apply(theta.periodic.values) - cs.kernel.source(theta.homotopy))
     if formulation == "curved":
         Z = frame_connection(cs).Z
         grad_theta = cs.e2u * theta.total_gradient()

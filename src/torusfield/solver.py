@@ -28,14 +28,9 @@ curved equation is asked for; energy and P alpha share one derivative pass
 curved assembly (the pointwise multiple e^{2u} P, symmetric against the
 curved area element) survives only as an independent oracle.
 
-Each call lends the kernel one set of work arrays (one of the grid's shape,
-two half spectra) for its length and drops it on return, and every
-short-lived step of the source, the kernel ops and the report is written
-into them.  What a call allocates is what it returns or keeps (the field,
-the source, the report's derivatives, PCG's iterates and their updates)
-and what NumPy's ``irfft2`` allocates, which ignores ``out=``.  The set
-hangs on the kernel while the call runs, so a kernel is not re-entrant:
-two threads must not solve on one structure at once.
+Each call lends the kernel its work arrays for the call's length (see
+``_Kernel``), so a kernel is not re-entrant: two threads must not solve on
+one structure at once.
 
 The rigidity check runs here as well, on the same half spectra: an
 inverse-iteration estimate of the smallest Rayleigh quotient of the weighted
@@ -55,7 +50,7 @@ from numpy.typing import NDArray
 
 from .angles import AngleField, HomotopyClass
 from .conformal import ConformalStructure, _Kernel
-from .energy import EnergyBreakdown, _breakdown, right_hand_side
+from .energy import EnergyBreakdown, _breakdown
 from .lattice import LatticeSpec, ScalarField
 
 _FORMULATIONS = ("curved", "flat_weighted")
@@ -234,15 +229,14 @@ def _report(
     cs: ConformalStructure,
     theta: AngleField,
     opts: SolveOptions,
-    source: ScalarField,
+    source: NDArray,
     history: list[float],
     started: float,
 ) -> SolveReport:
-    spectrum = np.fft.rfft2(theta.periodic.values, out=cs.kernel.scratch().h1)
-    fields = cs.kernel.derivatives(spectrum)  # one pass serves the energy and P alpha
-    applied = np.fft.irfft2(cs.kernel.finish(*fields))
+    # one derivative pass serves the energy and P alpha
+    spectrum, fields, applied = cs.kernel.evaluate(theta.periodic.values)
     weighted = opts.formulation == "curved"
-    residual, scale = cs.kernel.criticality(applied, source.values, weighted=weighted)
+    residual, scale = cs.kernel.criticality(applied, source, weighted=weighted)
     return SolveReport(
         iterations=len(history) - 1,
         final_relative_residual=history[-1],
@@ -280,17 +274,15 @@ def solve_homotopy_class(
     started = time.perf_counter()
     kernel = cs.kernel
     with kernel.working():  # released when the call returns
-        b = right_hand_side(cs, homotopy, "flat_weighted")
+        b = kernel.source(homotopy)
         budget = _iteration_budget(cs.lattice)
         solves = kernel.bases.setdefault(opts.tolerance, {})
         weights = (1 - homotopy.m - homotopy.n, homotopy.m, homotopy.n)
         terms = [(w, klass) for w, klass in zip(weights, _BASIS) if w]
         for _, klass in terms:
             if klass not in solves:
-                source = b if klass == homotopy else right_hand_side(cs, klass, "flat_weighted")
-                x, rels, r = _pcg(
-                    kernel, kernel.precondition_spectrum, source.values, opts.tolerance, budget
-                )
+                source = b if klass == homotopy else kernel.source(klass)
+                x, rels, r = _pcg(kernel, kernel.precondition_spectrum, source, opts.tolerance, budget)
                 solves[klass] = (_project(x), r, rels)
         # one leading entry: 1.0, or 0.0 when every source it rests on is zero
         history = [max(solves[klass][2][0] for _, klass in terms)]
@@ -300,13 +292,13 @@ def solve_homotopy_class(
         else:
             alpha = sum(w * solves[klass][0] for w, klass in terms)
             r = sum(w * solves[klass][1] for w, klass in terms)
-            _, bnorm = _source_spectrum(kernel, b.values)
+            _, bnorm = _source_spectrum(kernel, b)
             # the last entry is the field's own residual; a source that assembles
             # to zero goes to _pcg, which returns zero
             history[-1] = float(np.sqrt(kernel.inner(r, r)) / bnorm) if bnorm else np.inf
             if not history[-1] <= opts.tolerance:
                 x, polish, _ = _pcg(
-                    kernel, kernel.precondition_spectrum, b.values, opts.tolerance, budget,
+                    kernel, kernel.precondition_spectrum, b, opts.tolerance, budget,
                     x0=np.fft.rfft2(alpha),
                 )
                 alpha, history[-1:] = _project(x), polish
@@ -332,15 +324,10 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
     """
     kernel = cs.kernel
     x = np.fft.rfft2(np.random.default_rng(seed).standard_normal(cs.lattice.shape))
-    rayleigh = np.inf
     for _ in range(_RIGIDITY_ITERATIONS):
         x = kernel.hermitian(kernel.precondition_spectrum(x))
         x /= np.sqrt(kernel.inner(x, x))
-        updated = kernel.inner(x, kernel.bilaplacian_spectrum(x))
-        settled = abs(updated - rayleigh) <= 1e-9 * max(abs(updated), 1e-300)
-        rayleigh = updated
-        if settled:
-            break
+        rayleigh = kernel.inner(x, kernel.bilaplacian_spectrum(x))
 
     flat_reference = float(np.min(kernel.lap[kernel.lap != 0.0])) ** 2
     return RigidityCertificate(rayleigh, verdict=rayleigh >= 1e-6 * flat_reference)

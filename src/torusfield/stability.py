@@ -18,9 +18,8 @@ import numpy as np
 
 from .angles import AngleField
 from .conformal import ConformalStructure
-from .energy import bienergy, right_hand_side
+from .energy import bienergy
 from .lattice import ScalarField, integrate_inner
-from .solver import apply_operator_P
 
 #: max-norm level (relative to the source, both weighted by e^{2u}) above
 #: which a field is rejected as a base point for second-difference checks
@@ -49,17 +48,18 @@ def hessian_form(cs: ConformalStructure, beta: ScalarField) -> float:
     (on metrics whose curvature does not vanish on open sets; where it does,
     only the fourth-order term constrains ``beta``).
     """
-    return 2.0 * integrate_inner(beta, apply_operator_P(cs, beta, "flat_weighted"))
+    cs._check(beta.lattice)
+    return 2.0 * integrate_inner(beta, ScalarField(cs.lattice, cs.kernel.apply(beta.values)))
 
 
-def _require_critical(cs: ConformalStructure, theta_star: AngleField) -> ScalarField:
+def critical_residual(cs: ConformalStructure, theta_star: AngleField) -> ScalarField:
     """Refuse ``theta_star`` unless it is critical to within 1e-6 of the source
     scale plus ten times the kernel's roundoff floor, which grows like n^4 and
     overtakes 1e-6 of the scale near 768^2.  Returns the flat ``P alpha - b``,
     the ``"flat_weighted"`` :func:`torusfield.energy.el_residual`."""
-    source = right_hand_side(cs, theta_star.homotopy, "flat_weighted")
+    source = cs.kernel.source(theta_star.homotopy)
     applied = cs.kernel.apply(theta_star.periodic.values)
-    residual, scale = cs.kernel.criticality(applied, source.values, weighted=True)
+    residual, scale = cs.kernel.criticality(applied, source, weighted=True)
     scale = max(1.0, scale)
     roundoff = cs.kernel.roundoff(theta_star.periodic.max_abs())
     if residual > _CRITICALITY_THRESHOLD * scale + 10.0 * roundoff:
@@ -67,7 +67,7 @@ def _require_critical(cs: ConformalStructure, theta_star: AngleField) -> ScalarF
             "base field does not satisfy the critical-point equation "
             f"(residual {residual:.3e} against scale {scale:.3e})"
         )
-    return ScalarField(cs.lattice, applied - source.values)
+    return ScalarField(cs.lattice, applied - source)
 
 
 def variation_check(
@@ -109,7 +109,7 @@ def hessian_vs_energy_check(
     """
     cs._check(theta_star.lattice)
     cs._check(beta.lattice)
-    _require_critical(cs, theta_star)
+    critical_residual(cs, theta_star)
 
     quadratic = hessian_form(cs, beta)
     plus, minus = _sinusoidal_energies(cs, theta_star, beta, h)

@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusfield import cli, conformal, energy, solver, stability
+from torusfield import cli, conformal, energy, stability
 from torusfield import io as runio
 from torusfield.cli import main
 from torusfield.io import read_field_csv
-from torusfield.lattice import VectorFieldFlat
 from torusfield.liegroups import _PROBLEMS
 from torusfield.solver import _FORMULATIONS
 
@@ -277,17 +276,21 @@ def test_verify_fails_a_kernel_that_is_not_the_energys_hessian(capsys, monkeypat
     assert out.splitlines()[-1] == "1 of 8 checks failed"
 
 
-def _source_skewed(cs, homotopy):
-    """``k_g^2 (1.01 Y0 - J grad u)``: the source of a class scaled off the energy's."""
-    y1, y2 = energy._constant_gradient(homotopy, cs.lattice)
-    return cs.kg_sq * VectorFieldFlat(1.01 * y1 - cs.jgrad_u.comp1, 1.01 * y2 - cs.jgrad_u.comp2)
+def _source_skewed(kernel, homotopy):
+    """``flat_div(k_g^2 (1.01 Y0 - J grad u))``: the source of a class scaled off the energy's."""
+    y = energy._constant_gradient(homotopy, kernel.lattice)
+    spectra = (
+        d * np.fft.rfft2(kernel.kg_sq * (1.01 * y_i - j_i))
+        for y_i, j_i, d in zip(y, kernel.jgrad_u, (kernel.d1, kernel.d2))
+    )
+    return np.fft.irfft2(sum(spectra))
 
 
 @pytest.mark.parametrize("grid", ["16", "64"])
 def test_verify_fails_a_source_that_is_not_the_energys_linear_term(capsys, monkeypatch, grid):
     # the kernel is untouched, so only half the difference of the energies at
     # theta +- beta, paired with P alpha - b, can see the source
-    monkeypatch.setattr(energy, "_source_flux", _source_skewed)
+    monkeypatch.setattr(conformal._Kernel, "source", _source_skewed)
     code, out = run(capsys, "verify", "--grid", grid, "--u", "0.2*sin(2pi*x)+0.1*cos(2pi*y)")
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -340,8 +343,7 @@ def test_stability_gates_and_measures_its_base_point_once(capsys, monkeypatch):
     # the variations take their energies through each module's bienergy
     for module in (cli, energy, stability):
         monkeypatch.setattr(module, "bienergy", counting("energy", module.bienergy))
-    for module in (energy, solver, stability):
-        monkeypatch.setattr(module, "right_hand_side", counting("source", module.right_hand_side))
+    monkeypatch.setattr(conformal._Kernel, "source", counting("source", conformal._Kernel.source))
     code, out = run(
         capsys, "stability", "--grid", "16", "--u", "0.2*sin(2pi*x)",
         "--class", "1", "0", "--samples", "3",
@@ -356,7 +358,7 @@ def test_stability_fails_a_solve_against_a_wrong_source(capsys, monkeypatch):
     # gate both see the same wrong source and the second variation cannot see
     # it, but the energy's first variation along each direction no longer
     # vanishes
-    monkeypatch.setattr(energy, "_source_flux", _source_skewed)
+    monkeypatch.setattr(conformal._Kernel, "source", _source_skewed)
     code, out = run(
         capsys, "stability", "--grid", "16", "--u", "0.2*sin(2pi*x)",
         "--class", "1", "0", "--samples", "2",

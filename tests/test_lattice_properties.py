@@ -34,7 +34,7 @@ from torusfield.angles import (
     winding_class,
 )
 from torusfield.conformal import ConformalStructure, ResolutionWarning
-from torusfield.energy import bienergy, el_residual
+from torusfield.energy import bienergy, el_residual, right_hand_side
 from torusfield.lattice import (
     LatticeSpec,
     ScalarField,
@@ -50,7 +50,6 @@ from torusfield.solver import (
     SolveOptions,
     _Kernel,
     _report,
-    right_hand_side,
     section_rigidity_check,
     solve_homotopy_class,
 )
@@ -204,6 +203,9 @@ def _count_transforms(monkeypatch, call) -> dict[str, int]:
         # a solve's report: one derivative pass of alpha gives the energy and,
         # finished, P alpha for the criticality residual
         ("report", {"rfft2": 4, "irfft2": 4}),
+        # the flat source and the report's derivative pass as the kernel's own ops
+        ("kernel_source", {"rfft2": 2, "irfft2": 1}),
+        ("kernel_evaluate", {"rfft2": 4, "irfft2": 4}),
     ],
 )
 @pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
@@ -214,7 +216,7 @@ def test_transform_counts_are_pinned(monkeypatch, layer, expected):
     h = np.random.default_rng(1).standard_normal(lattice.shape)
     spectrum = np.fft.rfft2(h)
     theta = AngleField(HomotopyClass(1, -1), ScalarField(lattice, h))
-    source = right_hand_side(cs, theta.homotopy, "flat_weighted")
+    source = right_hand_side(cs, theta.homotopy, "flat_weighted").values
     applied = kernel.apply(h)
     calls = {
         "flat_laplacian": lambda: flat_laplacian(cs.u),
@@ -222,8 +224,10 @@ def test_transform_counts_are_pinned(monkeypatch, layer, expected):
         "kernel_precondition": lambda: kernel.precondition_spectrum(spectrum),
         "kernel_bilaplacian": lambda: kernel.bilaplacian_spectrum(spectrum),
         "el_residual": lambda: el_residual(cs, theta, "flat_weighted"),
-        "criticality": lambda: kernel.criticality(applied, source.values, weighted=True),
+        "criticality": lambda: kernel.criticality(applied, source, weighted=True),
         "right_hand_side": lambda: right_hand_side(cs, theta.homotopy, "flat_weighted"),
+        "kernel_source": lambda: kernel.source(theta.homotopy),
+        "kernel_evaluate": lambda: kernel.evaluate(h),
         "bienergy": lambda: bienergy(cs, theta),
         "report": lambda: _report(cs, theta, SolveOptions(), source, [1.0], 0.0),
         "flat_gradient": lambda: flat_gradient(cs.u),
@@ -383,7 +387,7 @@ def test_report_energy_and_residual_are_the_public_routines_bit_for_bit(
     rng = np.random.default_rng(seed)
     cs = _structure(lattice, rng, 2, 0.3)
     theta = AngleField(HomotopyClass(m, n), bandlimited_field(lattice, rng, band=band, amplitude=amplitude))
-    source = right_hand_side(cs, theta.homotopy, "flat_weighted")
+    source = right_hand_side(cs, theta.homotopy, "flat_weighted").values
     with warnings.catch_warnings(record=True) as from_report:
         warnings.simplefilter("always")
         report = _report(cs, theta, SolveOptions(formulation=formulation), source, [1.0], 0.0)

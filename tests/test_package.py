@@ -100,3 +100,17 @@ def test_no_module_imports_a_name_it_never_reads():
         if (names := unused_imports(path))
     }
     assert stale == {}
+
+
+def test_only_the_kernel_names_its_work_arrays():
+    # which work array may alias which is the kernel's rule alone, so no
+    # other module may reach for the arrays themselves
+    package = Path(torusfield.__file__).parent
+    named = {
+        path.name: sorted({
+            node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in {"scratch", "r0", "h0", "h1"}
+        })
+        for path in sorted(package.glob("*.py")) if path.name != "conformal.py"
+    }
+    assert {name: attrs for name, attrs in named.items() if attrs} == {}

@@ -19,7 +19,7 @@ import pytest
 from torusfield import angles, energy
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
 from torusfield.conformal import ConformalStructure, ResolutionWarning
-from torusfield.energy import bienergy, el_residual
+from torusfield.energy import bienergy, el_residual, right_hand_side
 from torusfield.io import RunConfig, realize, report_document
 from torusfield.lattice import (
     LatticeSpec,
@@ -38,7 +38,6 @@ from torusfield.solver import (
     _pcg,
     _project,
     apply_operator_P,
-    right_hand_side,
     section_rigidity_check,
     solve_homotopy_class,
 )
@@ -511,6 +510,22 @@ def test_kernel_ops_on_work_arrays_allocate_only_what_they_return(standard256):
                 before = tracemalloc.get_traced_memory()[0]
                 op(*args)
                 assert tracemalloc.get_traced_memory()[1] - before <= returned + allowance, op.__name__
+        finally:
+            tracemalloc.stop()
+
+
+def test_the_flat_source_allocates_only_its_result_and_its_field(standard256):
+    # the flux is formed on the kernel's work arrays: what is left is the
+    # irfft2 result and the ScalarField's copy of it, 0.5 MB each at 256^2
+    real = np.empty(standard256.lattice.shape).nbytes
+    allowance = 16 * np.getbufsize() + 16 * 1024  # as for the kernel ops above
+    right_hand_side(standard256, HomotopyClass(1, 1), "flat_weighted")  # J grad u, cached
+    with standard256.kernel.working():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            right_hand_side(standard256, HomotopyClass(1, 1), "flat_weighted")
+            assert tracemalloc.get_traced_memory()[1] - before <= 2 * real + allowance
         finally:
             tracemalloc.stop()
 

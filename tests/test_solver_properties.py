@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from torusfield.angles import HomotopyClass, linear_representative
 from torusfield.conformal import ConformalStructure, ResolutionWarning
+from torusfield.energy import right_hand_side
 from torusfield.lattice import (
     LatticeSpec,
     _derivative_multiplier,
@@ -37,7 +38,6 @@ from torusfield.solver import (
     _iteration_budget,
     _pcg,
     _project,
-    right_hand_side,
     solve_homotopy_class,
 )
 

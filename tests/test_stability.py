@@ -8,7 +8,7 @@ import pytest
 from torusfield.angles import AngleField, HomotopyClass
 from torusfield.conformal import ConformalStructure, _Kernel
 from torusfield.lattice import LatticeSpec, ScalarField, bandlimited_field
-from torusfield.solver import right_hand_side, solve_homotopy_class
+from torusfield.solver import solve_homotopy_class
 from torusfield.stability import HessianSample, NotCriticalError, hessian_form, hessian_vs_energy_check
 
 TWO_PI = 2.0 * np.pi
@@ -130,15 +130,15 @@ def test_fine_grid_solve_is_a_valid_base_point():
         lattice, lambda x, y: 0.2 * np.sin(TWO_PI * x) + 0.1 * np.cos(TWO_PI * y)
     ))
     theta, _ = solve_homotopy_class(cs, HomotopyClass(1, 0))
-    source = right_hand_side(cs, theta.homotopy, "flat_weighted")
     kernel = cs.kernel
-    _, scale = kernel.criticality(kernel.apply(theta.periodic.values), source.values, weighted=True)
+    source = kernel.source(theta.homotopy)
+    _, scale = kernel.criticality(kernel.apply(theta.periodic.values), source, weighted=True)
     threshold = 1e-6 * max(1.0, scale)
 
     beta = bandlimited_field(lattice, np.random.default_rng(11), band=3)
     push = float(np.max(np.abs(cs.e2u.values * kernel.apply(beta.values))))
     base = theta.shifted(beta * ((threshold + 5.0 * kernel.roundoff(theta.periodic.max_abs())) / push))
-    residual, _ = kernel.criticality(kernel.apply(base.periodic.values), source.values, weighted=True)
+    residual, _ = kernel.criticality(kernel.apply(base.periodic.values), source, weighted=True)
     assert threshold < residual < threshold + 10.0 * kernel.roundoff(base.periodic.max_abs())
     sample = hessian_vs_energy_check(cs, base, beta)
     assert sample.gap <= 1e-4 * sample.quadratic_value
