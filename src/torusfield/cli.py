@@ -31,7 +31,7 @@ from .lattice import (
     flat_laplacian,
     integrate_inner,
 )
-from .liegroups import _PROBLEMS, LeftInvariantModel, classify, compare_known, hyperbolic, sol3, su2
+from .liegroups import _PROBLEMS, _RESOLUTION, LeftInvariantModel, classify, compare_known, hyperbolic, sol3, su2
 from .solver import (
     _FORMULATIONS,
     ConvergenceError,
@@ -90,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     energy.add_argument("--field", required=True, help="field table written by solve")
     energy.add_argument(
         "--lattice",
-        default=None,
-        help="generators the writing run used (default unit-square); "
+        default=runio.RunConfig.lattice,
+        help="generators the writing run used (default %(default)s); "
         "the table stores only fractional coordinates",
     )
     energy.set_defaults(handler=_cmd_energy)
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check the computed set against the known classification",
     )
-    lie.add_argument("--resolution", type=int, default=20000)
+    lie.add_argument("--resolution", type=int, default=_RESOLUTION)
     lie.add_argument("--seed", type=int, default=0)
     lie.set_defaults(handler=_cmd_lie)
 
@@ -215,7 +215,7 @@ def _class_ranges(args: argparse.Namespace, config: runio.RunConfig) -> list[Hom
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    cs, theta = runio.read_field_csv(args.field, args.lattice or "unit-square")
+    cs, theta = runio.read_field_csv(args.field, args.lattice)
     breakdown = bienergy(cs, theta)
     print(f"class ({theta.homotopy.m}, {theta.homotopy.n})")
     for name, value in breakdown._asdict().items():
@@ -226,7 +226,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args)
     cs, homotopy, _ = runio.realize(config)
-    rng = np.random.default_rng(getattr(args, "seed", 0))
+    rng = np.random.default_rng(args.seed)
     failures = 0
     for name, check in _VERIFY_CHECKS:
         ok, detail = check(cs, homotopy, rng)

@@ -53,8 +53,8 @@ class RunConfig:
     grid: str = "64"
     u: str = "0"
     winding: tuple[int, int] = (1, 0)
-    tolerance: float = 1e-10
-    formulation: str = "curved"
+    tolerance: float = SolveOptions.tolerance
+    formulation: str = SolveOptions.formulation
     outputs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -288,7 +288,7 @@ def write_field_csv(path: str | Path, cs: ConformalStructure, theta: AngleField)
 
 
 def read_field_csv(
-    path: str | Path, lattice_text: str = "unit-square"
+    path: str | Path, lattice_text: str = RunConfig.lattice
 ) -> tuple[ConformalStructure, AngleField]:
     """Rebuild the structure and angle field from a table written above.
 

@@ -44,6 +44,7 @@ given there.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -89,6 +90,11 @@ class LatticeSpec:
         for n in (self.n1, self.n2):
             if n < 4 or n % 2 != 0:
                 raise ValueError("grid counts must be even and at least 4")
+        # |k| peaks at a mode-box corner (n1/2, +-n2/2); Python floats overflow quietly
+        widest = math.pi / abs(det) * max(math.hypot(self.n1 * self.d2[1] - s * self.n2 * self.d1[1],
+                                                     s * self.n2 * self.d1[0] - self.n1 * self.d2[0]) for s in (1, -1))
+        if not math.isfinite(abs(det) + widest * widest):
+            raise ValueError("lattice generators overflow a float: the area or a wavevector's |k|^2 is not finite")
 
     @classmethod
     def unit_square(cls, n1: int, n2: int | None = None) -> "LatticeSpec":

@@ -5,7 +5,8 @@ point on the unit sphere of the frame coefficients, the connection is a
 constant ``dim^3`` array, and the harmonic/biharmonic conditions become
 polynomial systems on that sphere.  The frame calculus builds those systems
 directly from the connection array (curvature and its covariant derivative
-are einsum contractions, never hand-entered).  Every defining expression is
+are einsum contractions, never hand-entered).  ``_cubic_map`` alone looks a
+problem up in ``_PROBLEMS``, the one table of defining expressions; each is
 an odd cubic ``E(V) = V M + K(V, V, V)``, so the einsum route is evaluated
 only once per model and problem, to build ``M`` and the symmetric ``K`` by
 polarization; it stays in the module as the oracle the tests check the
@@ -34,8 +35,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-_PROBLEMS = ("harmonic_section", "biharmonic_section", "biharmonic_vector_field")
-
+#: sphere samples of classify() and compare_known() unless asked otherwise
+_RESOLUTION = 20000
 #: refinement iterations and acceptance threshold for classify()
 _NEWTON_ITERATIONS = 40
 _CONVERGED_REL = 1e-11
@@ -185,14 +186,12 @@ def _vector_field_expression(model: LeftInvariantModel, V: NDArray) -> NDArray:
     return _section_expression(model, V) + term1 + term2 + term3
 
 
-def _defining_expression(model: LeftInvariantModel, V: NDArray, problem: str) -> NDArray:
-    if problem == "harmonic_section":
-        return _rough_laplacian(model, V)
-    if problem == "biharmonic_section":
-        return _section_expression(model, V)
-    if problem == "biharmonic_vector_field":
-        return _vector_field_expression(model, V)
-    raise ValueError(f"unknown problem: {problem!r}")
+#: each problem the classifier takes, in ``lie --problem`` order, and its defining expression
+_PROBLEMS = {
+    "harmonic_section": _rough_laplacian,
+    "biharmonic_section": _section_expression,
+    "biharmonic_vector_field": _vector_field_expression,
+}
 
 
 def _tangent_part(E: NDArray, V: NDArray) -> NDArray:
@@ -260,16 +259,18 @@ def _cubic_map(model: LeftInvariantModel, problem: str) -> _CubicMap:
     """
     maps = model._cubic_maps
     if problem not in maps:
-        eye = np.eye(model.dim)
+        if problem not in _PROBLEMS:
+            raise ValueError(f"unknown problem: {problem!r}")
+        expression, eye = _PROBLEMS[problem], np.eye(model.dim)
         signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         points = (
             eye[None, :, None, None, :]
             + signs[:, 0, None, None, None, None] * eye[None, None, :, None, :]
             + signs[:, 1, None, None, None, None] * eye[None, None, None, :, :]
         )
-        values = _defining_expression(model, points.reshape(-1, model.dim), problem)
+        values = expression(model, points.reshape(-1, model.dim))
         K = np.einsum("s,sabcl->abcl", signs.prod(axis=1), values.reshape(points.shape)) / 24.0
-        M = _defining_expression(model, eye, problem) - np.einsum("jjjl->jl", K)
+        M = expression(model, eye) - np.einsum("jjjl->jl", K)
         maps[problem] = _CubicMap(linear=M, cubic=K)
     return maps[problem]
 
@@ -286,10 +287,7 @@ def _require_unit(V: NDArray, dim: int) -> NDArray:
 def critical_system_residual(model: LeftInvariantModel, V: NDArray, problem: str) -> NDArray:
     """Residual of the critical-point system for the given problem at V, with
     the collinearity constant eliminated by projecting orthogonally to V."""
-    V = _require_unit(V, model.dim)
-    if problem not in _PROBLEMS:
-        raise ValueError(f"unknown problem: {problem!r}")
-    return _tangent_part(_cubic_map(model, problem).expression(V), V)
+    return _cubic_map(model, problem).residual(_require_unit(V, model.dim))
 
 
 ### Classification of the solution set on the unit sphere
@@ -563,15 +561,14 @@ def _latitude_family(
     return top
 
 
-def _subsample(members: NDArray, count: int = 12) -> NDArray:
-    if len(members) <= count:
+def _subsample(members: NDArray) -> NDArray:
+    if len(members) <= 12:
         return members.copy()
-    idx = np.linspace(0, len(members) - 1, count).astype(int)
-    return members[idx].copy()
+    return members[np.linspace(0, len(members) - 1, 12).astype(int)]
 
 
 def classify(
-    model: LeftInvariantModel, problem: str, resolution: int = 20000, seed: int = 0
+    model: LeftInvariantModel, problem: str, resolution: int = _RESOLUTION, seed: int = 0
 ) -> CriticalSet:
     """Determine the solution set of the critical system on the unit sphere.
 
@@ -582,13 +579,11 @@ def classify(
     signature as it is found (see :func:`_merge_fragment`); near-collisions
     are flagged as ambiguous rather than silently merged.
     """
-    if problem not in _PROBLEMS:
-        raise ValueError(f"unknown problem: {problem!r}")
     if resolution < 1:
         raise ValueError(f"resolution must be a positive sample count, got {resolution}")
     rng = np.random.default_rng(seed)
+    # sampled first: past NumPy's 64 axes it refuses before _cubic_map allocates dim^4 floats
     samples = _sphere_samples(model.dim, resolution, rng)
-
     cubic = _cubic_map(model, problem)
     initial, scale = cubic.scaled_residual(samples)
     threshold = _CONVERGED_REL * scale
@@ -721,12 +716,10 @@ class _Predicate:
         return np.insert(rest * raw, self.axis, self.value, axis=1)
 
 
-def _point_predicate(vector, description=None) -> _Predicate:
+def _point_predicate(vector) -> _Predicate:
     point = np.asarray(vector, dtype=float)
     point = point / np.linalg.norm(point)
-    if description is None:
-        description = f"point ({', '.join(map(_signed, point))})"
-    return _Predicate(description=description, kind="point", point=point)
+    return _Predicate(description=f"point ({', '.join(map(_signed, point))})", kind="point", point=point)
 
 
 def _latitude_predicate(axis: int, value: float, dim: int) -> _Predicate:
@@ -808,7 +801,7 @@ class ComparisonReport(NamedTuple):
 
 
 def compare_known(
-    model: LeftInvariantModel, problem: str, resolution: int = 20000, seed: int = 0
+    model: LeftInvariantModel, problem: str, resolution: int = _RESOLUTION, seed: int = 0
 ) -> ComparisonReport:
     """Check the computed solution set against the known closed-form one.
 
@@ -817,8 +810,6 @@ def compare_known(
     left over, and the predicted sets themselves are spot-verified by
     direct residual evaluation at sampled points.
     """
-    if problem not in _PROBLEMS:
-        raise ValueError(f"unknown problem: {problem!r}")
     predicates = _expected_predicates(model, problem)
     found = classify(model, problem, resolution=resolution, seed=seed)
 

@@ -66,7 +66,7 @@ _RIGIDITY_ITERATIONS = 31
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted before the residual target was met."""
+    """PCG stopped short of its residual target; the message says why."""
 
     def __init__(self, message: str, residual_history: list[float]):
         super().__init__(message)
@@ -108,8 +108,8 @@ class SolveReport(NamedTuple):
     el_residual_maxnorm: float
     wall_time: float
     homotopy_class: HomotopyClass
-    residual_history: tuple[float, ...] = (0.0,)
-    el_residual_relative: float = 0.0
+    residual_history: tuple[float, ...]
+    el_residual_relative: float
 
 
 class RigidityCertificate(NamedTuple):
@@ -161,7 +161,7 @@ def _pcg(
     one ``irfft2``, the relative-residual history (one entry per iteration after
     the start's, which is 1.0 from zero; ``[0.0]`` for a zero source), and the
     final recursive residual as a half spectrum.  Raises ConvergenceError when
-    the budget runs out or on stagnation.
+    the budget runs out, on stagnation, or at a non-finite relative residual.
     """
     r, bnorm = _source_spectrum(kernel, b)
     if bnorm == 0.0:
@@ -181,6 +181,9 @@ def _pcg(
     rz = kernel.inner(r, z)
     mark, marked = history[0], 0
     for iteration in range(1, max_iterations + 1):
+        if not np.isfinite(history[-1]):
+            raise ConvergenceError(f"relative residual not finite at iteration {iteration - 1}: "
+                                   "the source or an iterate overflowed a float", history)
         Ad = kernel.hermitian(kernel.apply_spectrum(d))
         dAd = kernel.inner(d, Ad)
         if dAd <= 0.0:

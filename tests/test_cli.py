@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -80,6 +81,29 @@ def test_unreachable_tolerance_exits_one(capsys):
     ])
     assert code == 1
     assert "stagnated at best relative residual" in capsys.readouterr().err
+
+
+def test_overflowing_solve_exits_one_at_once(capsys):
+    with np.errstate(all="ignore"):
+        code = main(["solve", "--grid", "16", "--u", "50*sin(2pi*x)"])
+    assert code == 1
+    assert "error: relative residual not finite at iteration 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generators", ["1,0;0,1e-300", "1e200,0;0,1e200"])
+def test_generators_that_overflow_a_float_exit_two(capsys, generators):
+    code = main(["solve", "--lattice", generators, "--grid", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "overflow a float" in captured.err
+    assert "nan" not in (captured.out + captured.err).lower()
+
+
+def test_small_generators_whose_wavevectors_fit_still_solve(capsys):
+    code, out = run(capsys, "solve", "--lattice", "1,0;0,1e-150", "--grid", "8", "--u", "0.1*sin(2pi*x)")
+    assert code == 0
+    assert out.startswith("class (1, 0): 3 iterations")
+    assert math.isclose(float(out.split("bienergy ")[1]), 3.11922478568e-148, rel_tol=1e-9)
 
 
 SUMMARY = re.compile(

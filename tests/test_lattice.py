@@ -67,6 +67,22 @@ def test_lattice_rejects_degenerate_generators():
         LatticeSpec((1.0, 0.0), (2.0, 0.0), 8, 8)
 
 
+@pytest.mark.parametrize(
+    "d1, d2", [((1.0, 0.0), (0.0, 1e-300)), ((1e200, 0.0), (0.0, 1e200))], ids=["wavevector", "area"]
+)
+def test_lattice_rejects_generators_that_overflow_a_float(d1, d2):
+    # the check itself raises no RuntimeWarning, which the test settings make an error
+    with pytest.raises(ValueError, match="overflow a float"):
+        LatticeSpec(d1, d2, 8, 8)
+
+
+def test_lattice_keeps_small_generators_whose_wavevectors_fit_a_float():
+    lattice = LatticeSpec((1.0, 0.0), (0.0, 1e-150), 8, 8)
+    k = lattice.wavevector(*lattice.frequencies)
+    assert math.isfinite(lattice.area)
+    assert np.all(np.isfinite(np.sum(k * k, axis=-1)))
+
+
 @pytest.mark.parametrize("n1,n2", [(3, 8), (8, 7), (2, 8)])
 def test_lattice_rejects_bad_grid_counts(n1, n2):
     with pytest.raises(ValueError):

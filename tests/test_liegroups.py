@@ -265,11 +265,6 @@ def test_model_laplacian_rejects_bad_input():
 ### Critical-system residuals
 
 
-def test_unknown_problem_is_rejected():
-    with pytest.raises(ValueError):
-        critical_system_residual(sol3(), np.array([0.0, 0.0, 1.0]), "bogus")
-
-
 def test_projected_residual_is_orthogonal_to_the_field():
     rng = np.random.default_rng(21)
     for model in (su2(2.0, 1.5, 1.0), sol3(), hyperbolic(4, 1.0)):
@@ -603,9 +598,19 @@ def test_classify_is_deterministic():
     assert np.array_equal(first.witnesses, second.witnesses)
 
 
-def test_classify_rejects_unknown_problem():
-    with pytest.raises(ValueError):
-        classify(sol3(), "nonsense")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda problem: classify(sol3(), problem),
+        lambda problem: compare_known(sol3(), problem),
+        lambda problem: critical_system_residual(sol3(), np.array([0.0, 0.0, 1.0]), problem),
+    ],
+    ids=["classify", "compare_known", "critical_system_residual"],
+)
+def test_classify_rejects_unknown_problem(call):
+    # one lookup in the problem table, in _cubic_map, refuses the name for all three
+    with pytest.raises(ValueError, match="unknown problem"):
+        call("nonsense")
 
 
 @pytest.mark.parametrize(

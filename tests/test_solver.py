@@ -270,6 +270,17 @@ def test_nonconvergence_raises_with_history(wavy64):
     assert history[0] == 1.0
 
 
+@pytest.mark.parametrize("grid, u", [("16", "50*sin(2pi*x)"), ("64", "170*sin(2pi*x)")])
+def test_non_finite_residual_stops_the_solve_at_once(grid, u):
+    # at 16^2 the source is finite (|b| ~ 1e96) and iteration 1's residual is
+    # NaN; at 64^2 the source's norm overflows, so the start's residual is
+    with np.errstate(all="ignore"):
+        cs, cls, opts = realize(RunConfig(grid=grid, u=u, winding=(1, 0)))
+        with pytest.raises(ConvergenceError, match="not finite at iteration") as excinfo:
+            solve_homotopy_class(cs, cls, opts)
+    assert len(excinfo.value.residual_history) <= 2
+
+
 def test_tolerance_below_roundoff_stagnates():
     cs, cls, _ = realize(RunConfig(grid="16", u="0.3*sin(2pi*x)", winding=(1, 0)))
     source = right_hand_side(cs, cls, "flat_weighted").values
