@@ -36,6 +36,8 @@ computed numerically wherever a formula calls for it).
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -68,15 +70,24 @@ class ResolutionWarning(UserWarning):
     """The conformal exponent carries noticeable energy near the Nyquist modes."""
 
 
-def _warn_if_unresolved(u: ScalarField, label: str) -> None:
-    fraction = resolution_fraction(u)
+_PACKAGE = os.path.dirname(__file__)
+_COMMANDS = os.path.join(_PACKAGE, "cli.py")
+
+
+def _warn_if_unresolved(field: ScalarField, message: str, spectrum: NDArray | None = None) -> None:
+    """Warn ``message.format(fraction=...)`` if more than ``RESOLUTION_THRESHOLD`` of the
+    field's spectral energy lies in the top third of frequencies.  The warning names the
+    first frame outside the package's library modules; a command in ``cli.py`` is a caller."""
+    fraction = resolution_fraction(field, spectrum)
     if fraction > RESOLUTION_THRESHOLD:
-        warnings.warn(
-            f"{label} has {fraction:.2e} of its spectral energy in the top third "
-            "of frequencies; derived curvatures may be inaccurate — refine the grid",
-            ResolutionWarning,
-            stacklevel=3,
-        )
+        # warnings.warn(skip_file_prefixes=...) would find this frame, but needs Python 3.12
+        frame = sys._getframe(1)
+        while frame.f_back and (path := frame.f_code.co_filename) != _COMMANDS and os.path.dirname(path) == _PACKAGE:
+            frame = frame.f_back
+        scope = frame.f_globals
+        registry = scope.setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message.format(fraction=fraction), ResolutionWarning, frame.f_code.co_filename,
+                               frame.f_lineno, scope.get("__name__", "<string>"), registry)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +102,8 @@ class ConformalStructure:
 
     @classmethod
     def from_exponent(cls, u: ScalarField) -> "ConformalStructure":
-        _warn_if_unresolved(u, "conformal exponent")
+        _warn_if_unresolved(u, "conformal exponent has {fraction:.2e} of its spectral energy in the top third "
+                               "of frequencies; derived curvatures may be inaccurate — refine the grid")
         return cls(u)
 
     @property

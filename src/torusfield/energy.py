@@ -33,15 +33,14 @@ stability sign.
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .angles import AngleField, HomotopyClass, _constant_gradient
-from .conformal import RESOLUTION_THRESHOLD, ConformalStructure, ResolutionWarning, frame_connection
-from .lattice import ScalarField, VectorFieldFlat, _quadrature, resolution_fraction
+from .conformal import ConformalStructure, _warn_if_unresolved, frame_connection
+from .lattice import ScalarField, VectorFieldFlat, _quadrature
 
 
 class EnergyBreakdown(NamedTuple):
@@ -67,27 +66,21 @@ def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
     horizontal parts, the first-order bending energy and the curved area."""
     cs._check(theta.lattice)
     spectrum = np.fft.rfft2(theta.periodic.values)
-    return _breakdown(cs, theta, spectrum, cs.kernel.derivatives(spectrum), stacklevel=3)
+    return _breakdown(cs, theta, spectrum, cs.kernel.derivatives(spectrum))
 
 
-def _breakdown(
-    cs: ConformalStructure, theta: AngleField, spectrum: NDArray, fields, stacklevel: int
-) -> EnergyBreakdown:
+def _breakdown(cs: ConformalStructure, theta: AngleField, spectrum: NDArray, fields) -> EnergyBreakdown:
     """:func:`bienergy` from ``rfft2`` of alpha and the kernel's ``derivatives`` of
-    it, all three of which it writes over; an under-resolved angle warns at
-    ``stacklevel``, counted from here."""
+    it, all three of which it writes over."""
     lattice = cs.lattice
     alpha = theta.periodic.values
     vertical = _quadrature(lattice, fields[0], fields[0], cs.e2u.values, out=fields[0])
     # an angle within an FFT's roundoff of 1 rad is roundoff of (cos theta, sin theta)
     rms = np.sqrt(np.mean(np.square(alpha, out=fields[0])))
     roundoff = rms <= np.finfo(float).eps * np.log2(alpha.size)
-    if not roundoff and resolution_fraction(theta.periodic, spectrum) > RESOLUTION_THRESHOLD:
-        warnings.warn(
-            "angle field is spectrally under-resolved; energies are unreliable",
-            ResolutionWarning,
-            stacklevel=stacklevel,
-        )
+    if not roundoff:
+        message = "angle field is spectrally under-resolved; energies are unreliable"
+        _warn_if_unresolved(theta.periodic, message, spectrum)
 
     # flat components of the first-order term: grad theta_total - J grad u
     y1, y2 = _constant_gradient(theta.homotopy, lattice)

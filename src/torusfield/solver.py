@@ -243,7 +243,7 @@ def _report(
     return SolveReport(
         iterations=len(history) - 1,
         final_relative_residual=history[-1],
-        energy=_breakdown(cs, theta, spectrum, fields, stacklevel=4),  # at solve's caller
+        energy=_breakdown(cs, theta, spectrum, fields),
         el_residual_maxnorm=residual,
         wall_time=time.perf_counter() - started,
         homotopy_class=theta.homotopy,

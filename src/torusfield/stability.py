@@ -112,14 +112,8 @@ def hessian_vs_energy_check(
     critical_residual(cs, theta_star)
 
     quadratic = hessian_form(cs, beta)
-    plus, minus = _sinusoidal_energies(cs, theta_star, beta, h)
+    step = float(np.sin(h))
+    plus, minus = (bienergy(cs, theta_star.shifted(beta * s)).bienergy for s in (step, -step))
     second = (plus - 2.0 * bienergy(cs, theta_star).bienergy + minus) / (h * h)
     return HessianSample(beta, quadratic, second, gap=abs(quadratic - second))
 
-
-def _sinusoidal_energies(
-    cs: ConformalStructure, theta: AngleField, beta: ScalarField, h: float
-) -> tuple[float, float]:
-    """Energies at ``t = h`` and ``t = -h`` on the path ``t -> theta + sin(t) * beta``."""
-    step = float(np.sin(h))
-    return tuple(bienergy(cs, theta.shifted(beta * s)).bienergy for s in (step, -step))

@@ -40,6 +40,16 @@ def test_solve_reports_class_and_residual(capsys):
     assert "relative residual" in out
 
 
+def test_a_command_is_the_caller_its_warnings_name(capsys):
+    # the exponent's warning and the angle's both point at the command's line,
+    # not into the library modules that decide them
+    with pytest.warns(conformal.ResolutionWarning) as warned:
+        code, _ = run(capsys, "solve", "--grid", "8", "--u", "0.3*sin(2pi*(3*x))")
+    assert code == 0
+    assert [str(w.message).split()[0] for w in warned] == ["conformal", "angle"]
+    assert all(Path(w.filename).parts[-2:] == ("torusfield", "cli.py") for w in warned)
+
+
 def test_solve_writes_requested_artifacts(capsys, tmp_path):
     outdir = tmp_path / "run"
     code, out = run(
@@ -564,6 +574,8 @@ def test_the_command_line_offers_what_the_package_defines():
     assert list(solve["formulation"].choices) == list(_FORMULATIONS)
     assert list(lie["model"].choices) == list(cli._MODELS)
     assert re.findall(r"\w+", solve["outputs"].help.partition(":")[2]) == list(runio.OUTPUT_KINDS)
+    defaults = [(family, ",".join(f"{p:g}" for p in spec[1])) for family, spec in cli._MODELS.items() if spec[1]]
+    assert re.findall(r"(\w+) wants [^(]*\(default ([\d.,]+)\)", lie["params"].help) == defaults
 
 
 def test_help_exits_zero(capsys):

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from torusfield.angles import HomotopyClass
-from torusfield.conformal import ConformalStructure
+from torusfield.angles import AngleField, HomotopyClass
+from torusfield.conformal import ConformalStructure, ResolutionWarning
 from torusfield.energy import bienergy
 from torusfield.io import (
     CSV_HEADER,
@@ -270,6 +270,16 @@ def test_realize_builds_matching_pieces():
     assert opts.tolerance == 1e-8
 
 
+#: a band-3 exponent that an 8^2 grid leaves wholly in its top third
+UNRESOLVED = "0.3*sin(2pi*(3*x))"
+
+
+def test_an_unresolved_exponent_warns_at_the_caller_of_realize():
+    with pytest.warns(ResolutionWarning, match="conformal exponent has") as warned:
+        realize(RunConfig(grid="8", u=UNRESOLVED))
+    assert [w.filename for w in warned] == [__file__]
+
+
 ### Field tables
 
 
@@ -333,6 +343,16 @@ def test_csv_rejects_a_header_only_table_without_a_warning(tmp_path):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no rows"):
                 read_field_csv(path)
+
+
+def test_reading_a_table_of_an_unresolved_exponent_warns_at_the_caller(tmp_path):
+    lattice = LatticeSpec.unit_square(8)
+    cs = ConformalStructure(parse_exponent(UNRESOLVED, lattice))
+    path = tmp_path / "field.csv"
+    write_field_csv(path, cs, AngleField(HomotopyClass(1, 0), ScalarField(lattice, np.zeros((8, 8)))))
+    with pytest.warns(ResolutionWarning, match="conformal exponent has") as warned:
+        read_field_csv(path)
+    assert [w.filename for w in warned] == [__file__]
 
 
 def _widen_every_row(lines: list[str]) -> list[str]:

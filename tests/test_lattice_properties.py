@@ -10,12 +10,14 @@ projection, on which PCG runs, for every lattice and grid; a
 solve's report equals ``bienergy`` and the flat ``el_residual`` bit for bit,
 and the solve on work arrays the plain-expression reference of ``oracles``;
 the energy's two quadratic identities along ``theta +- beta`` tie it to the
-kernel and the source at roundoff for every class, base and direction; and
+kernel and the source at roundoff for every class, base and direction;
 an exponent of the first lattice coordinate alone gives a field constant
-along the second generator.  All are checked over random oblique lattices
+along the second generator; and scaling the generators by L while adding
+ln L to the exponent, the homothety the conformal factor undoes, leaves the
+field and its energies as they are.  All are checked over random oblique lattices
 and even grids of 8 to 32 points per side; bounds are roundoff scaled by the
-largest symbol involved, or a multiple of the solve tolerance, never fixed
-constants.
+largest symbol involved, or a multiple of the solve tolerance; only the
+homothety's are measured constants.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusfield.angles import (
@@ -61,6 +63,14 @@ from oracles import plain_solve
 
 EPS = np.finfo(float).eps
 TWO_PI = 2.0 * np.pi
+
+#: bounds of the homothety property, each at most 10x the worst value measured
+#: over its draws: the field gap relative to max(1, max|alpha|), the energies'
+#: relative gap, and the multiple of eps |ln L| / ptp(u) that the roundoff of the
+#: shift adds to the latter
+HOMOTHETY_FIELD_GAP = 3e-10
+HOMOTHETY_ENERGY_GAP = 1e-10
+HOMOTHETY_SHIFT_FACTOR = 300.0
 
 
 #: direction of every first derivative under test; None is the Laplacian
@@ -460,6 +470,48 @@ def test_one_variable_exponent_gives_a_field_constant_along_the_second_generator
         assert spread == 0.0
     else:
         assert spread <= 100.0 * SolveOptions().tolerance * float(np.max(np.abs(alpha)))
+
+
+@settings(max_examples=40)
+@given(
+    lattices(),
+    st.integers(1, 3),
+    st.floats(0.05, 0.5),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.sampled_from([1e-3, 0.1, 10.0, 1e3]),
+    st.integers(0, 2**32 - 1),
+)
+# exponents weaker than 0.05 come in through this one: the roundoff of the
+# shift moves its energies by up to 1e-3, which the bound's shift term allows
+@example(LatticeSpec((1.0, 0.1), (0.3, 1.2), 26, 26), 3, 1e-11, 0, 0, 0.1, 0)
+def test_the_solve_is_invariant_under_the_homothety_the_conformal_factor_undoes(
+    lattice, band, amplitude, m, n, scale, seed
+):
+    # scaling both generators by L scales the flat metric by L^2, and adding
+    # ln L to u divides e^{-2u} by L^2: the metric is the same, so the field in
+    # fractional coordinates and the energies are the same, up to the solve's
+    # tolerance (the iteration counts may differ).  On a grid of 2^-40, |u| <= 0.5
+    # takes ln L without rounding, but the transforms of u + ln L leave roundoff
+    # eps |ln L| beside u's variation, a share of the energies that grows as the
+    # exponent weakens and is all there is on a constant one
+    u = bandlimited_field(lattice, np.random.default_rng(seed), band=band, amplitude=amplitude).values
+    u = np.round(u * 2.0**40) / 2.0**40
+    scaled = LatticeSpec(tuple(scale * c for c in lattice.d1), tuple(scale * c for c in lattice.d2), *lattice.shape)
+    solves = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        for exponent in (ScalarField(lattice, u), ScalarField(scaled, u + np.log(scale))):
+            solves.append(solve_homotopy_class(ConformalStructure.from_exponent(exponent), HomotopyClass(m, n)))
+    (theta, report), (theta_scaled, report_scaled) = solves
+    alpha, alpha_scaled = theta.periodic.values, theta_scaled.periodic.values
+    field_gap = float(np.max(np.abs(alpha - alpha_scaled))) / max(1.0, float(np.max(np.abs(alpha))))
+    energy_gap = max(
+        abs(a - b) / max(abs(a), np.finfo(float).tiny) for a, b in zip(report.energy, report_scaled.energy)
+    )
+    shift_roundoff = EPS * abs(np.log(scale)) / max(float(np.ptp(u)), np.finfo(float).tiny)
+    assert field_gap <= HOMOTHETY_FIELD_GAP
+    assert energy_gap <= HOMOTHETY_ENERGY_GAP + HOMOTHETY_SHIFT_FACTOR * shift_roundoff
 
 
 def _variations(lattice: LatticeSpec, rng: np.random.Generator, band: int, amplitude: float,

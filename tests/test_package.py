@@ -114,3 +114,19 @@ def test_only_the_kernel_names_its_work_arrays():
         for path in sorted(package.glob("*.py")) if path.name != "conformal.py"
     }
     assert {name: attrs for name, attrs in named.items() if attrs} == {}
+
+
+def test_only_conformal_warns_and_no_call_counts_stack_depth():
+    # where a warning points is decided once, by walking the frames; a depth
+    # counted by hand goes stale as soon as a call moves
+    package = Path(torusfield.__file__).parent
+    warns, counted = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and node.func.attr in {"warn", "warn_explicit"}:
+                warns.add(path.name)
+            counted += [path.name for keyword in node.keywords if keyword.arg == "stacklevel"]
+    assert warns == {"conformal.py"}
+    assert counted == []
