@@ -17,19 +17,21 @@ import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import io as runio
-from .angles import AngleField, HomotopyClass
+from .angles import AngleField, HomotopyClass, angle_to_unit_field
 from .conformal import ConformalStructure, frame_connection, section_residual_pair
 from .energy import bienergy, el_residual
 from .lattice import (
     ScalarField,
+    VectorFieldFlat,
     bandlimited_field,
     flat_laplacian,
     integrate_inner,
+    rotate_J,
 )
 from .liegroups import _PROBLEMS, _RESOLUTION, LeftInvariantModel, classify, compare_known, hyperbolic, sol3, su2
 from .solver import (
@@ -79,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="weight of the reported residual: e^(2u) (curved) or 1")
     solve.add_argument(
         "--outputs",
+        type=runio.parse_outputs,
         help=f"comma list of artifacts to write: {', '.join(runio.OUTPUT_KINDS)}",
     )
     solve.add_argument("--outdir", help="output directory (default: TORUSFIELD_OUTDIR or .)")
@@ -164,8 +167,6 @@ def _load_config(args: argparse.Namespace) -> runio.RunConfig:
         )
     names = (field.name for field in fields(runio.RunConfig))
     overrides = {key: getattr(args, key) for key in names if getattr(args, key, None) is not None}
-    if "outputs" in overrides:
-        overrides["outputs"] = tuple(kind for kind in overrides["outputs"].split(",") if kind)
     return replace(config, **overrides)
 
 
@@ -227,16 +228,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args)
     cs, homotopy, _ = runio.realize(config)
     rng = np.random.default_rng(args.seed)
-    failures = 0
-    for name, check in _VERIFY_CHECKS:
-        ok, detail = check(cs, homotopy, rng)
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
-    if failures:
-        print(f"{failures} of {len(_VERIFY_CHECKS)} checks failed")
-        return 1
-    print(f"all {len(_VERIFY_CHECKS)} checks passed")
-    return 0
+    checks = ((name, *check(cs, homotopy, rng)) for name, check in _VERIFY_CHECKS)
+    return _verdicts(checks, "checks", "all {} checks passed")
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
@@ -249,23 +242,28 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     # flat residual; the report holds its energy
     base, residual = report.energy.bienergy, critical_residual(cs, theta)
     rng = np.random.default_rng(args.seed)
-    failures = 0
-    for index in range(args.samples):
-        beta = bandlimited_field(cs.lattice, rng, band=3, amplitude=0.5)
-        quadratic, first, ok, note = variation_check(cs, theta, base, beta, residual)
-        # a critical field's first variation vanishes
-        ok = ok and abs(first) <= 1e-6 * max(1.0, base)
-        failures += 0 if ok else 1
-        print(
-            f"{'PASS' if ok else 'FAIL'} direction {index}: "
-            f"quadratic {quadratic:.6e}, {note}, first variation {first:.3e}"
-        )
-    if failures:
-        print(f"{failures} of {args.samples} directions failed")
-        return 1
-    print(f"second variation nonnegative and both variations matched "
-          f"on all {args.samples} directions")
-    return 0
+
+    def directions():
+        for index in range(args.samples):
+            beta = bandlimited_field(cs.lattice, rng, band=3, amplitude=0.5)
+            quadratic, first, ok, note = variation_check(cs, theta, base, beta, residual)
+            # a critical field's first variation vanishes
+            ok = ok and abs(first) <= 1e-6 * max(1.0, base)
+            yield f"direction {index}", ok, f"quadratic {quadratic:.6e}, {note}, first variation {first:.3e}"
+
+    passed = "second variation nonnegative and both variations matched on all {} directions"
+    return _verdicts(directions(), "directions", passed)
+
+
+def _verdicts(checks: Iterable[tuple[str, bool, str]], noun: str, passed: str) -> int:
+    """Print ``PASS``/``FAIL name: detail`` as each check finishes, then the
+    summary: ``passed`` formatted with the count, or how many ``noun`` failed."""
+    failures = total = 0
+    for total, (name, ok, detail) in enumerate(checks, start=1):
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        failures += not ok
+    print(f"{failures} of {total} {noun} failed" if failures else passed.format(total))
+    return 1 if failures else 0
 
 
 def _cmd_lie(args: argparse.Namespace) -> int:
@@ -332,43 +330,41 @@ def _random_angle(cs: ConformalStructure, homotopy, rng) -> AngleField:
     return AngleField(homotopy, bandlimited_field(cs.lattice, rng, band=4, amplitude=0.4))
 
 
+def _identity(label: str, gap: float, scale: float, tolerance: float) -> tuple[bool, str]:
+    """Verdict and detail of an identity: ``gap`` relative to ``max(1, scale)``
+    passes at most ``tolerance`` in magnitude, and the line prints that relative gap."""
+    relative = gap / max(1.0, scale)
+    return abs(relative) <= tolerance, f"{label} {relative:.2e} (tolerance {tolerance:.0e})"
+
+
+def _component_gap(left: VectorFieldFlat, right: VectorFieldFlat) -> float:
+    """Largest gap between matching components of two vector fields."""
+    return max((left.comp1 - right.comp1).max_abs(), (left.comp2 - right.comp2).max_abs())
+
+
 def _check_laplacian_rescaling(cs, homotopy, rng):
     """Curved Laplacian == e^{2u} * flat Laplacian, as operators on samples."""
     f = bandlimited_field(cs.lattice, rng, band=4)
-    composed = cs.laplacian(f)
     rescaled = cs.e2u * flat_laplacian(f)
-    scale = max(1.0, rescaled.max_abs())
-    gap = (composed - rescaled).max_abs() / scale
-    return gap <= 1e-8, f"max gap {gap:.2e} (tolerance 1e-08)"
+    return _identity("max gap", (cs.laplacian(f) - rescaled).max_abs(), rescaled.max_abs(), 1e-8)
 
 
 def _check_residual_collapse(cs, homotopy, rng):
     """Flat and curved tangential residuals differ by the factor e^{-3u}."""
     theta = _random_angle(cs, homotopy, rng)
     pair = section_residual_pair(cs, theta)
-    em3u = ScalarField(cs.lattice, np.exp(-3.0 * cs.u.values))
-    predicted = em3u * pair.curved
-    scale = max(1.0, pair.flat.comp1.max_abs(), pair.flat.comp2.max_abs())
-    gap = max(
-        (pair.flat.comp1 - predicted.comp1).max_abs(),
-        (pair.flat.comp2 - predicted.comp2).max_abs(),
-    ) / scale
-    return gap <= 1e-8, f"max gap {gap:.2e} (tolerance 1e-08)"
+    predicted = ScalarField(cs.lattice, np.exp(-3.0 * cs.u.values)) * pair.curved
+    scale = max(pair.flat.comp1.max_abs(), pair.flat.comp2.max_abs())
+    return _identity("max gap", _component_gap(pair.flat, predicted), scale, 1e-8)
 
 
 def _check_tangential_formula(cs, homotopy, rng):
     """Numerically projected tangential residual == (lap theta) J V."""
     theta = _random_angle(cs, homotopy, rng)
     pair = section_residual_pair(cs, theta)
-    total = theta.total_samples()
-    lap = flat_laplacian(theta.periodic).values
-    formula1, formula2 = -np.sin(total) * lap, np.cos(total) * lap
-    scale = max(1.0, float(np.max(np.abs(lap))))
-    gap = max(
-        float(np.max(np.abs(pair.flat.comp1.values - formula1))),
-        float(np.max(np.abs(pair.flat.comp2.values - formula2))),
-    ) / scale
-    return gap <= 1e-8, f"max gap {gap:.2e} (tolerance 1e-08)"
+    lap = flat_laplacian(theta.periodic)
+    formula = lap * rotate_J(angle_to_unit_field(theta))
+    return _identity("max gap", _component_gap(pair.flat, formula), lap.max_abs(), 1e-8)
 
 
 def _check_self_adjointness(cs, homotopy, rng):
@@ -377,26 +373,21 @@ def _check_self_adjointness(cs, homotopy, rng):
     g = bandlimited_field(cs.lattice, rng, band=4)
     left = integrate_inner(ScalarField(cs.lattice, cs.kernel.apply(f.values)), g)
     right = integrate_inner(f, ScalarField(cs.lattice, cs.kernel.apply(g.values)))
-    scale = max(1.0, abs(left), abs(right))
-    gap = abs(left - right) / scale
-    return gap <= 1e-8, f"pairing gap {gap:.2e} (tolerance 1e-08)"
+    return _identity("pairing gap", abs(left - right), max(abs(left), abs(right)), 1e-8)
 
 
 def _check_gauss_bonnet(cs, homotopy, rng):
     """Total curvature of a torus vanishes."""
-    total = cs.integrate(cs.kg)
-    scale = max(1.0, cs.integrate(ScalarField(cs.lattice, np.abs(cs.kg.values))))
-    gap = abs(total) / scale
-    return gap <= 1e-8, f"total curvature {total:.2e} (tolerance 1e-08)"
+    scale = cs.integrate(ScalarField(cs.lattice, np.abs(cs.kg.values)))
+    return _identity("total curvature", cs.integrate(cs.kg), scale, 1e-8)
 
 
 def _check_frame_twist(cs, homotopy, rng):
     """The frame vector Z = aS + bW, flat components (a e^u, b e^u), is -J grad_g u."""
     conn = frame_connection(cs)
     direct = cs.e2u * cs.jgrad_u  # J grad_g u: J commutes with the factor e^{2u}
-    gap = max((conn.a * cs.eu + direct.comp1).max_abs(), (conn.b * cs.eu + direct.comp2).max_abs())
-    scale = max(1.0, direct.comp1.max_abs(), direct.comp2.max_abs())
-    return gap / scale <= 1e-12, f"max gap {gap:.2e} (tolerance 1e-12)"
+    gap = _component_gap(VectorFieldFlat(conn.a * cs.eu, conn.b * cs.eu), -direct)
+    return _identity("max gap", gap, max(direct.comp1.max_abs(), direct.comp2.max_abs()), 1e-12)
 
 
 def _check_variations(cs, homotopy, rng):

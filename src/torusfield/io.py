@@ -102,6 +102,11 @@ def _two_ints(text: str) -> tuple[int, int]:
     return int(m), int(n)
 
 
+def parse_outputs(text: str) -> tuple[str, ...]:
+    """Artifact kinds separated by commas, whitespace or both: ``--outputs`` and the ``outputs`` key."""
+    return tuple(text.replace(",", " ").split())
+
+
 #: The config file's keys in file order: (key, ``RunConfig`` field, read, write).
 _CONFIG_KEYS = (
     ("lattice", "lattice", str, format),
@@ -110,7 +115,7 @@ _CONFIG_KEYS = (
     ("class", "winding", _two_ints, lambda w: "{} {}".format(*w)),
     ("tolerance", "tolerance", float, _fmt),
     ("formulation", "formulation", str, format),
-    ("outputs", "outputs", str.split, " ".join),
+    ("outputs", "outputs", parse_outputs, " ".join),
 )
 
 

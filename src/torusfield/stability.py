@@ -62,10 +62,12 @@ def critical_residual(cs: ConformalStructure, theta_star: AngleField) -> ScalarF
     residual, scale = cs.kernel.criticality(applied, source, weighted=True)
     scale = max(1.0, scale)
     roundoff = cs.kernel.roundoff(theta_star.periodic.max_abs())
-    if residual > _CRITICALITY_THRESHOLD * scale + 10.0 * roundoff:
+    bound = _CRITICALITY_THRESHOLD * scale + 10.0 * roundoff
+    if residual > bound:
         raise NotCriticalError(
             "base field does not satisfy the critical-point equation "
-            f"(residual {residual:.3e} against scale {scale:.3e})"
+            f"(residual {residual:.3e} above bound {bound:.3e}: {_CRITICALITY_THRESHOLD:.0e} "
+            f"of scale {scale:.3e} plus ten times roundoff {roundoff:.3e})"
         )
     return ScalarField(cs.lattice, applied - source)
 

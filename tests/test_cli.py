@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from torusfield import cli, conformal, energy, stability
 from torusfield import io as runio
 from torusfield.cli import main
 from torusfield.io import read_field_csv
+from torusfield.lattice import ScalarField
 from torusfield.liegroups import _PROBLEMS
 from torusfield.solver import _FORMULATIONS
 
@@ -199,6 +201,25 @@ def test_explicit_flags_override_config(capsys, tmp_path):
     assert out.startswith("class (0, 2):")
 
 
+@pytest.mark.parametrize("spelling", ["csv,json", "csv json", "csv, json", " csv ,json,"])
+def test_the_outputs_flag_and_key_read_one_list(tmp_path, spelling):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"outputs = {spelling}\n", encoding="utf-8")
+    parser = cli._build_parser()
+    from_file = cli._load_config(parser.parse_args(["solve", "--config", str(config)]))
+    from_flag = cli._load_config(parser.parse_args(["solve", "--outputs", spelling]))
+    assert from_file == from_flag == runio.RunConfig(outputs=("csv", "json"))
+
+
+def test_solve_writes_the_outputs_a_config_file_lists_with_commas(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("grid = 16\nu = 0.2*sin(2pi*x)\noutputs = csv,json\n", encoding="utf-8")
+    outdir = tmp_path / "out"
+    code, _ = run(capsys, "solve", "--config", str(config), "--outdir", str(outdir))
+    assert code == 0
+    assert sorted(path.name for path in outdir.iterdir()) == ["field.csv", "report.json"]
+
+
 def test_missing_config_file_is_usage_error(capsys, tmp_path):
     code, _ = run(capsys, "solve", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2
@@ -282,6 +303,61 @@ def test_verify_curved_torus_passes_everything(capsys):
     )
     assert code == 0
     assert "FAIL" not in out
+
+
+_IDENTITIES = [
+    "laplacian-conformal-rescaling",
+    "tangential-projection-formula",
+    "residual-conformal-collapse",
+    "operator-self-adjointness",
+    "gauss-bonnet-total-curvature",
+    "frame-twist-identity",
+]
+_IDENTITY_LINE = re.compile(r"(PASS|FAIL) ([\w-]+): [a-z ]+ (\S+) \(tolerance (\S+)\)")
+
+
+def _identity_lines(out: str) -> dict[str, tuple[str, float, float]]:
+    """name -> (verdict, printed gap, printed tolerance) of each identity line."""
+    found = (_IDENTITY_LINE.fullmatch(line) for line in out.splitlines())
+    return {m[2]: (m[1], float(m[3]), float(m[4])) for m in found if m}
+
+
+@pytest.mark.parametrize("geometry", [
+    ["--grid", "32", "--u", "0"],
+    ["--grid", "64", "--u", "0.2*sin(2pi*x)+0.1*cos(2pi*y)"],
+    ["--lattice", "1,0;0.5,1.5", "--grid", "48x32", "--u", "1.0*sin(2pi*x)+0.5*cos(2pi*(x+y))", "--seed", "3"],
+])
+def test_every_identity_line_passes_exactly_when_its_printed_gap_is_within_its_tolerance(capsys, geometry):
+    code, out = run(capsys, "verify", *geometry)
+    lines = _identity_lines(out)
+    assert list(lines) == _IDENTITIES
+    for verdict, printed, tolerance in lines.values():
+        assert (verdict == "PASS") == (abs(printed) <= tolerance)
+    assert code == (1 if "FAIL" in out else 0)
+
+
+@pytest.mark.parametrize("twist, verdict", [(5e-12, "PASS"), (5e-11, "FAIL")])
+def test_the_frame_twist_line_prints_the_relative_gap_it_compares(capsys, monkeypatch, twist, verdict):
+    # a is moved by twist e^{-u}, so the flat components of Z = aS + bW move
+    # by twist: on this exponent the scale |J grad_g u| is about 14, and the
+    # line must print the gap over that scale, not the gap itself
+    u = "0.5*sin(2pi*x)+0.4*cos(2pi*(x+y))"
+
+    def twisted(cs):
+        conn = conformal.frame_connection(cs)
+        return replace(conn, a=ScalarField(cs.lattice, conn.a.values + twist / cs.eu.values))
+
+    monkeypatch.setattr(cli, "frame_connection", twisted)
+    code, out = run(capsys, "verify", "--grid", "64", "--u", u)
+    cs, _, _ = runio.realize(runio.RunConfig(grid="64", u=u))
+    direct = cs.e2u * cs.jgrad_u
+    scale = max(direct.comp1.max_abs(), direct.comp2.max_abs())
+    assert scale > 10.0
+    printed_verdict, printed, tolerance = _identity_lines(out)["frame-twist-identity"]
+    assert (printed_verdict, tolerance) == (verdict, 1e-12)
+    assert printed == pytest.approx(twist / scale, rel=1e-2)
+    assert (printed <= tolerance) == (verdict == "PASS")
+    assert code == (0 if verdict == "PASS" else 1)
 
 
 def _transport_scaled(kernel, spectrum, factor=0.99):
@@ -399,6 +475,7 @@ def test_stability_fails_a_solve_against_a_wrong_source(capsys, monkeypatch):
     )
     assert code == 1
     assert out.count("FAIL direction") == 2
+    assert out.splitlines()[-1] == "2 of 2 directions failed"
 
 
 @pytest.mark.parametrize("samples", ["0", "-2"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from torusfield.angles import AngleField, HomotopyClass
@@ -29,7 +29,11 @@ def cases(draw) -> tuple[ConformalStructure, AngleField]:
     n1, n2 = (2 * draw(st.integers(4, 16)) for _ in range(2))
     lattice = LatticeSpec(d1, d2, n1, n2)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u = bandlimited_field(lattice, rng, band=draw(st.integers(1, 3)), amplitude=draw(st.floats(0.0, 0.5)))
+    # the amplitude is bounded away from 0: hypothesis favours the ends of a
+    # range and tiny floats, and from 0.0 it drew amplitudes below 1e-12, that
+    # is flat metrics, in 28 and 42 of the 100 examples of these properties; the
+    # flat case is an explicit example
+    u = bandlimited_field(lattice, rng, band=draw(st.integers(1, 3)), amplitude=draw(st.floats(0.05, 0.5)))
     with warnings.catch_warnings():
         # coarse grids flag exponents that are resolved only to ~1e-6
         warnings.simplefilter("ignore")
@@ -37,6 +41,14 @@ def cases(draw) -> tuple[ConformalStructure, AngleField]:
     cls = HomotopyClass(draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
     alpha = bandlimited_field(lattice, rng, band=draw(st.integers(1, 5)), amplitude=draw(st.floats(0.0, 2.0)))
     return cs, AngleField(cls, alpha)
+
+
+def flat() -> tuple[ConformalStructure, AngleField]:
+    """A case on the flat metric, ``u = 0``."""
+    lattice = LatticeSpec((1.0, 0.1), (0.3, 1.2), 12, 10)
+    rng = np.random.default_rng(0)
+    cs = ConformalStructure.from_exponent(bandlimited_field(lattice, rng, band=1, amplitude=0.0))
+    return cs, AngleField(HomotopyClass(1, -1), bandlimited_field(lattice, rng, band=3, amplitude=1.0))
 
 
 def _uncached_curved_residual(cs: ConformalStructure, theta: AngleField) -> np.ndarray:
@@ -53,6 +65,7 @@ def _uncached_curved_residual(cs: ConformalStructure, theta: AngleField) -> np.n
 
 
 @given(cases())
+@example(flat())
 def test_frame_vector_is_minus_J_grad_g_u_bit_for_bit(case):
     cs, _ = case
     Z = frame_connection(cs).Z
@@ -62,6 +75,7 @@ def test_frame_vector_is_minus_J_grad_g_u_bit_for_bit(case):
 
 
 @given(cases())
+@example(flat())
 def test_curved_residual_equals_the_uncached_assembly(case):
     cs, theta = case
     # twice: a rerun on the same structure gives the same bits

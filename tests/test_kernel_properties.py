@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusfield.conformal import ConformalStructure
@@ -67,12 +67,22 @@ def cases(draw, max_half_points: int = 16) -> Case:
     d2 = (draw(spread), draw(length))
     n1, n2 = (2 * draw(st.integers(4, max_half_points)) for _ in range(2))
     band = draw(st.integers(1, 3))
-    amplitude = draw(st.floats(0.0, 0.5))
+    # the amplitude is bounded away from 0: hypothesis favours the ends of a
+    # range and tiny floats, and from 0.0 it drew amplitudes below 1e-12, that
+    # is flat metrics, in 15 to 60 of the 100 (or 40) examples of these
+    # properties; the flat case is an explicit example
+    amplitude = draw(st.floats(0.05, 0.5))
     seed = draw(st.integers(0, 2**32 - 1))
     return Case(d1, d2, n1, n2, band, amplitude, seed)
 
 
+def flat() -> Case:
+    """A case on the flat metric, ``u = 0``, with a generator of its own."""
+    return Case((1.0, 0.1), (0.3, 1.2), 12, 10, 1, 0.0, 0)
+
+
 @given(cases())
+@example(flat())
 def test_kernel_is_the_curved_oracle_over_the_conformal_factor(case):
     h = case.field()
     kernel = case.kernel.apply(h)
@@ -82,6 +92,7 @@ def test_kernel_is_the_curved_oracle_over_the_conformal_factor(case):
 
 
 @given(cases())
+@example(flat())
 def test_kernel_is_flat_symmetric(case):
     f, g = case.field(), case.field()
     gap = abs(np.sum(case.kernel.apply(f) * g) - np.sum(f * case.kernel.apply(g)))
@@ -89,6 +100,7 @@ def test_kernel_is_flat_symmetric(case):
 
 
 @given(cases())
+@example(flat())
 def test_preconditioner_is_flat_symmetric(case):
     f, g = case.field(), case.field()
     kernel = case.kernel
@@ -101,6 +113,7 @@ def test_preconditioner_is_flat_symmetric(case):
 
 
 @given(cases(), st.integers(1, 3))
+@example(flat(), 2)
 def test_preconditioner_inverts_the_weighted_bilaplacian(case, band):
     # h lies in the resolvable mean-zero subspace (no mean, no Nyquist
     # lines).  M (flat_lap e^{2u} flat_lap) h = h holds exactly but for the
@@ -126,6 +139,7 @@ def test_preconditioner_inverts_the_weighted_bilaplacian(case, band):
 
 @settings(max_examples=40)
 @given(cases(max_half_points=8), st.integers(0, 2**32 - 1))
+@example(flat(), 0)
 def test_rigidity_estimate_bounds_the_dense_minimum(case, seed):
     # the estimate is a Rayleigh quotient on the operator's range, so it can
     # never undercut the smallest nonzero eigenvalue of the dense matrix of

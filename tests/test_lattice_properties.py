@@ -72,6 +72,12 @@ HOMOTHETY_FIELD_GAP = 3e-10
 HOMOTHETY_ENERGY_GAP = 1e-10
 HOMOTHETY_SHIFT_FACTOR = 300.0
 
+#: amplitudes of the drawn exponents, bounded away from 0: hypothesis favours
+#: the ends of a range and tiny floats, and from 0.0 it drew amplitudes below
+#: 1e-12, that is flat metrics, in 25 to 41 of each property's 100 examples;
+#: each property takes its flat case from one explicit example on FLAT instead
+AMPLITUDES = st.floats(0.05, 0.5)
+FLAT = LatticeSpec((1.0, 0.1), (0.3, 1.2), 12, 10)
 
 #: direction of every first derivative under test; None is the Laplacian
 OPERATORS = [1, 2, None]
@@ -132,7 +138,8 @@ def test_laplacian_composes_the_first_derivatives_on_white_noise(lattice, seed):
     assert _structure(lattice, rng, 2, 0.3).kernel.lap is lap
 
 
-@given(lattices(), st.integers(1, 3), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+@given(lattices(), st.integers(1, 3), AMPLITUDES, st.integers(0, 2**32 - 1))
+@example(FLAT, 1, 0.0, 0)
 def test_total_curvature_vanishes_on_random_structures(lattice, band, amplitude, seed):
     # Gauss-Bonnet on a torus: kg e^{-2u} = -flat_lap u, whose multiplier
     # is zero on the mean, so only the roundoff of the transforms is left
@@ -369,7 +376,8 @@ def test_hermitian_projection_keeps_what_irfft2_sees(lattice, seed):
     assert gap <= 2.0 * EPS * np.log2(points) * np.linalg.norm(spectrum) / np.sqrt(points)
 
 
-@given(lattices(), st.integers(1, 3), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+@given(lattices(), st.integers(1, 3), AMPLITUDES, st.integers(0, 2**32 - 1))
+@example(FLAT, 1, 0.0, 0)
 def test_spectral_kernel_is_symmetric_in_the_parseval_product(lattice, band, amplitude, seed):
     rng = np.random.default_rng(seed)
     cs = _structure(lattice, rng, band, amplitude)
@@ -420,10 +428,11 @@ def test_report_energy_and_residual_are_the_public_routines_bit_for_bit(
     st.integers(-2, 2),
     st.integers(-2, 2),
     st.integers(1, 3),
-    st.floats(0.0, 0.5),
+    AMPLITUDES,
     st.sampled_from(["curved", "flat_weighted"]),
     st.integers(0, 2**32 - 1),
 )
+@example(FLAT, 1, -1, 1, 0.0, "curved", 0)
 def test_solve_on_work_arrays_is_the_plain_reference_bit_for_bit(
     lattice, m, n, band, amplitude, formulation, seed
 ):
@@ -528,13 +537,14 @@ def _variations(lattice: LatticeSpec, rng: np.random.Generator, band: int, ampli
 @given(
     lattices(),
     st.integers(1, 3),
-    st.floats(0.0, 0.5),
+    AMPLITUDES,
     st.integers(-2, 2),
     st.integers(-2, 2),
     st.floats(0.0, 2.0),
     st.floats(0.0, 5.0),
     st.integers(0, 2**32 - 1),
 )
+@example(FLAT, 1, 0.0, 1, -1, 1.0, 1.0, 0)
 def test_energy_variations_match_the_kernel_and_the_source(lattice, band, amplitude, m, n, size, step, seed):
     # the energy is quadratic in alpha, so both identities hold at any base
     # and with no step: a correct kernel and source read a few eps

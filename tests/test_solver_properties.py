@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from torusfield.angles import HomotopyClass, linear_representative
@@ -27,6 +27,7 @@ from torusfield.conformal import ConformalStructure, ResolutionWarning
 from torusfield.energy import right_hand_side
 from torusfield.lattice import (
     LatticeSpec,
+    ScalarField,
     _derivative_multiplier,
     _laplacian_multiplier,
     bandlimited_field,
@@ -53,11 +54,21 @@ def structures(draw) -> ConformalStructure:
     n1, n2 = (2 * draw(st.integers(4, 12)) for _ in range(2))
     lattice = LatticeSpec(d1, d2, n1, n2)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u = bandlimited_field(lattice, rng, band=draw(st.integers(1, 3)), amplitude=draw(st.floats(0.0, 0.5)))
+    # the amplitude is bounded away from 0: hypothesis favours the ends of a
+    # range and tiny floats, and from 0.0 it drew amplitudes below 1e-12, that
+    # is flat metrics, in 19 of the 100 examples of this property; the flat case
+    # is an explicit example
+    u = bandlimited_field(lattice, rng, band=draw(st.integers(1, 3)), amplitude=draw(st.floats(0.05, 0.5)))
     with warnings.catch_warnings():
         # coarse grids flag exponents that are resolved only to ~1e-6
         warnings.simplefilter("ignore")
         return ConformalStructure.from_exponent(u)
+
+
+def flat() -> ConformalStructure:
+    """The flat metric, ``u = 0``."""
+    lattice = LatticeSpec((1.0, 0.1), (0.3, 1.2), 12, 10)
+    return ConformalStructure.from_exponent(ScalarField.from_constant(lattice, 0.0))
 
 
 def _error_bound(cs: ConformalStructure, cls: HomotopyClass, tolerance: float) -> float:
@@ -84,6 +95,7 @@ def _direct_solve(cs: ConformalStructure, cls: HomotopyClass, tolerance: float) 
 
 
 @given(structures(), st.integers(-2, 2), st.integers(-2, 2))
+@example(flat(), 1, -1)
 def test_every_class_is_the_affine_combination_of_three(cs, m, n):
     tolerance = SolveOptions().tolerance
     classes = [HomotopyClass(0, 0), HomotopyClass(1, 0), HomotopyClass(0, 1), HomotopyClass(m, n)]

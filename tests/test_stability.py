@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,13 @@ from torusfield.angles import AngleField, HomotopyClass
 from torusfield.conformal import ConformalStructure, _Kernel
 from torusfield.lattice import LatticeSpec, ScalarField, bandlimited_field
 from torusfield.solver import solve_homotopy_class
-from torusfield.stability import HessianSample, NotCriticalError, hessian_form, hessian_vs_energy_check
+from torusfield.stability import (
+    HessianSample,
+    NotCriticalError,
+    critical_residual,
+    hessian_form,
+    hessian_vs_energy_check,
+)
 
 TWO_PI = 2.0 * np.pi
 FOURTH_POWER_OF_2PI = 1558.5454565440389  # (2*pi)**4
@@ -118,6 +126,20 @@ def test_noncritical_base_point_is_refused(solved_instance):
     beta = bandlimited_field(cs.lattice, rng, band=3)
     with pytest.raises(NotCriticalError):
         hessian_vs_energy_check(cs, not_critical, beta)
+
+
+def test_a_refusal_states_the_bound_its_residual_exceeds(solved_instance):
+    cs, _ = solved_instance
+    wobble = bandlimited_field(cs.lattice, np.random.default_rng(9), band=3, amplitude=0.4)
+    with pytest.raises(NotCriticalError) as refusal:
+        critical_residual(cs, AngleField(HomotopyClass(1, 0), wobble))
+    numbers = re.search(
+        r"residual (\S+) above bound (\S+): 1e-06 of scale (\S+) plus ten times roundoff (\S+)\)",
+        str(refusal.value),
+    )
+    residual, bound, scale, roundoff = (float(number) for number in numbers.groups())
+    assert bound < residual
+    assert bound == pytest.approx(1e-6 * scale + 10.0 * roundoff, rel=1e-3)
 
 
 def test_fine_grid_solve_is_a_valid_base_point():
