@@ -191,8 +191,8 @@ class _Kernel:
     ``lap``, ``d1`` and ``d2`` are the lattice's masked half-spectrum
     multipliers as they are; ``inv_lap`` is the Laplacian's pseudo-inverse,
     zero on the mean and on the Nyquist lines where the Laplacian vanishes.
-    ``apply_spectrum`` is ``finish`` (three ``rfft2``) of ``derivatives`` (three
-    ``irfft2``: ``lap h``, ``d1 h``, ``d2 h``, which the energy reads too);
+    ``apply_spectrum`` is ``finish`` (three forward transforms) of ``derivatives``
+    (three inverse: ``lap h``, ``d1 h``, ``d2 h``, which the energy reads too);
     ``evaluate`` is that pass on a raw alpha, returning its half spectrum, the
     three derivatives and ``P alpha`` (4 + 4 transforms) for a solve's report;
     ``bilaplacian_spectrum``, the leading-order term, and ``precondition_spectrum``
@@ -203,20 +203,25 @@ class _Kernel:
     others twice); ``hermitian`` keeps of those two columns, in place, what
     ``irfft2`` reads: ``(c(k) + conj c(-k))/2``.
 
-    The ops write their intermediate steps into the ``_Work`` arrays of
-    ``scratch``: those of the ``working`` block in progress, which lends one set
-    to every op until it ends (a solve's is the call), else a fresh set per op.
-    So an op allocates only what it returns and what NumPy's ``irfft2``, which
-    drops ``out=``, allocates: ``finish`` and ``precondition_spectrum`` one half
-    spectrum each, and the latter one ``irfft2``; ``inner`` nothing.  The ops
-    step through ``r0`` and ``h0``, so no argument of an op may be one of them;
-    ``source`` also through ``h1``, where ``evaluate`` leaves the spectrum it
-    returns, which the next ``source`` overwrites.  A kernel is not re-entrant:
-    two threads must not run the ops of one structure at once.
+    ``forward`` and ``inverse`` are the two 1-D passes of NumPy's ``rfft2`` and
+    ``irfft2``, bit for bit, without their n-d wrappers: ``forward`` writes its
+    second pass over its first, into ``out`` if given, and ``inverse`` runs its
+    first pass in place, so it overwrites its argument, which must be a
+    spectrum its caller owns.  The ops write their intermediate steps into the
+    ``_Work`` arrays of ``scratch``: those of the ``working`` block in progress,
+    which lends one set to every op until it ends (a solve's is the call), else
+    a fresh set per op.  So an op allocates only what it returns, and
+    ``precondition_spectrum`` and ``bilaplacian_spectrum`` also the real field
+    their inverse returns; ``inner`` allocates nothing.  The ops step through
+    ``r0`` and ``h0``, so no argument of an op may be one of them; ``source``
+    also through ``h1``, where ``evaluate`` leaves the spectrum it returns,
+    which the next ``source`` overwrites.  A kernel is not re-entrant: two
+    threads must not run the ops of one structure at once.
 
     ``bases`` holds the solver's basis solves, by tolerance and class, so they
     live as long as the structure; ``criticality`` and ``roundoff`` measure a
-    field's critical-point residual and the floor below which it is noise.
+    field's critical-point residual and the floor below which it is noise, and
+    ``source_roundoff`` the floor below which a source is noise.
     """
 
     def __init__(self, cs: ConformalStructure) -> None:
@@ -251,20 +256,29 @@ class _Kernel:
         finally:
             self.work = outer
 
+    def forward(self, values: NDArray, out: NDArray | None = None) -> NDArray:
+        spectrum = np.fft.rfft(values, axis=1, out=out)
+        return np.fft.fft(spectrum, axis=0, out=spectrum)
+
+    def inverse(self, spectrum: NDArray) -> NDArray:
+        return np.fft.irfft(np.fft.ifft(spectrum, axis=0, out=spectrum), n=self.lattice.n2, axis=1)
+
     def bilaplacian_spectrum(self, spectrum: NDArray) -> NDArray:
-        return self.lap * np.fft.rfft2(self.e2u * np.fft.irfft2(self.lap * spectrum))
+        work = self.scratch()
+        s = self.inverse(np.multiply(self.lap, spectrum, out=work.h0))
+        return self.lap * self.forward(np.multiply(self.e2u, s, out=s), out=work.h0)
 
     def derivatives(self, spectrum: NDArray) -> tuple[NDArray, NDArray, NDArray]:
         product = self.scratch().h0
         return tuple(
-            np.fft.irfft2(np.multiply(m, spectrum, out=product)) for m in (self.lap, self.d1, self.d2)
+            self.inverse(np.multiply(m, spectrum, out=product)) for m in (self.lap, self.d1, self.d2)
         )
 
     def finish(self, lap_h: NDArray, d1_h: NDArray, d2_h: NDArray) -> NDArray:
         work = self.scratch()
-        out = self.lap * np.fft.rfft2(np.multiply(self.e2u, lap_h, out=work.r0), out=work.h0)
+        out = self.lap * self.forward(np.multiply(self.e2u, lap_h, out=work.r0), out=work.h0)
         for d, d_h in ((self.d1, d1_h), (self.d2, d2_h)):
-            spectrum = np.fft.rfft2(np.multiply(self.kg_sq, d_h, out=work.r0), out=work.h0)
+            spectrum = self.forward(np.multiply(self.kg_sq, d_h, out=work.r0), out=work.h0)
             out -= np.multiply(d, spectrum, out=spectrum)
         return out
 
@@ -273,17 +287,17 @@ class _Kernel:
 
     def precondition_spectrum(self, spectrum: NDArray) -> NDArray:
         work = self.scratch()
-        s = np.fft.irfft2(np.multiply(self.inv_lap, spectrum, out=work.h0))
+        s = self.inverse(np.multiply(self.inv_lap, spectrum, out=work.h0))
         # the constant left free by the inner inverse makes the outer
         # Laplacian's argument mean-zero, hence solvable
         c = -float(np.mean(np.multiply(self.em2u, s, out=work.r0))) / self.em2u_mean
         s += c
-        return self.inv_lap * np.fft.rfft2(np.multiply(self.em2u, s, out=s), out=work.h0)
+        return self.inv_lap * self.forward(np.multiply(self.em2u, s, out=s), out=work.h0)
 
     def evaluate(self, alpha: NDArray) -> tuple:
-        spectrum = np.fft.rfft2(alpha, out=self.scratch().h1)
+        spectrum = self.forward(alpha, out=self.scratch().h1)
         fields = self.derivatives(spectrum)
-        return spectrum, fields, np.fft.irfft2(self.finish(*fields))
+        return spectrum, fields, self.inverse(self.finish(*fields))
 
     def source(self, homotopy: HomotopyClass) -> NDArray:
         work = self.scratch()
@@ -291,11 +305,11 @@ class _Kernel:
         spectra = []
         for y_i, j_i, d, out in zip(y, self.jgrad_u, (self.d1, self.d2), (work.h0, work.h1)):
             flux = np.multiply(np.subtract(y_i, j_i, out=work.r0), self.kg_sq, out=work.r0)
-            spectra.append(np.multiply(d, np.fft.rfft2(flux, out=out), out=out))
-        return np.fft.irfft2(np.add(*spectra, out=work.h0))
+            spectra.append(np.multiply(d, self.forward(flux, out=out), out=out))
+        return self.inverse(np.add(*spectra, out=work.h0))
 
     def apply(self, h: NDArray) -> NDArray:
-        return np.fft.irfft2(self.apply_spectrum(np.fft.rfft2(h)))
+        return self.inverse(self.apply_spectrum(self.forward(h)))
 
     def inner(self, x: NDArray, y: NDArray) -> float:
         product = self.scratch().h0.view(np.float64)
@@ -324,6 +338,14 @@ class _Kernel:
         lap, e2u = float(np.max(self.lap)), float(np.max(self.e2u))
         floor = lap * (lap * e2u + float(np.max(self.kg_sq))) * e2u
         return floor * (np.finfo(float).eps * amplitude)
+
+    def source_roundoff(self) -> float:
+        """Roundoff floor of the flat source ``flat_div(k_g^2 (Y0 - J grad u))`` of
+        a class whose ``|Y0|`` is at most the largest wavevector ``k``: ``eps max|k|
+        max k_g^2 (max|k| + max|J grad u|)``."""
+        k = float(np.sqrt(np.max(self.lap)))
+        flux = float(np.max(self.kg_sq)) * (k + max(float(np.max(np.abs(c))) for c in self.jgrad_u))
+        return np.finfo(float).eps * k * flux
 
 
 @dataclass(frozen=True, eq=False)

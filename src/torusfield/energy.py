@@ -14,10 +14,10 @@ equivalent flat quadratures
     vertical   = ∫ e^{2u} (flat_lap alpha)^2 dxi,
     horizontal = ∫ k_g^2 |grad theta_total - J grad u|^2 dxi,
 
-which take one ``rfft2`` of alpha and the three ``irfft2`` of the kernel's
-``derivatives`` (flat_lap alpha, grad alpha), fields a solve's report also
-finishes into ``P alpha``.  The geometric route survives in the test suite as
-an independent oracle.
+which take one forward transform of alpha and the three inverse of the
+kernel's ``derivatives`` (flat_lap alpha, grad alpha), fields a solve's report
+also finishes into ``P alpha``.  The geometric route survives in the test suite
+as an independent oracle.
 
 The source ``b`` of the critical-point equation ``P alpha = b``
 (``right_hand_side``) and the flat ``el_residual``, ``P alpha - b``, wrap the
@@ -65,7 +65,7 @@ def bienergy(cs: ConformalStructure, theta: AngleField) -> EnergyBreakdown:
     class plus periodic part alpha) on the lattice of ``cs``: its vertical and
     horizontal parts, the first-order bending energy and the curved area."""
     cs._check(theta.lattice)
-    spectrum = np.fft.rfft2(theta.periodic.values)
+    spectrum = cs.kernel.forward(theta.periodic.values)
     return _breakdown(cs, theta, spectrum, cs.kernel.derivatives(spectrum))
 
 

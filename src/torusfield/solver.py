@@ -11,8 +11,8 @@ gradients on the mean-zero subspace against this flat-weighted form.  One
 spectral kernel per structure (``ConformalStructure.kernel``: the solve, its
 report, the flat residual, the stability gate and the rigidity check
 share it) applies P with the lattice's own multipliers on the ``rfft2`` half
-spectrum, where every iterate stays: a PCG iteration costs three ``rfft2``
-and three ``irfft2`` for P and one of each for the preconditioner, the
+spectrum, where every iterate stays: a PCG iteration costs three forward and
+three inverse 2-D transforms for P and one of each for the preconditioner, the
 exact inverse of the leading-order term flat_lap e^{2u} flat_lap on mean-zero fields,
 
     M r = flat_lap^+[e^{-2u}(flat_lap^+ r + c)],   c = -mean(e^{-2u} flat_lap^+ r) / mean(e^{-2u}),
@@ -24,9 +24,10 @@ classes (0, 0), (1, 0) and (0, 1), kept on the kernel while the structure
 lives, give every class as their combination.  Reports measure criticality
 on the kernel and source of the returned field, weighted by e^{2u} where the
 curved equation is asked for; energy and P alpha share one derivative pass
-(4 + 4 transforms): a solve costs ``8 it + 13``, a cached class 12.  The
-curved assembly (the pointwise multiple e^{2u} P, symmetric against the
-curved area element) survives only as an independent oracle.
+(4 + 4 transforms): a solve costs ``8 it + 13``, a cached class 12.  Each
+2-D transform is the kernel's two 1-D passes, NumPy's own.  The curved
+assembly (the pointwise multiple e^{2u} P, symmetric against the curved area
+element) survives only as an independent oracle.
 
 Each call lends the kernel its work arrays for the call's length (see
 ``_Kernel``), so a kernel is not re-entrant: two threads must not solve on
@@ -144,7 +145,7 @@ def _project(arr: NDArray) -> NDArray:
 
 def _source_spectrum(kernel: _Kernel, b: NDArray) -> tuple[NDArray, float]:
     """``b̂``, Hermitian and mean-free, and its norm in the flat product."""
-    r = kernel.hermitian(np.fft.rfft2(b))
+    r = kernel.hermitian(kernel.forward(b))
     r[0, 0] = 0.0
     return r, np.sqrt(kernel.inner(r, r))
 
@@ -158,13 +159,19 @@ def _pcg(
     ``[0, 0]``), from the half spectrum ``x0`` if given, else from zero.  ``b̂``,
     ``x0`` and each output of P and ``precondition`` are made Hermitian, so that
     ``kernel.inner`` counts only what ``irfft2`` sees.  Returns the solution, by
-    one ``irfft2``, the relative-residual history (one entry per iteration after
-    the start's, which is 1.0 from zero; ``[0.0]`` for a zero source), and the
-    final recursive residual as a half spectrum.  Raises ConvergenceError when
-    the budget runs out, on stagnation, or at a non-finite relative residual.
+    one inverse transform, the relative-residual history (one entry per iteration
+    after the start's, which is 1.0 from zero; ``[0.0]`` for a zero source), and
+    the final recursive residual as a half spectrum.  Raises ConvergenceError when
+    the budget runs out, on stagnation, at a non-finite relative residual, or
+    when the norm of a source above its roundoff (``kernel.source_roundoff``)
+    underflows.
     """
     r, bnorm = _source_spectrum(kernel, b)
     if bnorm == 0.0:
+        # a source within its assembly's roundoff is a zero one
+        if (largest := float(np.max(np.abs(b)))) > kernel.source_roundoff():
+            raise ConvergenceError(f"the source's norm underflowed to 0, though max|b| = {largest:.3e}: "
+                                   "its relative residuals are undefined", [np.nan])
         return np.zeros_like(b), [0.0], r
     if x0 is None:
         x = np.zeros_like(r)
@@ -174,7 +181,7 @@ def _pcg(
         r -= kernel.hermitian(kernel.apply_spectrum(x))
     history = [float(np.sqrt(kernel.inner(r, r)) / bnorm)]
     if history[0] <= tolerance:
-        return np.fft.irfft2(x), history, r
+        return kernel.inverse(x), history, r
 
     z = kernel.hermitian(precondition(r))
     d = z.copy()
@@ -198,7 +205,7 @@ def _pcg(
         rel = float(np.sqrt(kernel.inner(r, r)) / bnorm)
         history.append(rel)
         if rel <= tolerance:
-            return np.fft.irfft2(x), history, r
+            return kernel.inverse(x), history, r
         if rel <= 0.5 * mark:
             mark, marked = rel, iteration
         elif mark <= _STAGNATION_FLOOR and iteration - marked >= _STAGNATION_WINDOW:
@@ -302,7 +309,7 @@ def solve_homotopy_class(
             if not history[-1] <= opts.tolerance:
                 x, polish, _ = _pcg(
                     kernel, kernel.precondition_spectrum, b, opts.tolerance, budget,
-                    x0=np.fft.rfft2(alpha),
+                    x0=kernel.forward(alpha),
                 )
                 alpha, history[-1:] = _project(x), polish
         theta = AngleField(homotopy, ScalarField(cs.lattice, alpha))
@@ -314,10 +321,10 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
     bilaplacian h -> flat_lap(e^{2u} flat_lap h) by inverse iteration with
     the structure's ``M``, the operator's inverse off the Nyquist lines, from
     ``M raw`` with ``raw`` drawn from ``seed``.  The iterate stays a half
-    spectrum, as in the solve: a step is one ``M`` and one bilaplacian, four
-    transforms.  The range of ``M`` excludes the mean and every mode the
-    Laplacian annihilates.  The estimate is a Rayleigh quotient, so an upper
-    bound on the smallest one, and seed-dependent.
+    spectrum, as in the solve: a step is one ``M``, two transforms, and the
+    quotient one bilaplacian at the end.  The range of ``M`` excludes the mean
+    and every mode the Laplacian annihilates.  The estimate is a Rayleigh
+    quotient, so an upper bound on the smallest one, and seed-dependent.
 
     A strictly positive quotient certifies that the only periodic angle
     functions annihilated by the operator are constants, i.e. the purely
@@ -326,10 +333,11 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
     safety margin.
     """
     kernel = cs.kernel
-    x = np.fft.rfft2(np.random.default_rng(seed).standard_normal(cs.lattice.shape))
-    for _ in range(_RIGIDITY_ITERATIONS):
-        x = kernel.hermitian(kernel.precondition_spectrum(x))
-        x /= np.sqrt(kernel.inner(x, x))
+    x = kernel.forward(np.random.default_rng(seed).standard_normal(cs.lattice.shape))
+    with kernel.working():
+        for _ in range(_RIGIDITY_ITERATIONS):
+            x = kernel.hermitian(kernel.precondition_spectrum(x))
+            x /= np.sqrt(kernel.inner(x, x))
         rayleigh = kernel.inner(x, kernel.bilaplacian_spectrum(x))
 
     flat_reference = float(np.min(kernel.lap[kernel.lap != 0.0])) ** 2

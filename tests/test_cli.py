@@ -102,6 +102,24 @@ def test_overflowing_solve_exits_one_at_once(capsys):
     assert "error: relative residual not finite at iteration 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "lattice, klass, code",
+    [("1e30,0;0,1e30", "1", 1), ("1e30,0;0,1e30", "0", 0), ("unit-square", "0", 0)],
+)
+def test_a_source_whose_norm_underflows_exits_one_and_a_zero_source_solves(capsys, lattice, klass, code):
+    # at L = 1e30 class (1, 0)'s source is about 1e-178 and its squared norm
+    # underflows; class (0, 1)'s source assembles to exactly zero at any scale
+    got = main(["solve", "--lattice", lattice, "--grid", "16", "--u", "0.1*sin(2pi*x)",
+                "--class", klass, str(1 - int(klass))])
+    out, err = capsys.readouterr()
+    assert got == code
+    if code:
+        assert err.startswith("error: the source's norm underflowed to 0, though max|b| = ")
+        assert "0 iterations" not in out
+    else:
+        assert out.startswith("class (0, 1): 0 iterations, relative residual 0.000e+00, bienergy ")
+
+
 @pytest.mark.parametrize("generators", ["1,0;0,1e-300", "1e200,0;0,1e200"])
 def test_generators_that_overflow_a_float_exit_two(capsys, generators):
     code = main(["solve", "--lattice", generators, "--grid", "8"])

@@ -77,6 +77,7 @@ HOMOTHETY_SHIFT_FACTOR = 300.0
 #: 1e-12, that is flat metrics, in 25 to 41 of each property's 100 examples;
 #: each property takes its flat case from one explicit example on FLAT instead
 AMPLITUDES = st.floats(0.05, 0.5)
+SIGNED_AMPLITUDES = st.builds(lambda size, sign: sign * size, AMPLITUDES, st.sampled_from([1.0, -1.0]))
 FLAT = LatticeSpec((1.0, 0.1), (0.3, 1.2), 12, 10)
 
 #: direction of every first derivative under test; None is the Laplacian
@@ -183,6 +184,12 @@ _TRANSFORMS = (
 )
 
 
+def _passes(forward: int, inverse: int) -> dict[str, int]:
+    """The 1-D passes of the kernel's 2-D transforms: ``rfft`` then ``fft``
+    forward, ``ifft`` then ``irfft`` inverse."""
+    return {"rfft": forward, "fft": forward, "ifft": inverse, "irfft": inverse}
+
+
 def _count_transforms(monkeypatch, call) -> dict[str, int]:
     counts = dict.fromkeys(_TRANSFORMS, 0)
     for name in _TRANSFORMS:
@@ -201,30 +208,32 @@ def _count_transforms(monkeypatch, call) -> dict[str, int]:
 @pytest.mark.parametrize(
     "layer, expected",
     [
+        # the lattice's free functions run at set-up and in the oracles, and
+        # keep NumPy's 2-D transforms; the kernel's run as two 1-D passes each
         ("flat_laplacian", {"rfft2": 1, "irfft2": 1}),
-        ("kernel_apply", {"rfft2": 4, "irfft2": 4}),
+        ("kernel_apply", _passes(4, 4)),
         # M on a half spectrum
-        ("kernel_precondition", {"rfft2": 1, "irfft2": 1}),
+        ("kernel_precondition", _passes(1, 1)),
         # the flat residual is the kernel plus the flat source; the report's
         # criticality is handed P alpha, so it transforms nothing
-        ("el_residual", {"rfft2": 6, "irfft2": 5}),
+        ("el_residual", _passes(6, 5)),
         ("criticality", {}),
         # with J grad u kept on the structure, the source is one divergence
-        # summed before one inverse transform, and the energy one rfft2 of
-        # alpha, read by the resolution check and by the kernel's derivatives
-        # (flat_lap alpha, grad alpha)
-        ("right_hand_side", {"rfft2": 2, "irfft2": 1}),
-        ("bienergy", {"rfft2": 1, "irfft2": 3}),
+        # summed before one inverse transform, and the energy one forward
+        # transform of alpha, read by the resolution check and by the kernel's
+        # derivatives (flat_lap alpha, grad alpha)
+        ("right_hand_side", _passes(2, 1)),
+        ("bienergy", _passes(1, 3)),
         ("flat_gradient", {"rfft2": 1, "irfft2": 2}),
         ("resolution_fraction", {"rfft2": 1}),
         # P's leading-order term alone, as the rigidity check applies it
-        ("kernel_bilaplacian", {"rfft2": 1, "irfft2": 1}),
+        ("kernel_bilaplacian", _passes(1, 1)),
         # a solve's report: one derivative pass of alpha gives the energy and,
         # finished, P alpha for the criticality residual
-        ("report", {"rfft2": 4, "irfft2": 4}),
+        ("report", _passes(4, 4)),
         # the flat source and the report's derivative pass as the kernel's own ops
-        ("kernel_source", {"rfft2": 2, "irfft2": 1}),
-        ("kernel_evaluate", {"rfft2": 4, "irfft2": 4}),
+        ("kernel_source", _passes(2, 1)),
+        ("kernel_evaluate", _passes(4, 4)),
     ],
 )
 @pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
@@ -272,8 +281,8 @@ def test_solve_makes_eight_transforms_per_iteration(monkeypatch):
     )
     iterations = solved[0][1].iterations
     assert iterations > 0
-    assert counts == {"rfft2": 4 * iterations + 7, "irfft2": 4 * iterations + 6}
-    assert sum(counts.values()) == 8 * iterations + 13
+    assert counts == _passes(4 * iterations + 7, 4 * iterations + 6)
+    assert sum(counts.values()) == 2 * (8 * iterations + 13)
 
 
 @pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
@@ -287,14 +296,14 @@ def test_class_from_a_cached_basis_runs_no_iteration(monkeypatch):
     counts = _count_transforms(
         monkeypatch, lambda: solved.append(solve_homotopy_class(cs, HomotopyClass(2, -1)))
     )
-    assert counts == {"rfft2": 7, "irfft2": 5}
+    assert counts == _passes(7, 5)
     assert solved[0][1].iterations == sum(report.iterations for report in basis) > 0
 
 
 @pytest.mark.filterwarnings("ignore::torusfield.conformal.ResolutionWarning")
 def test_rigidity_check_makes_four_transforms_per_step(monkeypatch):
-    # M and the bilaplacian on the half spectrum (1 + 1 each) per step, after
-    # the one rfft2 of the random start
+    # M on the half spectrum (1 + 1) per step, after the one forward transform
+    # of the random start, and one bilaplacian (1 + 1) for the quotient
     lattice = LatticeSpec((1.0, 0.0), (0.5, 1.5), 16, 12)
     cs = _structure(lattice, np.random.default_rng(0), 2, 0.3)
     cs.kernel  # built once per structure, outside the count
@@ -308,7 +317,7 @@ def test_rigidity_check_makes_four_transforms_per_step(monkeypatch):
     monkeypatch.setattr(_Kernel, "precondition_spectrum", counted)
     counts = _count_transforms(monkeypatch, lambda: section_rigidity_check(cs))
     assert len(steps) > 0
-    assert counts == {"rfft2": 2 * len(steps) + 1, "irfft2": 2 * len(steps)}
+    assert counts == _passes(len(steps) + 2, len(steps) + 1)
 
 
 def _full_spectrum_resolution_fraction(f: ScalarField) -> tuple[float, float]:
@@ -348,6 +357,31 @@ def test_half_spectrum_layers_equal_their_full_derivations(lattice, decades, mea
     cached, direct = cs.jgrad_u, rotate_J(flat_gradient(f))
     np.testing.assert_array_equal(cached.comp1.values, direct.comp1.values)
     np.testing.assert_array_equal(cached.comp2.values, direct.comp2.values)
+
+
+#: n x 4 grids, on which NumPy's 2-D wrappers cost the most beside the passes
+THIN_LATTICES = st.builds(
+    lambda lattice, n1: LatticeSpec(lattice.d1, lattice.d2, n1, 4), lattices(), st.integers(2, 256).map(lambda h: 2 * h)
+)
+
+
+@given(st.one_of(lattices(), THIN_LATTICES), st.integers(0, 2**32 - 1))
+def test_kernel_transforms_are_numpys_2d_transforms_byte_for_byte(lattice, seed):
+    rng = np.random.default_rng(seed)
+    kernel = _Kernel(_structure(lattice, rng, 2, 0.3))
+    x = rng.standard_normal(lattice.shape)
+    # any half spectrum, its edge columns far from conjugate pairs
+    spectrum = rng.standard_normal(kernel.lap.shape) + 1j * rng.standard_normal(kernel.lap.shape)
+    pairs = [
+        (kernel.forward(x), np.fft.rfft2(x)),
+        (kernel.inverse(spectrum.copy()), np.fft.irfft2(spectrum)),
+    ]
+    for got, want in pairs:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    work = np.empty_like(spectrum)
+    assert kernel.forward(x, out=work) is work
+    assert work.tobytes() == pairs[0][1].tobytes()
 
 
 @given(lattices(), st.integers(0, 2**32 - 1))
@@ -453,13 +487,14 @@ def test_solve_on_work_arrays_is_the_plain_reference_bit_for_bit(
 @settings(max_examples=40)
 @given(
     lattices(),
-    st.floats(-0.5, 0.5),
-    st.floats(-0.5, 0.5),
+    SIGNED_AMPLITUDES,
+    SIGNED_AMPLITUDES,
     st.integers(1, 3),
     st.integers(1, 3),
     st.integers(-2, 2),
     st.integers(-2, 2),
 )
+@example(FLAT, 0.0, 0.0, 1, 1, 1, -1)
 def test_one_variable_exponent_gives_a_field_constant_along_the_second_generator(
     lattice, a, b, k, l, m, n
 ):

@@ -37,6 +37,7 @@ from torusfield.solver import (
     _iteration_budget,
     _pcg,
     _project,
+    _source_spectrum,
     apply_operator_P,
     section_rigidity_check,
     solve_homotopy_class,
@@ -308,6 +309,23 @@ def test_vanishing_source_returns_the_representative(grid, u):
     assert theta.periodic.max_abs() == 0.0
 
 
+@pytest.mark.parametrize("shear", [2.2250738585e-313, 1.1327630954127737e-202])
+def test_a_source_of_roundoff_whose_norm_underflows_returns_zero(shear):
+    # an exponent of lambda1 alone gives the trivial class a source that is
+    # zero but for the roundoff of the shear, under 1e-200, so its squared
+    # norm underflows: that is a zero source, not an underflowed one
+    lattice = LatticeSpec((1.0, 0.0), (shear, 1.0), 8, 8)
+    lam1, _ = lattice.fractional_coords
+    u = 0.5 * np.sin(TWO_PI * lam1) + 0.5 * np.cos(TWO_PI * lam1)
+    cs = ConformalStructure.from_exponent(ScalarField(lattice, u))
+    source = cs.kernel.source(HomotopyClass(0, 0))
+    assert 0.0 < np.max(np.abs(source)) <= cs.kernel.source_roundoff()
+    assert _source_spectrum(cs.kernel, source)[1] == 0.0
+    theta, report = solve_homotopy_class(cs, HomotopyClass(0, 0))
+    assert report.iterations == 0 and report.final_relative_residual == 0.0
+    assert theta.periodic.max_abs() == 0.0
+
+
 def _direct_pcg(cs: ConformalStructure, cls: HomotopyClass, tolerance: float) -> np.ndarray:
     source = right_hand_side(cs, cls, "flat_weighted").values
     kernel = cs.kernel
@@ -500,16 +518,19 @@ def standard256() -> ConformalStructure:
 
 
 def test_kernel_ops_on_work_arrays_allocate_only_what_they_return(standard256):
-    # traced at 256^2, where a grid-sized array is 0.5 MB; NumPy's irfft2
-    # drops out=, so the inverse of precondition_spectrum keeps its own result,
-    # and a real multiplier casts to complex through NumPy's buffer
+    # traced at 256^2, where a grid-sized array is 0.5 MB; an inverse runs its
+    # first pass in place, so it allocates only the real field it returns (the
+    # preconditioner and the bilaplacian keep theirs for their second half), and
+    # a real multiplier casts to complex through NumPy's buffer
     kernel = standard256.kernel
     spectrum = np.fft.rfft2(np.random.default_rng(0).standard_normal(standard256.lattice.shape))
     fields = kernel.derivatives(spectrum)
     half, real = spectrum.nbytes, fields[0].nbytes
     ops = [
+        (kernel.derivatives, (spectrum,), 3 * real),
         (kernel.finish, fields, half),
         (kernel.precondition_spectrum, (spectrum,), half + real),
+        (kernel.bilaplacian_spectrum, (spectrum,), half + real),
         (kernel.inner, (spectrum, spectrum), 0),
     ]
     allowance = 16 * np.getbufsize() + 16 * 1024  # the cast buffer and Python objects
