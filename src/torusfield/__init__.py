@@ -10,9 +10,7 @@ left-invariant critical unit fields on three model Lie groups.
 from torusfield.angles import (
     AngleField,
     HomotopyClass,
-    LinearRepresentative,
     angle_to_unit_field,
-    linear_representative,
     winding_class,
 )
 from torusfield.conformal import (
@@ -79,7 +77,6 @@ __all__ = [
     "HomotopyClass",
     "LatticeSpec",
     "LeftInvariantModel",
-    "LinearRepresentative",
     "NotCriticalError",
     "ResidualPair",
     "ResolutionWarning",
@@ -106,7 +103,6 @@ __all__ = [
     "hessian_vs_energy_check",
     "hyperbolic",
     "integrate_inner",
-    "linear_representative",
     "parse_exponent",
     "read_field_csv",
     "realize",

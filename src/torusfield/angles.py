@@ -48,19 +48,6 @@ class HomotopyClass:
         object.__setattr__(self, "n", int(self.n))
 
 
-@dataclass(frozen=True, eq=False)
-class LinearRepresentative:
-    """The harmonic angle ``2*pi*(m*lam1 + n*lam2)`` of a class.
-
-    Attributes:
-        gradient: the constant flat gradient ``Y0`` (2-vector).
-        samples: the representative sampled on the fundamental-domain grid.
-    """
-
-    gradient: NDArray
-    samples: ScalarField
-
-
 def _constant_gradient(homotopy: HomotopyClass, lattice: LatticeSpec) -> tuple[float, float]:
     """``Y0 = 2*pi*(m*delta1 + n*delta2)``, the one way a class enters a derivative."""
     delta = lattice.dual_basis
@@ -68,13 +55,10 @@ def _constant_gradient(homotopy: HomotopyClass, lattice: LatticeSpec) -> tuple[f
     return float(y1), float(y2)
 
 
-def linear_representative(homotopy: HomotopyClass, lattice: LatticeSpec) -> LinearRepresentative:
-    """Harmonic representative of a homotopy class on a given lattice."""
+def _linear_samples(homotopy: HomotopyClass, lattice: LatticeSpec) -> NDArray:
+    """``theta_lin = 2*pi*(m*lam1 + n*lam2)`` on the grid, the class's linear representative."""
     lam1, lam2 = lattice.fractional_coords
-    values = TWO_PI * (homotopy.m * lam1 + homotopy.n * lam2)
-    gradient = np.array(_constant_gradient(homotopy, lattice))
-    gradient.flags.writeable = False
-    return LinearRepresentative(gradient, ScalarField(lattice, values))
+    return TWO_PI * (homotopy.m * lam1 + homotopy.n * lam2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +77,11 @@ class AngleField:
         cls, lattice: LatticeSpec, total: NDArray, homotopy: HomotopyClass
     ) -> "AngleField":
         """Rebuild the split form from total-angle samples of a known class."""
-        rep = linear_representative(homotopy, lattice)
-        return cls(homotopy, ScalarField(lattice, np.asarray(total) - rep.samples.values))
+        return cls(homotopy, ScalarField(lattice, np.asarray(total) - _linear_samples(homotopy, lattice)))
 
     def total_samples(self) -> NDArray:
         """Total angle ``theta_lin + alpha`` on the grid (not periodic)."""
-        rep = linear_representative(self.homotopy, self.lattice)
-        return rep.samples.values + self.periodic.values
+        return _linear_samples(self.homotopy, self.lattice) + self.periodic.values
 
     def total_gradient(self) -> VectorFieldFlat:
         """Flat gradient of the total angle: ``Y0 + grad(alpha)``."""

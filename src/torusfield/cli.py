@@ -54,7 +54,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage problems by exiting
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        # every overflow in a command ends in a refusal, which then prints alone
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args)
     except (ConvergenceError, NotCriticalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -157,11 +157,6 @@ class ConformalStructure:
         """Geometer Laplacian ``-div_g grad_g f`` (composition, not shortcut)."""
         return -self.divergence(self.gradient(f))
 
-    def norm_sq(self, X: VectorFieldFlat) -> ScalarField:
-        """Pointwise ``|X|_g^2`` of flat components."""
-        self._check(X.lattice)
-        return self.em2u * dot(X, X)
-
     def integrate(self, f: ScalarField, g: ScalarField | None = None) -> float:
         """Quadrature against the curved area element ``exp(-2u) dxi``."""
         return integrate_inner(f, g, weight=self.em2u)

@@ -73,14 +73,8 @@ def _breakdown(cs: ConformalStructure, theta: AngleField, spectrum: NDArray, fie
     """:func:`bienergy` from ``rfft2`` of alpha and the kernel's ``derivatives`` of
     it, all three of which it writes over."""
     lattice = cs.lattice
-    alpha = theta.periodic.values
     vertical = _quadrature(lattice, fields[0], fields[0], cs.e2u.values, out=fields[0])
-    # an angle within an FFT's roundoff of 1 rad is roundoff of (cos theta, sin theta)
-    rms = np.sqrt(np.mean(np.square(alpha, out=fields[0])))
-    roundoff = rms <= np.finfo(float).eps * np.log2(alpha.size)
-    if not roundoff:
-        message = "angle field is spectrally under-resolved; energies are unreliable"
-        _warn_if_unresolved(theta.periodic, message, spectrum)
+    _warn_if_unresolved(theta.periodic, "angle field is spectrally under-resolved; energies are unreliable", spectrum)
 
     # flat components of the first-order term: grad theta_total - J grad u
     y1, y2 = _constant_gradient(theta.homotopy, lattice)

@@ -233,10 +233,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        vals = self._coerce(other)
-        return NotImplemented if vals is NotImplemented else ScalarField(self.lattice, self.values / vals)
-
     def __neg__(self):
         return ScalarField(self.lattice, -self.values)
 
@@ -336,20 +332,21 @@ def resolution_fraction(f: ScalarField, spectrum: NDArray | None = None) -> floa
     """Fraction of (non-mean) spectral energy in the top third of frequencies.
 
     A proxy for "is this field resolved on its grid": smooth well-sampled
-    fields put essentially no energy near the Nyquist modes.  ``spectrum`` is
-    ``rfft2(f.values)`` where the caller has it already.
+    fields put essentially no energy near the Nyquist modes.  A field whose
+    non-mean part lies within FFT roundoff of ``max(|mean|, 1)`` reads 0.
+    ``spectrum`` is ``rfft2(f.values)`` where the caller has it already.
     """
     n1, n2 = f.lattice.shape
     energy = np.abs(np.fft.rfft2(f.values) if spectrum is None else spectrum)
     np.square(energy, out=energy)
     # each interior column also stands for its conjugate mirror in the full spectrum
     energy[:, 1 : n2 // 2] *= 2.0
-    mean_energy = energy[0, 0]
+    reference = max(energy[0, 0], float(n1 * n2) ** 2)
     energy[0, 0] = 0.0
     total = float(np.sum(energy))
-    # an FFT's roundoff is about eps log2(n1 n2) of the spectrum's 2-norm, so
-    # a constant's non-mean energy sits at that level of its mean coefficient
-    if total <= (np.finfo(float).eps * np.log2(n1 * n2)) ** 2 * mean_energy:
+    # an FFT's roundoff is about eps log2(n1 n2) of the spectrum's 2-norm, so a
+    # field whose non-mean rms is that fraction of max(|mean|, 1) is roundoff
+    if total <= (np.finfo(float).eps * np.log2(n1 * n2)) ** 2 * reference:
         return 0.0
     return float(np.sum(energy[_top_third(f.lattice)]) / total)
 

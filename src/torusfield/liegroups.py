@@ -256,6 +256,7 @@ def _cubic_map(model: LeftInvariantModel, problem: str) -> _CubicMap:
     K comes from the einsum oracle by polarization: for an odd cubic,
     ``24 K(x, y, z) = sum over s, t = +-1 of s t E(x + s y + t z)``, which
     cancels the linear part exactly; then ``M[j] = E(e_j) - K(e_j, e_j, e_j)``.
+    Raises ValueError when either tensor overflows a float.
     """
     maps = model._cubic_maps
     if problem not in maps:
@@ -271,6 +272,9 @@ def _cubic_map(model: LeftInvariantModel, problem: str) -> _CubicMap:
         values = expression(model, points.reshape(-1, model.dim))
         K = np.einsum("s,sabcl->abcl", signs.prod(axis=1), values.reshape(points.shape)) / 24.0
         M = expression(model, eye) - np.einsum("jjjl->jl", K)
+        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(K))):
+            raise ValueError(f"the {problem} tensors of {model.name} with parameters {model.params} "
+                             "overflow a float; rescale the model")
         maps[problem] = _CubicMap(linear=M, cubic=K)
     return maps[problem]
 
@@ -384,9 +388,7 @@ def _sphere_samples(dim: int, resolution: int, rng: np.random.Generator) -> NDAr
     extra = rng.standard_normal((64, dim))
     extra /= np.linalg.norm(extra, axis=-1, keepdims=True)
     samples = np.concatenate([grid, extra], axis=0)
-    norms = np.linalg.norm(samples, axis=-1, keepdims=True)
-    keep = norms[:, 0] > 1e-12
-    return samples[keep] / norms[keep]
+    return samples / np.linalg.norm(samples, axis=-1, keepdims=True)
 
 
 def _least_squares(A: NDArray, b: NDArray) -> NDArray:

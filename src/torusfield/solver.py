@@ -328,9 +328,11 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
 
     A strictly positive quotient certifies that the only periodic angle
     functions annihilated by the operator are constants, i.e. the purely
-    vertical critical fields are rigid.  The verdict compares the quotient
-    against the flat lattice's smallest nonzero eigenvalue with a 1e-6
-    safety margin.
+    vertical critical fields are rigid.  Every mean-zero quotient is at least
+    ``min(e^{2u}) lam1^2``, ``lam1`` the lattice's smallest nonzero flat
+    Laplacian eigenvalue, with equality on a constant exponent; the verdict
+    holds when the estimate reaches that bound to a relative 1e-12, so it
+    scales with the metric.
     """
     kernel = cs.kernel
     x = kernel.forward(np.random.default_rng(seed).standard_normal(cs.lattice.shape))
@@ -340,5 +342,5 @@ def section_rigidity_check(cs: ConformalStructure, seed: int = 0) -> RigidityCer
             x /= np.sqrt(kernel.inner(x, x))
         rayleigh = kernel.inner(x, kernel.bilaplacian_spectrum(x))
 
-    flat_reference = float(np.min(kernel.lap[kernel.lap != 0.0])) ** 2
-    return RigidityCertificate(rayleigh, verdict=rayleigh >= 1e-6 * flat_reference)
+    bound = float(np.min(kernel.e2u)) * float(np.min(kernel.lap[kernel.lap != 0.0])) ** 2
+    return RigidityCertificate(rayleigh, verdict=rayleigh >= (1.0 - 1e-12) * bound)

@@ -8,8 +8,8 @@ import pytest
 from torusfield.angles import (
     AngleField,
     HomotopyClass,
+    _constant_gradient,
     angle_to_unit_field,
-    linear_representative,
     winding_class,
 )
 from torusfield.lattice import (
@@ -37,24 +37,24 @@ def make_angle(lattice: LatticeSpec, m: int, n: int, periodic_values=None) -> An
 ### Linear representatives
 
 def test_trivial_class_has_zero_representative(square):
-    rep = linear_representative(HomotopyClass(0, 0), square)
-    assert rep.samples.max_abs() == 0.0
-    np.testing.assert_array_equal(rep.gradient, [0.0, 0.0])
+    samples = make_angle(square, 0, 0).total_samples()
+    assert np.max(np.abs(samples)) == 0.0
+    np.testing.assert_array_equal(_constant_gradient(HomotopyClass(0, 0), square), [0.0, 0.0])
 
 
 def test_unit_square_class_one_zero(square):
-    rep = linear_representative(HomotopyClass(1, 0), square)
+    samples = make_angle(square, 1, 0).total_samples()
     x, _ = square.cartesian_coords
-    np.testing.assert_allclose(rep.samples.values, TWO_PI * x, atol=1e-14)
-    np.testing.assert_allclose(rep.gradient, [TWO_PI, 0.0], atol=1e-14)
+    np.testing.assert_allclose(samples, TWO_PI * x, atol=1e-14)
+    np.testing.assert_allclose(_constant_gradient(HomotopyClass(1, 0), square), [TWO_PI, 0.0], atol=1e-14)
 
 
 def test_oblique_gradient_solves_dual_system():
     lattice = LatticeSpec((1.0, 0.0), (0.5, 1.0), 16, 16)
-    rep = linear_representative(HomotopyClass(2, -1), lattice)
+    gradient = np.array(_constant_gradient(HomotopyClass(2, -1), lattice))
     # The defining property: <Y0, d1> = 2*pi*m and <Y0, d2> = 2*pi*n.
-    assert float(rep.gradient @ np.array(lattice.d1)) == pytest.approx(4 * np.pi, rel=1e-14)
-    assert float(rep.gradient @ np.array(lattice.d2)) == pytest.approx(-2 * np.pi, rel=1e-14)
+    assert float(gradient @ np.array(lattice.d1)) == pytest.approx(4 * np.pi, rel=1e-14)
+    assert float(gradient @ np.array(lattice.d2)) == pytest.approx(-2 * np.pi, rel=1e-14)
 
 
 ### Angle -> unit field
@@ -118,6 +118,18 @@ def test_winding_refuses_under_resolved_field(square):
     # Class (8, 0) on a 16-point axis steps exactly pi per grid point.
     V = angle_to_unit_field(make_angle(square, 8, 0))
     with pytest.raises(ValueError, match="under-resolved"):
+        winding_class(V)
+
+
+def test_winding_refuses_a_field_whose_grid_lines_wind_differently(square):
+    # the lines t < 8 wind once along d1 and the others not at all, with every
+    # increment along d1 below pi; the sums of a line's wrapped increments are
+    # exact multiples of 2 pi to n eps, so their "inconsistent winding sums"
+    # refusal needs ~1e9 points per line and is not tested
+    lam1, _ = square.fractional_coords
+    phi = np.where(np.arange(16) < 8, TWO_PI * lam1, 0.0)
+    V = VectorFieldFlat.from_arrays(square, np.cos(phi), np.sin(phi))
+    with pytest.raises(ValueError, match="winding differs between grid lines"):
         winding_class(V)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusfield import cli, conformal, energy, stability
+from torusfield import cli, conformal, energy, liegroups, stability
 from torusfield import io as runio
 from torusfield.cli import main
 from torusfield.io import read_field_csv
@@ -27,6 +27,14 @@ from torusfield.solver import _FORMULATIONS
 def run(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 ### solve
@@ -50,6 +58,14 @@ def test_a_command_is_the_caller_its_warnings_name(capsys):
     assert code == 0
     assert [str(w.message).split()[0] for w in warned] == ["conformal", "angle"]
     assert all(Path(w.filename).parts[-2:] == ("torusfield", "cli.py") for w in warned)
+
+
+def test_an_exponent_within_roundoff_of_flat_does_not_warn(capsys):
+    # e^{2u} is exactly 1, so nothing is under-resolved; the test settings
+    # make a ResolutionWarning an error
+    code, out = run(capsys, "solve", "--grid", "32", "--u", "1e-20*sin(2pi*(12*x))")
+    assert code == 0
+    assert out.startswith("class (1, 0): ")
 
 
 def test_solve_writes_requested_artifacts(capsys, tmp_path):
@@ -96,8 +112,8 @@ def test_unreachable_tolerance_exits_one(capsys):
 
 
 def test_overflowing_solve_exits_one_at_once(capsys):
-    with np.errstate(all="ignore"):
-        code = main(["solve", "--grid", "16", "--u", "50*sin(2pi*x)"])
+    # main silences NumPy's overflow warnings, which filterwarnings = error would raise
+    code = main(["solve", "--grid", "16", "--u", "50*sin(2pi*x)"])
     assert code == 1
     assert "error: relative residual not finite at iteration 1" in capsys.readouterr().err
 
@@ -118,6 +134,24 @@ def test_a_source_whose_norm_underflows_exits_one_and_a_zero_source_solves(capsy
         assert "0 iterations" not in out
     else:
         assert out.startswith("class (0, 1): 0 iterations, relative residual 0.000e+00, bienergy ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("solve", "--grid", "64", "--u", "200*sin(2pi*x)"), 2),
+        (("stability", "--grid", "64", "--u", "100*sin(2pi*x)"), 1),
+        (("lie", "--model", "su2", "--params", "2e100,1.5e100,1e100"), 2),
+        (("lie", "--model", "hyperbolic", "--params", "3,1e80", "--compare"), 2),
+    ],
+)
+def test_a_refusal_of_an_overflowing_input_prints_one_error_line(argv, code):
+    # a fresh process, so NumPy's RuntimeWarnings reach stderr under Python's default filters
+    run = fresh_python("-m", "torusfield.cli", *argv)
+    assert run.returncode == code
+    assert run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize("generators", ["1,0;0,1e-300", "1e200,0;0,1e200"])
@@ -285,13 +319,8 @@ def test_energy_on_oblique_lattice_needs_generators(capsys, tmp_path):
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     probe = "import sys, torusfield.cli; print('numpy.random' in sys.modules)"
-    run = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-    )
+    run = fresh_python("-c", probe)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
 
@@ -313,6 +342,13 @@ def test_verify_flat_torus_passes_everything(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert "FAIL" not in out
     assert lines[-1].endswith("checks passed")
+
+
+def test_verify_passes_rigidity_on_a_flat_torus_of_any_scale(capsys):
+    # e^{2u} scales every quotient and its bound alike
+    code, out = run(capsys, "verify", "--grid", "16", "--u", "-7")
+    assert code == 0
+    assert "PASS vertical-rigidity" in out
 
 
 def test_verify_curved_torus_passes_everything(capsys):
@@ -558,6 +594,23 @@ def test_lie_full_sphere_family(capsys):
     )
     assert code == 0
     assert "full sphere" in out
+
+
+def test_lie_compare_prints_every_mismatch_and_exits_one(capsys, monkeypatch):
+    # the reference set loses its equator and gains a point off the solution
+    # set, so the comparison must print both and fail, whatever classify finds
+    expected = liegroups._expected_predicates
+
+    def altered(model, problem):
+        kept = [p for p in expected(model, problem) if "equator" not in p.description]
+        return [*kept, liegroups._point_predicate([1.0, 1.0, 1.0])]
+
+    monkeypatch.setattr(liegroups, "_expected_predicates", altered)
+    code, out = run(capsys, "lie", "--model", "sol3", "--compare", "--resolution", "2000")
+    assert code == 1
+    assert "missing: point (+0.5774, +0.5774, +0.5774)" in out.splitlines()
+    assert "unexpected: circle at coordinate 2 = +0.0000 (radius 1.0000)" in out.splitlines()
+    assert out.splitlines()[-1] == "classification does NOT match the known solution set"
 
 
 def test_lie_sol3_full_problem_compare_is_usage_error(capsys):

@@ -16,7 +16,7 @@ from torusfield.conformal import (
     ResolutionWarning,
     section_residual_pair,
 )
-from torusfield.energy import bienergy, el_residual
+from torusfield.energy import bienergy, el_residual, right_hand_side
 from torusfield.lattice import (
     LatticeSpec,
     ScalarField,
@@ -122,14 +122,14 @@ def test_energy_matches_residual_and_shape_operator_routes(seed):
     e = bienergy(cs, theta)
 
     pair = section_residual_pair(cs, theta)
-    vertical_oracle = cs.integrate(cs.norm_sq(pair.curved))
+    vertical_oracle = cs.integrate(cs.em2u * dot(pair.curved, pair.curved))
 
     total = theta.total_samples()
     V = VectorFieldFlat.from_arrays(
         lattice, cs.eu.values * np.cos(total), cs.eu.values * np.sin(total)
     )
     accel = curved_covariant_derivative(cs, V, V) - cs.divergence(V) * V
-    horizontal_oracle = cs.integrate(cs.kg_sq, cs.norm_sq(accel))
+    horizontal_oracle = cs.integrate(cs.kg_sq, cs.em2u * dot(accel, accel))
 
     assert e.vertical_bienergy == pytest.approx(vertical_oracle, rel=1e-8)
     assert e.horizontal_part == pytest.approx(horizontal_oracle, rel=1e-8)
@@ -250,6 +250,22 @@ def test_energy_rejects_lattice_mismatch(flat64):
         bienergy(flat64, theta)
     with pytest.raises(ValueError, match="mismatch"):
         el_residual(flat64, theta)
+
+
+def test_source_and_residual_reject_an_unknown_formulation(flat64):
+    theta = AngleField(HomotopyClass(1, 0), ScalarField.from_constant(flat64.lattice, 0.0))
+    with pytest.raises(ValueError, match="unknown formulation: 'weighted'"):
+        el_residual(flat64, theta, "weighted")
+    with pytest.raises(ValueError, match="unknown formulation: 'weighted'"):
+        right_hand_side(flat64, theta.homotopy, "weighted")
+
+
+def test_energy_of_an_angle_within_roundoff_does_not_warn(flat64):
+    # the rough mode of the next test at 1e-20 rad is FFT roundoff; the test
+    # settings make a warning an error
+    lam1, _ = flat64.lattice.fractional_coords
+    tiny = ScalarField(flat64.lattice, 1e-20 * np.sin(TWO_PI * 30 * lam1))
+    assert bienergy(flat64, AngleField(HomotopyClass(0, 0), tiny)).bienergy < 1e-30
 
 
 def test_energy_warns_on_unresolved_angle(flat64):

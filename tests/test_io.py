@@ -385,6 +385,24 @@ def test_csv_rejects_rows_that_are_not_seven_fields_wide(solved, tmp_path, edit)
         read_field_csv(path)
 
 
+def test_csv_rejects_rows_out_of_grid_order(solved, tmp_path):
+    cs, theta, _ = solved
+    path = tmp_path / "field.csv"
+    write_field_csv(path, cs, theta)
+    header, first, second, *rest = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, second, first, *rest]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="not in row-major grid order"):
+        read_field_csv(path)
+
+
+def test_csv_writer_refuses_an_angle_on_another_lattice(solved, tmp_path):
+    cs, _, _ = solved
+    theta = AngleField(HomotopyClass(1, 0), ScalarField.from_constant(LatticeSpec.unit_square(8), 0.0))
+    with pytest.raises(ValueError, match="lattice mismatch"):
+        write_field_csv(tmp_path / "field.csv", cs, theta)
+    assert not (tmp_path / "field.csv").exists()
+
+
 def test_csv_rejects_partial_grid(solved, tmp_path):
     cs, theta, _ = solved
     path = tmp_path / "field.csv"

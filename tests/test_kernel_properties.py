@@ -160,6 +160,21 @@ def test_rigidity_estimate_bounds_the_dense_minimum(case, seed):
     roundoff = 100.0 * EPS * float(np.max(case.cs.e2u.values)) * case.lap_max**2
     assert np.max(np.abs(eigenvalues[:null])) <= roundoff < smallest
 
+    # every mean-zero quotient is at least min(e^{2u}) lam1^2, the verdict's bound
+    assert smallest >= float(np.min(case.cs.e2u.values)) * case.lap_min**2 - roundoff
+
     certificate = section_rigidity_check(case.cs, seed=seed)
     assert certificate.smallest_rayleigh >= smallest - roundoff
-    assert certificate.verdict == (smallest >= 1e-6 * case.lap_min**2)
+    assert certificate.verdict
+
+
+@given(cases(), st.floats(-20.0, 20.0), st.integers(0, 3))
+def test_rigidity_verdict_holds_on_every_constant_exponent(case, c, seed):
+    # u = c is flat: every mean-zero quotient is e^{2c} |k|^4, so the estimate
+    # is at least its bound e^{2c} lam1^2 up to roundoff, far inside the 1e-12
+    # the verdict allows
+    cs = ConformalStructure.from_exponent(ScalarField.from_constant(case.lattice, c))
+    certificate = section_rigidity_check(cs, seed=seed)
+    bound = float(np.min(cs.e2u.values)) * case.lap_min**2
+    assert certificate.smallest_rayleigh >= (1.0 - 1e3 * EPS) * bound
+    assert certificate.verdict

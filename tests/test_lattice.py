@@ -83,6 +83,12 @@ def test_lattice_keeps_small_generators_whose_wavevectors_fit_a_float():
     assert np.all(np.isfinite(np.sum(k * k, axis=-1)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_lattice_rejects_non_finite_generators(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        LatticeSpec((1.0, 0.0), (bad, 1.0), 8, 8)
+
+
 @pytest.mark.parametrize("n1,n2", [(3, 8), (8, 7), (2, 8)])
 def test_lattice_rejects_bad_grid_counts(n1, n2):
     with pytest.raises(ValueError):
@@ -100,6 +106,20 @@ def test_scalar_field_rejects_non_finite(square64):
     bad[3, 5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         ScalarField(square64, bad)
+
+
+def test_scalar_field_rejects_samples_of_another_shape(square64):
+    with pytest.raises(ValueError, match=r"shape \(64, 32\), expected \(64, 64\)"):
+        ScalarField(square64, np.zeros((64, 32)))
+
+
+def test_fields_on_different_lattices_do_not_combine(square64):
+    f = ScalarField.from_constant(square64, 1.0)
+    g = ScalarField.from_constant(LatticeSpec.unit_square(32), 1.0)
+    with pytest.raises(ValueError, match="lattice mismatch"):
+        f + g
+    with pytest.raises(ValueError, match="different lattices"):
+        VectorFieldFlat(f, g)
 
 
 def test_scalar_field_samples_are_immutable(square64):
@@ -314,3 +334,17 @@ def test_resolution_fraction_of_constant_is_zero(square64):
         lattice = LatticeSpec((1.0, 0.0), (0.0, 1.0), n1, n2)
         for value in (0.3, 4.2, -1.7, 1e10):
             assert resolution_fraction(ScalarField.from_constant(lattice, value)) == 0.0
+
+
+@pytest.mark.parametrize("mean", [0.0, 1e-30, 0.5])
+def test_resolution_fraction_reads_roundoff_against_a_unit_reference(mean):
+    # a non-mean part within FFT roundoff of max(|mean|, 1) is roundoff, however
+    # small the mean; a decade above that floor, the top-third mode counts
+    lattice = LatticeSpec.unit_square(32)
+    floor = np.finfo(float).eps * np.log2(32 * 32)
+    fractions = []
+    for amplitude in (1e-20, floor / 10, 10 * floor):
+        f = ScalarField.from_function(lattice, lambda x, y: mean + amplitude * np.sin(TWO_PI * 12 * x))
+        fractions.append(resolution_fraction(f))
+    assert fractions[:2] == [0.0, 0.0]
+    assert fractions[2] > 0.99

@@ -85,6 +85,11 @@ def test_models_reject_nonfinite_parameters(bad):
         hyperbolic(3, bad)
 
 
+def test_a_connection_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError, match=r"connection must have shape \(3, 3, 3\)"):
+        LeftInvariantModel("su2", 3, (1.0, 1.0, 1.0), np.zeros((3, 3, 2)))
+
+
 def test_su2_connection_table():
     model = su2(2.0, 1.5, 1.0)
     # half-sum of the scales is 2.25, so the three torsion coefficients are
@@ -598,6 +603,36 @@ def test_classify_is_deterministic():
     assert np.array_equal(first.witnesses, second.witnesses)
 
 
+def test_classify_reports_an_empty_set_when_nothing_is_critical():
+    # a two-dimensional toy frame, not a metric connection, whose rough
+    # Laplacian is V -> V A with A = [[1, -1], [1, 0]]: A has no real
+    # eigenvector, so no unit V has a rough Laplacian parallel to V
+    gamma = np.zeros((2, 2, 2))
+    gamma[0, 0, 1], gamma[0, 1, 0], gamma[0, 1, 1] = -1.0, 1.0, -1.0
+    model = LeftInvariantModel("toy", 2, (), gamma)
+    np.testing.assert_array_equal(_rough_laplacian(model, np.eye(2)), [[1.0, -1.0], [1.0, 0.0]])
+    found = classify(model, "harmonic_section", resolution=200)
+    assert (found.kind, found.components, found.ambiguous) == ("empty", (), False)
+    assert found.samples > 0 and found.converged == 0
+    assert found.witnesses.shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "model", [su2(2e100, 1.5e100, 1e100), hyperbolic(3, 1e80)], ids=lambda m: f"{m.name}{m.params}"
+)
+def test_a_model_whose_tensors_overflow_is_refused(model):
+    # finite parameters whose fourth-order products overflow: the classifier
+    # refuses the model instead of classifying NaNs as an empty set
+    pole = np.eye(model.dim)[0]
+    calls = (
+        lambda: critical_system_residual(model, pole, "biharmonic_section"),
+        lambda: classify(model, "biharmonic_section", resolution=200),
+    )
+    for call in calls:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflow a float"):
+            call()
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -664,6 +699,12 @@ def test_compare_known_confirms_su2_equivalence():
 def test_compare_known_refuses_unclassified_problem():
     with pytest.raises(ValueError):
         compare_known(sol3(), "biharmonic_vector_field")
+
+
+def test_compare_known_refuses_a_model_without_a_reference():
+    model = LeftInvariantModel("toy", 3, (), sol3().connection.copy())
+    with pytest.raises(ValueError, match="no reference classification for model 'toy'"):
+        compare_known(model, "biharmonic_section")
 
 
 ### The merge rule: fragments of one component join as they are found

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from torusfield import angles, energy
+from torusfield import angles
 from torusfield.angles import AngleField, HomotopyClass, angle_to_unit_field, winding_class
 from torusfield.conformal import ConformalStructure, ResolutionWarning
 from torusfield.energy import bienergy, el_residual, right_hand_side
@@ -292,6 +292,50 @@ def test_tolerance_below_roundoff_stagnates():
     # stopped within two windows of its best, long before the budget
     assert history.min() <= 1e-15
     assert len(history) - 1 - int(np.argmin(history)) <= 2 * _STAGNATION_WINDOW
+
+
+class _NegatedKernel(_Kernel):
+    """A stub whose operator is -P, negative on the mean-zero subspace."""
+
+    def apply_spectrum(self, spectrum):
+        return -super().apply_spectrum(spectrum)
+
+
+def _strong_source() -> tuple[ConformalStructure, np.ndarray]:
+    cs, cls, _ = realize(RunConfig(grid="16", u="0.3*sin(2pi*x)", winding=(1, 0)))
+    return cs, right_hand_side(cs, cls, "flat_weighted").values
+
+
+def test_an_operator_that_is_not_positive_stops_pcg():
+    cs, source = _strong_source()
+    negated = _NegatedKernel(cs)
+    with pytest.raises(ConvergenceError, match="search direction lost positivity") as excinfo:
+        _pcg(negated, negated.precondition_spectrum, source, 1e-10, 10)
+    assert excinfo.value.residual_history == [1.0]
+
+
+def test_a_preconditioner_that_annihilates_the_residual_stops_pcg():
+    cs, source = _strong_source()
+    calls = []
+
+    def once(spectrum):
+        # the identity for the first direction, then nothing
+        calls.append(spectrum)
+        return _zero_mean(spectrum) if len(calls) == 1 else np.zeros_like(spectrum)
+
+    with pytest.raises(ConvergenceError, match="preconditioned residual vanished") as excinfo:
+        _pcg(cs.kernel, once, source, 1e-10, 10)
+    assert len(calls) == 2
+    assert len(excinfo.value.residual_history) == 2
+
+
+def test_a_start_that_meets_the_tolerance_is_returned_without_iterating():
+    cs, source = _strong_source()
+    kernel, budget = cs.kernel, _iteration_budget(cs.lattice)
+    x, _, _ = _pcg(kernel, kernel.precondition_spectrum, source, 1e-10, budget)
+    again, history, _ = _pcg(kernel, kernel.precondition_spectrum, source, 1e-6, budget, x0=kernel.forward(x))
+    assert len(history) == 1 and history[0] <= 1e-6
+    assert np.max(np.abs(again - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 #: a single-eigenvalue exponent of one variable: the trivial class's source
@@ -705,8 +749,7 @@ def test_derivatives_never_sample_the_representative(monkeypatch, wavy64):
     def sampled(*args):
         raise AssertionError("sampled linear representative built")
 
-    for module in (angles, energy):
-        monkeypatch.setattr(module, "linear_representative", sampled, raising=False)
+    monkeypatch.setattr(angles, "_linear_samples", sampled)
     cls = HomotopyClass(2, -1)
     theta, report = solve_homotopy_class(wavy64, cls)
     assert report.energy == bienergy(wavy64, theta)
@@ -733,6 +776,31 @@ def test_rigidity_holds_for_curved_metric():
     cert = section_rigidity_check(cs)
     assert cert.smallest_rayleigh > 0.0
     assert cert.verdict
+
+
+def test_rigidity_verdict_is_the_same_on_every_homothetic_copy():
+    # generators scaled by L = 2^j with ln L added to u give the same metric;
+    # the quotient and its bound min(e^{2u}) lam1^2 both scale by L^-2
+    reference = None
+    for j in range(-40, 41):
+        lattice = LatticeSpec((2.0**j, 0.0), (0.0, 2.0**j), 32, 32)
+        lam1, lam2 = lattice.fractional_coords
+        u = 0.2 * np.sin(TWO_PI * lam1) + 0.1 * np.cos(TWO_PI * lam2) + j * np.log(2.0)
+        cert = section_rigidity_check(ConformalStructure.from_exponent(ScalarField(lattice, u)))
+        assert cert.verdict
+        scaled = cert.smallest_rayleigh * 4.0**j
+        reference = reference or scaled
+        assert scaled == pytest.approx(reference, rel=1e-10)
+
+
+def test_rigidity_fails_a_bilaplacian_below_its_bound(monkeypatch):
+    # on a constant exponent the quotient meets its bound, so halving the
+    # operator must fail the verdict
+    cs = ConformalStructure.from_exponent(ScalarField.from_constant(LatticeSpec.unit_square(16), -7.0))
+    assert section_rigidity_check(cs).verdict
+    original = _Kernel.bilaplacian_spectrum
+    monkeypatch.setattr(_Kernel, "bilaplacian_spectrum", lambda self, spectrum: 0.5 * original(self, spectrum))
+    assert not section_rigidity_check(cs).verdict
 
 
 def test_rigidity_operator_annihilates_constants(wavy64):

@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from torusfield.angles import HomotopyClass, linear_representative
+from torusfield.angles import HomotopyClass, _constant_gradient
 from torusfield.conformal import ConformalStructure, ResolutionWarning
 from torusfield.energy import right_hand_side
 from torusfield.lattice import (
@@ -80,7 +80,7 @@ def _error_bound(cs: ConformalStructure, cls: HomotopyClass, tolerance: float) -
     """
     lattice = cs.lattice
     b = right_hand_side(cs, cls, "flat_weighted").values
-    Y0 = linear_representative(cls, lattice).gradient
+    Y0 = _constant_gradient(cls, lattice)
     v = -rotate_J(flat_gradient(cs.u))
     flux = np.hypot(cs.kg_sq.values * (Y0[0] + v.comp1.values), cs.kg_sq.values * (Y0[1] + v.comp2.values))
     kmax = max(float(np.max(np.abs(_derivative_multiplier(lattice, d)))) for d in (1, 2))
